@@ -13,11 +13,18 @@ import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Protocol
 
+import numpy as np
+
 from repro.errors import BudgetError, SamplingError
 from repro.network.energy import EnergyModel
 from repro.network.failures import LinkFailureModel
 from repro.network.topology import Topology
 from repro.obs import Instrumentation
+from repro.plans.execution import (
+    bandwidth_vector,
+    batch_static_cost,
+    batch_visited,
+)
 from repro.plans.plan import QueryPlan
 from repro.sampling.matrix import SampleMatrix
 
@@ -61,16 +68,27 @@ class PlanningContext:
         """Cost of moving one value across one edge."""
         return self.energy.per_value_mj
 
-    def plan_cost(self, plan: QueryPlan) -> float:
-        """Static (budgeted) cost of a plan under this context's costs.
+    def plan_costs(self, bandwidths: np.ndarray) -> np.ndarray:
+        """Static (budgeted) costs of ``(C, n)`` candidate bandwidth
+        vectors under this context's costs, as a ``(C,)`` array.
 
         Includes per-node acquisition energy for every visited node
         when the energy model charges it (§4.4 "Modeling Other Costs").
+        The rounding helpers score whole rounds of trial plans with one
+        call.
         """
-        cost = plan.static_cost(self.energy, self.failures)
+        costs = batch_static_cost(
+            self.topology, bandwidths, self.energy, self.failures
+        )
         if self.energy.acquisition_mj:
-            cost += self.energy.acquisition_mj * len(plan.visited_nodes)
-        return cost
+            visited = batch_visited(self.topology, bandwidths).sum(axis=1)
+            costs += self.energy.acquisition_mj * visited
+        return costs
+
+    def plan_cost(self, plan: QueryPlan) -> float:
+        """Static (budgeted) cost of one plan: :meth:`plan_costs` of its
+        bandwidth vector."""
+        return float(self.plan_costs(bandwidth_vector(plan))[0])
 
 
 @dataclass(frozen=True)

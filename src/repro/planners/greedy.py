@@ -8,10 +8,17 @@ plan to fetch that node's value all the way to the root.
 Greedy is deliberately topology-blind — it never reasons about sharing
 per-message costs between clustered picks — which is exactly the
 deficiency LP−LF fixes in the evaluation.
+
+Trial plans are bandwidth vectors (the chosen nodes' root paths
+summed), costed through :meth:`PlanningContext.plan_costs`; only the
+returned plan is built as a :class:`QueryPlan`.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from repro.plans.execution import path_incidence
 from repro.plans.plan import QueryPlan
 from repro.planners.base import PlanningContext, observed
 
@@ -44,15 +51,22 @@ class GreedyPlanner:
             key=lambda node: (-counts[node], topology.depth(node), node),
         )
 
-        chosen: set[int] = {topology.root}
-        plan = QueryPlan.from_chosen_nodes(topology, chosen)
-        for node in order:
-            if counts[node] == 0:
-                break  # nodes that never appeared in the top k add nothing
-            trial = QueryPlan.from_chosen_nodes(topology, chosen | {node})
-            if context.plan_cost(trial) <= context.budget:
-                chosen.add(node)
-                plan = trial
-            elif not self.skip_unaffordable:
-                break
-        return plan
+        # nodes that never appeared in the top k add nothing
+        order = [node for node in order if counts[node] > 0]
+        incidence = path_incidence(topology)
+        if self.skip_unaffordable:
+            taken = []
+            bw = np.zeros(topology.n, dtype=np.int64)
+            for node in order:
+                trial = bw + incidence[node]
+                if context.plan_costs(trial)[0] <= context.budget:
+                    taken.append(node)
+                    bw = trial
+        else:
+            # the paper's rule keeps the longest prefix of the order
+            # whose every step fits: cost all prefixes at once and stop
+            # before the first that does not
+            costs = context.plan_costs(np.cumsum(incidence[order], axis=0))
+            fits = costs <= context.budget
+            taken = order if fits.all() else order[: int(np.argmin(fits))]
+        return QueryPlan.from_chosen_nodes(topology, {topology.root, *taken})

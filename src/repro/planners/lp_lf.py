@@ -266,7 +266,7 @@ class LPLFPlanner:
             plan = repair_bandwidths(
                 plan,
                 context.samples.ones_list(),
-                cost_of=context.plan_cost,
+                costs_of=context.plan_costs,
                 budget=context.budget,
             )
             if not self.fill_budget:
@@ -274,6 +274,6 @@ class LPLFPlanner:
             return fill_bandwidths(
                 plan,
                 context.samples.ones_list(),
-                cost_of=context.plan_cost,
+                costs_of=context.plan_costs,
                 budget=context.budget,
             )

@@ -242,18 +242,15 @@ class LPNoLFPlanner:
             }
             chosen.add(topology.root)
 
-            def build(keep: set[int]) -> QueryPlan:
-                return QueryPlan.from_chosen_nodes(topology, keep)
-
             if not self.strict_budget:
-                return build(chosen)
+                return QueryPlan.from_chosen_nodes(topology, chosen)
 
             counts = context.samples.column_counts()
             plan, kept = repair_chosen_nodes(
                 chosen=sorted(chosen),
                 scores=counts,
-                build_plan=build,
-                cost_of=context.plan_cost,
+                topology=topology,
+                costs_of=context.plan_costs,
                 budget=context.budget,
                 protected=frozenset({topology.root}),
             )
@@ -269,5 +266,5 @@ class LPNoLFPlanner:
                 for node in topology.nodes
             ]
             return fill_chosen_nodes(
-                kept, priorities, build, context.plan_cost, context.budget
+                kept, priorities, topology, context.plan_costs, context.budget
             )

@@ -30,6 +30,7 @@ from repro.lp import LinExpr, Model
 from repro.lp.backend import resolve_backend
 from repro.lp.fastbuild import CompiledLP, compile_proof, compile_proof_parametric
 from repro.obs.spans import maybe_span
+from repro.plans.execution import bandwidth_vector, plan_from_vector
 from repro.plans.plan import QueryPlan
 from repro.planners.base import (
     PlannerConfig,
@@ -287,7 +288,7 @@ class ProofPlanner:
                 plan = repair_bandwidths(
                     plan,
                     context.samples.ones_list(),
-                    cost_of=context.plan_cost,
+                    costs_of=context.plan_costs,
                     budget=effective_budget,
                     min_bandwidth=1,
                 )
@@ -298,7 +299,12 @@ class ProofPlanner:
     def _fill(
         self, plan: QueryPlan, context: PlanningContext, budget: float
     ) -> QueryPlan:
-        """Spend leftover budget on extra bandwidth, hottest subtrees first."""
+        """Spend leftover budget on extra bandwidth, hottest subtrees first.
+
+        Each pass tries one more unit on every edge in priority order,
+        keeping it when the bandwidth vector still fits; each trial is
+        costed through :meth:`PlanningContext.plan_costs`.
+        """
         topology = context.topology
         descendant_sets = topology.descendant_sets()
         ones = context.samples.ones_list()
@@ -311,14 +317,17 @@ class ProofPlanner:
             topology.edges,
             key=lambda e: (-heat[e], -topology.depth(e), e),
         )
+        subtree = topology.subtree_size_array()
+        bw = bandwidth_vector(plan)
         grew = True
         while grew:
             grew = False
             for edge in order:
-                if plan.bandwidths[edge] >= topology.subtree_size(edge):
+                if bw[edge] >= subtree[edge]:
                     continue
-                trial = plan.with_bandwidth(edge, plan.bandwidths[edge] + 1)
-                if context.plan_cost(trial) <= budget:
-                    plan = trial
+                bw[edge] += 1
+                if context.plan_costs(bw)[0] <= budget:
                     grew = True
-        return plan
+                else:
+                    bw[edge] -= 1
+        return plan_from_vector(topology, bw, requires_all_edges=True)

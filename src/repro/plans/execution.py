@@ -24,6 +24,8 @@ from typing import Iterable
 import numpy as np
 
 from repro.errors import PlanError
+from repro.network.energy import EnergyModel
+from repro.network.failures import LinkFailureModel
 from repro.network.topology import Topology, validate_readings
 from repro.plans.plan import Message, QueryPlan, Reading, tag_readings
 
@@ -328,6 +330,78 @@ def bandwidth_vector(plan: QueryPlan) -> np.ndarray:
     return vector
 
 
+def plan_from_vector(
+    topology: Topology, bandwidths: np.ndarray, requires_all_edges: bool = False
+) -> QueryPlan:
+    """The :class:`QueryPlan` of one bandwidth vector (inverse of
+    :func:`bandwidth_vector`; the root slot is ignored)."""
+    return QueryPlan(
+        topology,
+        {edge: int(bandwidths[edge]) for edge in topology.edges},
+        requires_all_edges=requires_all_edges,
+    )
+
+
+def path_incidence(topology: Topology) -> np.ndarray:
+    """``(n, n)`` int matrix whose row ``u`` is 1 on every edge of
+    ``u``'s root path: the bandwidth a chosen node adds to a
+    :meth:`QueryPlan.from_chosen_nodes` plan.  Row sums over a chosen
+    set therefore give that plan's bandwidth vector."""
+    indptr, path_flat = topology.path_edge_arrays()
+    incidence = np.zeros((topology.n, topology.n), dtype=np.int64)
+    owners = np.repeat(np.arange(topology.n), np.diff(indptr))
+    incidence[owners, path_flat] = 1
+    return incidence
+
+
+def batch_visited(topology: Topology, bandwidths: np.ndarray) -> np.ndarray:
+    """``(C, n)`` boolean mask of each candidate's visited nodes.
+
+    Vectorized :attr:`QueryPlan.visited_nodes`: a node is visited iff
+    every edge on its root path has positive bandwidth (the root always
+    is).  Counts the blocked edges per root path from one gather and one
+    running sum over :meth:`Topology.path_edge_arrays`.
+    """
+    bw = np.atleast_2d(np.asarray(bandwidths, dtype=np.int64))
+    indptr, path_flat = topology.path_edge_arrays()
+    blocked = np.zeros((bw.shape[0], path_flat.size + 1), dtype=np.int64)
+    np.cumsum(bw[:, path_flat] <= 0, axis=1, out=blocked[:, 1:])
+    return blocked[:, indptr[1:]] == blocked[:, indptr[:-1]]
+
+
+def batch_static_cost(
+    topology: Topology,
+    bandwidths: np.ndarray,
+    energy: EnergyModel,
+    failures: LinkFailureModel | None = None,
+) -> np.ndarray:
+    """Budgeted collection cost of ``C`` candidate plans at once.
+
+    ``bandwidths`` is a ``(C, n)`` integer array indexed by edge child
+    id (a 1-D vector is treated as ``C = 1``); returns ``(C,)`` costs,
+    each bitwise equal to :meth:`QueryPlan.static_cost` of that row.
+    Every visited edge costs one message carrying its effective
+    bandwidth, ``per_message_mj + per_byte_mj * (min(b, subtree) *
+    value_bytes)``, plus the expected failure penalty when a model is
+    attached; unvisited edges cost nothing.
+
+    Edge costs are summed *sequentially* in ``topology.edges`` order
+    (``np.add.accumulate``), never pairwise, so the total rounds exactly
+    like the scalar per-message loop: a last-bit difference could flip
+    a ``> budget`` test or a gain-per-mJ tie and change a plan.
+    """
+    bw = np.atleast_2d(np.asarray(bandwidths, dtype=np.int64))
+    edges = np.asarray(topology.edges, dtype=np.int64)
+    if edges.size == 0:
+        return np.zeros(bw.shape[0])
+    sent = np.minimum(bw[:, edges], topology.subtree_size_array()[edges])
+    cost = energy.per_message_mj + energy.per_byte_mj * (sent * energy.value_bytes)
+    if failures is not None:
+        cost += failures.probability_vector(edges) * failures.reroute_vector(edges)
+    cost[~batch_visited(topology, bw)[:, edges]] = 0.0
+    return np.add.accumulate(cost, axis=1)[:, -1]
+
+
 def batch_count_topk_hits(
     topology: Topology, bandwidths: np.ndarray, ones_matrix: np.ndarray
 ) -> np.ndarray:
@@ -345,23 +419,28 @@ def batch_count_topk_hits(
     Returns
     -------
     ``(C, m)`` array of root survivor counts.  The tree min-recursion
-    runs once per node with numpy ops across all candidates and samples,
-    which is what makes the rounding repair/fill loops cheap.
+    runs once per node with numpy ops across all candidates and samples.
+    The rounding helpers pair it with :func:`batch_static_cost` so a
+    whole round of trial plans is scored, hits and cost, as matrices,
+    without building a :class:`QueryPlan` per trial.
     """
     bw = np.atleast_2d(np.asarray(bandwidths, dtype=np.int64))
-    own = np.asarray(ones_matrix, dtype=np.int64)
-    num_candidates = bw.shape[0]
-    num_samples = own.shape[0]
+    own = np.asarray(ones_matrix, dtype=np.int64).T  # (n, m): one row per node
+    caps = bw.T[:, :, None]  # (n, C, 1): each node's bandwidth per candidate
     root = topology.root
     survivors: dict[int, np.ndarray] = {}
     for node in topology.post_order():
-        count = np.broadcast_to(
-            own[:, node], (num_candidates, num_samples)
-        ).copy()
-        for child in topology.children(node):
-            count += survivors.pop(child)
-        if node != root:
-            np.minimum(count, bw[:, node, None], out=count)
+        children = topology.children(node)
+        if children:
+            count = survivors.pop(children[0]) + own[node]
+            for child in children[1:]:
+                count += survivors.pop(child)
+            if node != root:
+                np.minimum(count, caps[node], out=count)
+        elif node != root:
+            count = np.minimum(own[node], caps[node])
+        else:  # a single-node network
+            count = np.broadcast_to(own[node], (bw.shape[0], own.shape[1])).copy()
         survivors[node] = count
     return survivors[root]
 

@@ -172,16 +172,21 @@ class QueryPlan:
         used edge, carrying that edge's (effective) bandwidth of values.
         This is what the LP's cost constraint bounds; the simulator's
         measured cost can only be lower (subtrees may supply fewer
-        values than budgeted).
+        values than budgeted).  Edges cut off by a zero-bandwidth
+        ancestor are never triggered and cost nothing.
+
+        A one-row call of
+        :func:`~repro.plans.execution.batch_static_cost`, the package's
+        single cost formula.
         """
-        active = self.visited_nodes
-        total = 0.0
-        for edge in self.used_edges:
-            if edge not in active:
-                continue  # cut off by a zero-bandwidth ancestor: never triggered
-            message = Message(edge, self.effective_bandwidth(edge))
-            total += message.cost(energy, failures)
-        return total
+        # deferred: repro.plans.execution imports this module
+        from repro.plans.execution import bandwidth_vector, batch_static_cost
+
+        return float(
+            batch_static_cost(
+                self.topology, bandwidth_vector(self), energy, failures
+            )[0]
+        )
 
     def with_bandwidth(self, edge: int, bandwidth: int) -> "QueryPlan":
         """Copy of this plan with one edge's bandwidth replaced."""

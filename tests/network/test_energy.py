@@ -1,5 +1,8 @@
 """Unit tests for the energy model."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.network.energy import EnergyModel
@@ -56,3 +59,36 @@ class TestEnergyModel:
     def test_frozen(self, energy):
         with pytest.raises(AttributeError):
             energy.per_message_mj = 0.0
+
+
+def _design_constants_row() -> str:
+    design = Path(__file__).resolve().parents[2] / "DESIGN.md"
+    rows = [
+        line
+        for line in design.read_text().splitlines()
+        if line.startswith("| MICA2 cost constants")
+    ]
+    assert len(rows) == 1, "DESIGN.md §4 must have one constants row"
+    return rows[0]
+
+
+def test_design_constants_row_matches_defaults():
+    """DESIGN.md §4 states the constants ``EnergyModel()`` uses."""
+    row = _design_constants_row()
+    default = EnergyModel()
+    message = re.search(r"s = ([\d.]+) mJ/message", row)
+    per_byte = re.search(
+        r"beta = \(([\d.]+) \+ ([\d.]+)\) mW / ([\d.]+) B/s = ([\d.]+) mJ/byte",
+        row,
+    )
+    value = re.search(r"(\d+)-byte values", row)
+    assert message and per_byte and value, row
+    assert float(message.group(1)) == default.per_message_mj
+    sending, receiving, rate, beta = map(float, per_byte.groups())
+    assert (sending, receiving, rate) == (
+        default.sending_mw,
+        default.receiving_mw,
+        default.byte_rate,
+    )
+    assert beta == pytest.approx(default.per_byte_mj, rel=1e-12)
+    assert int(value.group(1)) == default.value_bytes

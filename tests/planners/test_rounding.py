@@ -12,7 +12,7 @@ from repro.planners.rounding import (
     round_bandwidth,
     round_indicator,
 )
-from repro.plans.execution import count_topk_hits
+from repro.plans.execution import batch_static_cost, count_topk_hits
 from repro.plans.plan import QueryPlan
 
 UNIFORM = EnergyModel.uniform(per_message_mj=1.0, per_value_mj=0.1)
@@ -20,6 +20,11 @@ UNIFORM = EnergyModel.uniform(per_message_mj=1.0, per_value_mj=0.1)
 
 def cost(plan):
     return plan.static_cost(UNIFORM)
+
+
+def costs(topology):
+    """Batched ``costs_of`` for the helpers: bandwidth rows to costs."""
+    return lambda bandwidths: batch_static_cost(topology, bandwidths, UNIFORM)
 
 
 class TestRoundingPrimitives:
@@ -42,8 +47,8 @@ class TestRepairChosenNodes:
         plan, kept = repair_chosen_nodes(
             [0, 1, 2],
             scores=[0, 5, 3, 1],
-            build_plan=lambda keep: QueryPlan.from_chosen_nodes(topo, keep),
-            cost_of=cost,
+            topology=topo,
+            costs_of=costs(topo),
             budget=100.0,
         )
         assert kept == {0, 1, 2}
@@ -53,8 +58,8 @@ class TestRepairChosenNodes:
         plan, kept = repair_chosen_nodes(
             [0, 1, 2, 3],
             scores=[0, 5, 3, 9],
-            build_plan=lambda keep: QueryPlan.from_chosen_nodes(topo, keep),
-            cost_of=cost,
+            topology=topo,
+            costs_of=costs(topo),
             budget=2.3,  # two star edges at 1.1
             protected=frozenset({0}),
         )
@@ -66,8 +71,8 @@ class TestRepairChosenNodes:
         __, kept = repair_chosen_nodes(
             [0, 1, 2],
             scores=[0, 1, 2],
-            build_plan=lambda keep: QueryPlan.from_chosen_nodes(topo, keep),
-            cost_of=cost,
+            topology=topo,
+            costs_of=costs(topo),
             budget=0.0,
             protected=frozenset({0}),
         )
@@ -77,7 +82,9 @@ class TestRepairChosenNodes:
 class TestRepairBandwidths:
     def test_clips_over_allocation(self, small_tree):
         plan = QueryPlan(small_tree, {1: 99})
-        repaired = repair_bandwidths(plan, [], cost_of=cost, budget=100.0)
+        repaired = repair_bandwidths(
+            plan, [], costs_of=costs(small_tree), budget=100.0
+        )
         assert repaired.bandwidth(1) == small_tree.subtree_size(1)
 
     def test_prefers_free_decrements(self, small_tree):
@@ -85,7 +92,7 @@ class TestRepairBandwidths:
         ones = [{3}, {4}]
         plan = QueryPlan(small_tree, {1: 2, 3: 1, 4: 1, 2: 1})
         repaired = repair_bandwidths(
-            plan, ones, cost_of=cost, budget=cost(plan) - 1.0
+            plan, ones, costs_of=costs(small_tree), budget=cost(plan) - 1.0
         )
         assert repaired.bandwidth(2) == 0
         hits = sum(count_topk_hits(repaired, o) for o in ones)
@@ -95,7 +102,7 @@ class TestRepairBandwidths:
         topo = line_topology(3)
         plan = QueryPlan(topo, {1: 2, 2: 2}, requires_all_edges=True)
         repaired = repair_bandwidths(
-            plan, [], cost_of=cost, budget=0.0, min_bandwidth=1
+            plan, [], costs_of=costs(topo), budget=0.0, min_bandwidth=1
         )
         assert repaired.bandwidth(1) == 1
         assert repaired.bandwidth(2) == 1  # floor reached; budget unmet
@@ -104,7 +111,9 @@ class TestRepairBandwidths:
         ones = [{3, 4, 6}]
         plan = QueryPlan.full(small_tree)
         target = cost(plan) * 0.5
-        repaired = repair_bandwidths(plan, ones, cost_of=cost, budget=target)
+        repaired = repair_bandwidths(
+            plan, ones, costs_of=costs(small_tree), budget=target
+        )
         assert cost(repaired) <= target
 
 
@@ -115,8 +124,8 @@ class TestFills:
         plan = fill_chosen_nodes(
             chosen,
             priorities=[0.0, 0.9, 0.8, 0.0, 0.7],
-            build_plan=lambda keep: QueryPlan.from_chosen_nodes(topo, keep),
-            cost_of=cost,
+            topology=topo,
+            costs_of=costs(topo),
             budget=2.3,
         )
         assert chosen == {0, 1, 2}  # two fit; zero-priority nodes skipped
@@ -127,16 +136,20 @@ class TestFills:
         topo = line_topology(4)
         plan = QueryPlan(topo, {})
         ones = [{3}] * 3
-        filled = fill_bandwidths(plan, ones, cost_of=cost, budget=10.0)
+        filled = fill_bandwidths(plan, ones, costs_of=costs(topo), budget=10.0)
         assert count_topk_hits(filled, {3}) == 1
 
     def test_fill_bandwidths_stops_at_budget(self, small_tree):
         plan = QueryPlan(small_tree, {})
         ones = [set(small_tree.nodes)]
-        filled = fill_bandwidths(plan, ones, cost_of=cost, budget=3.0)
+        filled = fill_bandwidths(
+            plan, ones, costs_of=costs(small_tree), budget=3.0
+        )
         assert cost(filled) <= 3.0
 
     def test_fill_bandwidths_noop_without_gain(self, small_tree):
         plan = QueryPlan.full(small_tree)
-        filled = fill_bandwidths(plan, [{1}], cost_of=cost, budget=1e9)
+        filled = fill_bandwidths(
+            plan, [{1}], costs_of=costs(small_tree), budget=1e9
+        )
         assert filled.bandwidths == plan.bandwidths
