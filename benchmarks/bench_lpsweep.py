@@ -12,8 +12,9 @@ n = 60, m = 25, measured two ways per backend:
 
 The acceptance bar from the issue — >= 3x on the pure simplex backend
 at full size — is asserted here.  The HiGHS row is reported without a
-bar: ``linprog`` has no warm-start entry point, so its sweep win is
-only the shared compile.  Equivalence is asserted alongside the
+bar: HiGHS loads the form into one session and re-solves each member
+cold (a warm restart would land on other optimal vertices), so its
+sweep win is the shared compile and model hand-off.  Equivalence is asserted alongside the
 timings: sweep objectives match the cold objectives to 1e-9 and the
 rounded LP+LF plans are exactly equal (warm and cold bases may differ
 at degenerate alternate optima, so raw vectors are not compared).

@@ -44,9 +44,10 @@ def _planner_trial(params: dict, rng: np.random.Generator) -> dict:
     """One (planner, budget) point, runnable in a worker process.
 
     LP planners arrive with a precomputed ``plan`` (the whole budget
-    ladder is solved in one warm-started parametric sweep before the
-    trials fan out), so their trials are pure replays; planners without
-    sweep support plan inside the trial as before.
+    ladder is solved as one parametric sweep before the trials fan
+    out: compiled once, then one HiGHS session re-solves each member
+    cold), so their trials are pure replays; planners without sweep
+    support plan inside the trial as before.
     """
     if "plan" in params:
         evaluation = evaluate_plan(
@@ -138,8 +139,8 @@ def run(
         for budget in budgets
     ]
     # the LP planners solve the whole budget ladder as one parametric
-    # sweep (compile once, warm-start each member); the trials then
-    # just replay the precomputed plans
+    # sweep (compile once, one HiGHS session re-solving each member
+    # cold); the trials then just replay the precomputed plans
     samples = train.sample_matrix(k)
     replays: list[tuple[str, object, float]] = []
     for planner in (LPNoLFPlanner(), LPLFPlanner()):

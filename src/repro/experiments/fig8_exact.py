@@ -34,8 +34,9 @@ def _exact_trial(params: dict, rng: np.random.Generator) -> dict:
     """One phase-1 budget level: run the two-phase exact algorithm over
     the evaluation trace (the proof/mop-up protocol is inherently
     per-epoch, so the inner loop stays scalar).  The proof plan arrives
-    precomputed — the whole budget ladder is solved as one warm-started
-    parametric sweep before the trials fan out."""
+    precomputed — the whole budget ladder is solved as one parametric
+    sweep (one compile, each member re-solved cold in one HiGHS
+    session) before the trials fan out."""
     energy = params["energy"]
     plan = params["plan"]
     exact = ExactTopK(ProofPlanner(fill_budget=True))

@@ -6,9 +6,11 @@ measures build+solve wall time of each PROSPECTOR formulation across
 network and sample sizes on our HiGHS backend, plus the parametric
 budget-sweep columns: ``sweep_s`` is one compile + ``solve_sweep`` over
 an 8-budget ladder, ``sweep_speedup`` is how much faster that is than
-compiling and solving each budget cold.  (HiGHS has no warm-start entry
-point, so its sweep win is the shared compile; the pure simplex backend
-adds dual-simplex warm starts — see ``benchmarks/bench_lpsweep.py``.)
+compiling and solving each budget cold.  (The HiGHS sweep shares the
+compile and one loaded solver session but re-solves each member cold:
+warm restarts would move members to other optimal vertices.  The pure
+simplex backend adds dual-simplex warm starts — see
+``benchmarks/bench_lpsweep.py``.)
 """
 
 from __future__ import annotations

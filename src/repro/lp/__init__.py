@@ -3,9 +3,10 @@
 The paper solved its plan-optimization LPs with ILOG CPLEX 8.1.  This
 subpackage provides the equivalent substrate: an algebraic modeling
 layer (:class:`~repro.lp.model.Model`) that compiles to standard-form
-arrays, a production backend built on ``scipy.optimize.linprog``
-(HiGHS), and a self-contained two-phase simplex implementation used to
-cross-check the production backend in tests.
+arrays, a production backend that drives HiGHS through scipy's binding
+(one loaded session per call, each budget re-solved cold; bitwise equal
+to ``scipy.optimize.linprog``), and a self-contained two-phase simplex
+implementation used to cross-check the production backend in tests.
 
 Example
 -------

@@ -87,7 +87,8 @@ class ParametricForm:
     entry (the budget row).  A budget sweep therefore compiles **once**
     (through the :class:`ReplanCache` like any other compile) and each
     sweep member just patches that one float — via
-    ``backend.solve_sweep`` for warm-started solving, or via
+    ``backend.solve_sweep`` (warm-started on the pure simplex, cold
+    members of one loaded session on HiGHS), or via
     :meth:`form_for` for an independent cold oracle solve.
 
     ``rhs_of`` maps a budget to the slot's value using the *same* float

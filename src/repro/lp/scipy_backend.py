@@ -1,16 +1,36 @@
-"""Production LP backend built on ``scipy.optimize.linprog`` (HiGHS).
+"""Production LP backend: HiGHS through scipy's own binding.
 
 This stands in for the ILOG CPLEX 8.1 solver the paper used; the LPs
 are identical, only the solver implementation differs.
+
+Every entry point loads its compiled form into one HiGHS instance
+(:class:`_HighsSession`) and re-runs it cold per member, patching only
+the budget row or the cost vector in between.  The session feeds HiGHS
+exactly what ``scipy.optimize.linprog(method="highs")`` would — same
+matrix, bounds and options — and applies the same post-solve
+feasibility check, so the solutions are bitwise those of ``linprog``
+(``tests/lp/test_highs_session.py`` keeps ``linprog`` as the oracle)
+without its per-call validation and model hand-off.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csc_array
+from scipy import sparse
+
+try:
+    from scipy.optimize._highspy import _core as _highs
+    from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
+except ImportError as exc:  # pragma: no cover - depends on the install
+    raise ImportError(
+        "repro.lp.scipy_backend needs scipy >= 1.15, whose "
+        "scipy.optimize._highspy binding it drives"
+    ) from exc
 
 from repro.errors import SolverError
 from repro.lp.model import Model
@@ -26,15 +46,215 @@ _STATUS_BY_CODE = {
     4: "numerical",
 }
 
+# linprog's default ``tol`` (1e-9), loosened as its ``_check_result`` does
+_FEASIBILITY_TOL = np.sqrt(1e-9) * 10
+
+
+def _replace_inf(values: np.ndarray) -> np.ndarray:
+    """±inf → ±``kHighsInf``, as ``_linprog_highs`` prepares its arrays."""
+    infs = np.isinf(values)
+    values[infs] = np.sign(values[infs]) * _highs.kHighsInf
+    return values
+
+
+class _HighsRun(NamedTuple):
+    """One member's raw outcome, in ``linprog``'s terms."""
+
+    status: str
+    message: str
+    iterations: int
+    x: np.ndarray | None = None
+    fun: float | None = None
+    slack: np.ndarray | None = None
+    con: np.ndarray | None = None
+    ineq_duals: np.ndarray | None = None
+    lower: np.ndarray | None = None
+    upper: np.ndarray | None = None
+
+
+class _HighsSession:
+    """One compiled form loaded into one HiGHS instance.
+
+    The arrays are built and handed to HiGHS on the first
+    :meth:`solve`, with that member's budget row and costs already in
+    place, so a caller that solves inside its ``solve`` span bills the
+    whole set-up to the solve.  Each later solve patches the budget row
+    (``row``) and/or the cost vector, clears the previous solve's basis
+    and solution, and runs cold.  Warm restarts would be faster, but on
+    20 Fig-3 ladders they land on another optimal vertex in 236 of 280
+    members and change the rounded plan in 30, so ladders would stop
+    matching independent solves.
+    """
+
+    def __init__(self, form, row: int | None = None) -> None:
+        self.form = form
+        self.row = row
+        self.num_ub = form.a_ub.shape[0]
+        self._highs = None
+
+    def _load(self, rhs, cost):
+        """A HiGHS instance holding the form at this member, and its
+        load status."""
+        form = self.form
+        n = form.num_variables
+        bounds = np.array(form.bounds, dtype=float).reshape(-1, 2)
+        bounds[np.isnan(bounds[:, 0]), 0] = -np.inf
+        bounds[np.isnan(bounds[:, 1]), 1] = np.inf
+        self.lower, self.upper = bounds.T.copy()
+        self.row_upper = _replace_inf(
+            np.concatenate((np.asarray(form.b_ub, dtype=float), form.b_eq))
+        )
+        if rhs is not None:
+            self._set_rhs(rhs)
+        # linprog's canonical CSC (sorted, duplicates summed), stacked
+        # as CSR instead of through its COO round trip
+        matrix = sparse.vstack(
+            (form.a_ub, form.a_eq), format="csr", dtype=float
+        ).tocsc()
+        matrix.sum_duplicates()
+        row_lower = _replace_inf(np.concatenate(
+            (np.full(self.num_ub, -np.inf), np.asarray(form.b_eq, dtype=float))
+        ))
+        highs = _highs._Highs()
+        # exactly the options linprog(method="highs") sets
+        highs.setOptionValue("presolve", "on")
+        highs.setOptionValue(
+            "highs_debug_level",
+            int(_highs.HighsDebugLevel.kHighsDebugLevelNone),
+        )
+        highs.setOptionValue("log_to_console", False)
+        highs.setOptionValue("output_flag", False)
+        highs.setOptionValue(
+            "simplex_strategy",
+            int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
+        )
+        status = highs.passModel(
+            n, self.row_upper.size, matrix.nnz,
+            int(_highs.MatrixFormat.kColwise),
+            int(_highs.ObjSense.kMinimize), 0.0,
+            np.array(form.c if cost is None else cost, dtype=float),
+            _replace_inf(self.lower.copy()),
+            _replace_inf(self.upper.copy()),
+            row_lower,
+            self.row_upper.copy(),
+            matrix.indptr.astype(np.int32),
+            matrix.indices.astype(np.int32),
+            matrix.data,
+            np.zeros(n, dtype=np.int32),  # every column continuous
+        )
+        return highs, [status]
+
+    def _set_rhs(self, rhs: float) -> None:
+        self.row_upper[self.row] = _replace_inf(np.array([rhs], dtype=float))[0]
+
+    def _patch(self, rhs, cost):
+        """Move the loaded model to this member; the HiGHS statuses."""
+        statuses = []
+        if rhs is not None:
+            self._set_rhs(rhs)
+            statuses.append(self._highs.changeRowBounds(
+                self.row, -_highs.kHighsInf, self.row_upper[self.row]
+            ))
+        if cost is not None:
+            n = self.form.num_variables
+            statuses.append(self._highs.changeColsCost(
+                n, np.arange(n, dtype=np.int32),
+                np.array(cost, dtype=float),
+            ))
+        return statuses
+
+    def solve(self, rhs: float | None = None, cost=None) -> _HighsRun:
+        """Solve cold with the budget row at ``rhs`` and costs ``cost``."""
+        if self._highs is None:
+            highs, statuses = self._load(rhs, cost)
+        else:
+            highs, statuses = self._highs, self._patch(rhs, cost)
+        # HiGHS rejects a row or model it cannot hold (e.g. an upper
+        # bound of -inf) as a model error and keeps what it had, so
+        # drop the instance: the next member loads afresh
+        if _highs.HighsStatus.kError in statuses:
+            self._highs = None
+            return _failure(highs, _highs.HighsModelStatus.kModelError)
+        self._highs = highs
+        highs.clearSolver()
+        run_status = highs.run()
+        model_status = highs.getModelStatus()
+        if run_status == _highs.HighsStatus.kError:
+            return _failure(highs, model_status)
+        info = highs.getInfo()
+        iterations = int(
+            info.simplex_iteration_count or info.ipm_iteration_count
+        )
+        if model_status != _highs.HighsModelStatus.kOptimal:
+            primal = highs.solutionStatusToString(info.primal_solution_status)
+            return _failure(
+                highs, model_status, iterations,
+                f"model_status is {highs.modelStatusToString(model_status)};"
+                f" primal_status is {primal}",
+            )
+        solution = highs.getSolution()
+        slack = self.row_upper - solution.row_value
+        return _HighsRun(
+            status="optimal",
+            message="",
+            iterations=iterations,
+            x=np.array(solution.col_value),
+            fun=info.objective_function_value,
+            slack=slack[:self.num_ub],
+            con=slack[self.num_ub:],
+            ineq_duals=np.array(solution.row_dual)[:self.num_ub],
+            lower=self.lower,
+            upper=self.upper,
+        )
+
+
+def _failure(
+    highs, model_status, iterations: int = 0, detail: str | None = None
+) -> _HighsRun:
+    """A failed run, its status mapped as ``linprog`` maps it."""
+    code, message = _highs_to_scipy_status_message(
+        model_status, detail or highs.modelStatusToString(model_status)
+    )
+    return _HighsRun(
+        status=_STATUS_BY_CODE.get(code, "error"),
+        message=message,
+        iterations=iterations,
+    )
+
+
+def _check_feasible(run: _HighsRun) -> _HighsRun:
+    """``linprog``'s post-solve check: an "optimal" point that is not
+    feasible within tolerance (or carries NaNs) is a numerical failure."""
+    if run.status != "optimal":
+        return run
+    tol = _FEASIBILITY_TOL
+    x = run.x
+    if (
+        np.isnan(x).any() or np.isnan(run.fun)
+        or np.isnan(run.slack).any() or np.isnan(run.con).any()
+    ):
+        feasible = False
+    else:
+        feasible = (
+            np.all((x >= run.lower - tol) & (x <= run.upper + tol))
+            and not (run.slack < -tol).any()
+            and not (np.abs(run.con) > tol).any()
+        )
+    if feasible:
+        return run
+    return _HighsRun(
+        status="numerical",
+        message="the solution does not satisfy the constraints within"
+        f" the required tolerance of {tol:.2E}",
+        iterations=run.iterations,
+    )
+
 
 class ScipyBackend:
-    """Solve models with scipy's HiGHS wrapper.
+    """Solve models with HiGHS through scipy's binding.
 
     Parameters
     ----------
-    method:
-        scipy ``linprog`` method name.  ``"highs"`` lets HiGHS choose
-        between dual simplex and interior point.
     instrumentation:
         Optional :class:`~repro.obs.Instrumentation`; when set, every
         solve records an ``lp_solve`` event and solve-time histograms.
@@ -42,12 +262,14 @@ class ScipyBackend:
 
     name = "scipy-highs"
 
-    def __init__(self, method: str = "highs", instrumentation=None) -> None:
-        self.method = method
+    def __init__(self, instrumentation=None) -> None:
         self.instrumentation = instrumentation
 
     def solve(self, model: Model) -> Solution:
-        return self._solve_compiled(compile_model(model), model.name, model=model)
+        form = compile_model(model)
+        return self._solve_member(
+            form, model.name, model, lambda: _HighsSession(form).solve()
+        )
 
     def solve_form(self, form, name: str = "lp") -> Solution:
         """Solve a pre-compiled :class:`StandardForm` (fast-path entry).
@@ -57,75 +279,31 @@ class ScipyBackend:
         inequality rows of a ``StandardForm`` are already in ``<=``
         orientation, so the reported duals need no per-row flips.
         """
-        return self._solve_compiled(form, name, model=None)
+        return self._solve_member(
+            form, name, None, lambda: _HighsSession(form).solve()
+        )
 
-    @staticmethod
-    def _hoisted(form) -> dict:
-        """One-time preparation of the ``linprog`` inputs for a sweep.
-
-        ``linprog`` re-validates and re-converts every array on every
-        call: the dense ``A_ub`` is copied to CSC for HiGHS and the
-        bounds list is re-parsed each time.  Doing that work once per
-        sweep (CSC matrices, a packed ``(n, 2)`` bounds array) is where
-        the batched scipy path gets its speedup.
-        """
-        bounds = np.empty((form.num_variables, 2), dtype=float)
-        for i, (lo, hi) in enumerate(form.bounds):
-            bounds[i, 0] = -np.inf if lo is None else lo
-            bounds[i, 1] = np.inf if hi is None else hi
-        return {
-            "c": np.ascontiguousarray(form.c, dtype=float),
-            "a_ub": csc_array(form.a_ub) if form.a_ub.shape[0] else None,
-            "a_eq": csc_array(form.a_eq) if form.a_eq.shape[0] else None,
-            "b_eq": form.b_eq if form.b_eq.size else None,
-            "bounds": bounds,
-        }
-
-    def _solve_compiled(
-        self, form, name: str, model: Model | None, b_ub=None,
-        prepared=None, c=None,
+    def _solve_member(
+        self, form, name: str, model: Model | None, solve
     ) -> Solution:
+        """Run ``solve`` (a :class:`_HighsRun` factory) in a ``solve``
+        span and report it.  A one-off session is built, solved and
+        freed inside the call, so the span holds all of its cost."""
         start = time.perf_counter()
-        rhs = form.b_ub if b_ub is None else b_ub
-        if prepared is None:
-            kwargs = {
-                "A_ub": form.a_ub if form.a_ub.shape[0] else None,
-                "A_eq": form.a_eq if form.a_eq.shape[0] else None,
-                "b_eq": form.b_eq if form.b_eq.size else None,
-                "bounds": form.bounds,
-            }
-            if c is None:
-                c = form.c
-        else:
-            kwargs = {
-                "A_ub": prepared["a_ub"],
-                "A_eq": prepared["a_eq"],
-                "b_eq": prepared["b_eq"],
-                "bounds": prepared["bounds"],
-            }
-            if c is None:
-                c = prepared["c"]
         with maybe_span(
             self.instrumentation, "solve", model=name, backend=self.name
         ) as span:
-            result = linprog(
-                c,
-                b_ub=rhs if rhs.size else None,
-                method=self.method,
-                **kwargs,
-            )
-            span.annotate(iterations=int(getattr(result, "nit", 0) or 0))
+            run = _check_feasible(solve())
+            span.annotate(iterations=run.iterations)
         elapsed = time.perf_counter() - start
-        if not result.success:
-            status = _STATUS_BY_CODE.get(result.status, "error")
+        if run.status != "optimal":
             raise SolverError(
-                f"LP {name!r} failed: {result.message}", status=status
+                f"LP {name!r} failed: {run.message}", status=run.status
             )
-        values = np.asarray(result.x, dtype=float)
         stats = SolveStats(
             backend=self.name,
             wall_seconds=elapsed,
-            iterations=int(getattr(result, "nit", 0) or 0),
+            iterations=run.iterations,
             num_variables=form.num_variables,
             num_constraints=form.a_ub.shape[0] + form.a_eq.shape[0],
         )
@@ -133,41 +311,47 @@ class ScipyBackend:
             self.instrumentation.record_lp_solve(name, stats)
         return Solution(
             status="optimal",
-            objective=form.report_objective(float(result.fun)),
-            values=values,
+            objective=form.report_objective(float(run.fun)),
+            values=np.asarray(run.x, dtype=float),
             stats=stats,
-            inequality_duals=self._duals(model, form, result),
+            inequality_duals=orient_inequality_duals(
+                run.ineq_duals, form, model
+            ),
         )
+
+    def _ladder(
+        self, parametric, rhs_values, label: str, *, costs=None,
+        member_span=nullcontext,
+    ) -> list[Solution]:
+        """Solve each RHS-slot value cold on one shared session."""
+        form = parametric.form
+        session = _HighsSession(form, row=parametric.row)
+        solutions = []
+        for index, rhs in enumerate(rhs_values):
+            cost = None if costs is None else costs[index]
+            with member_span(rhs):
+                solutions.append(self._solve_member(
+                    form, label, None, partial(session.solve, rhs, cost)
+                ))
+        return solutions
 
     def solve_sweep(self, parametric, rhs_values, name: str | None = None):
         """Solve one compiled form for many values of its RHS slot.
 
-        scipy's ``linprog`` has no warm-start entry point, so the win
-        here is structural: the sweep compiles once and every member
-        reuses the same ``c``/``A_ub``/``A_eq``/bounds arrays, patching
-        the single scalar RHS slot per solve.  Returns one
-        :class:`~repro.lp.result.Solution` per value, element-wise
-        identical to independent cold solves (the patched arrays are
-        bitwise equal to freshly compiled ones).
+        The form is loaded into HiGHS once; each member patches the
+        budget row and re-solves cold, so the returned
+        :class:`~repro.lp.result.Solution` list is element-wise
+        identical to independent cold solves.
         """
         label = name or parametric.name
-        form = parametric.compiled.form
-        prepared = self._hoisted(form)
-        b_ub = form.b_ub.copy()
-        solutions = []
         start = time.perf_counter()
-        for rhs in np.asarray(rhs_values, dtype=float):
-            b_ub[parametric.row] = rhs
-            with maybe_span(
+        solutions = self._ladder(
+            parametric, np.asarray(rhs_values, dtype=float), label,
+            member_span=lambda rhs: maybe_span(
                 self.instrumentation, "sweep.member",
                 model=label, rhs=float(rhs), mode="cold",
-            ):
-                solutions.append(
-                    self._solve_compiled(
-                        form, label, model=None, b_ub=b_ub,
-                        prepared=prepared,
-                    )
-                )
+            ),
+        )
         if self.instrumentation is not None:
             self.instrumentation.record_lp_sweep(
                 label,
@@ -189,38 +373,25 @@ class ScipyBackend:
     ):
         """Solve B same-structure LPs over one compiled form.
 
-        scipy has no vectorized entry point, so this is a loop — but
-        with all per-``linprog`` validation/conversion work hoisted out
-        via :meth:`_hoisted` (CSC constraint matrices, packed bounds).
-        ``costs`` optionally overrides the cost vector per member
-        (``(B, n)``, minimization sense).  ``strategy`` is accepted for
-        signature compatibility with the pure simplex and ignored.
+        The same one-session cold loop as :meth:`solve_sweep`, under a
+        single ``batch.solve`` span.  ``costs`` optionally overrides
+        the cost vector per member (``(B, n)``, minimization sense).
+        ``strategy`` is accepted for signature compatibility with the
+        pure simplex and ignored.
         """
         del strategy
         label = name or parametric.name
         rhs_values = np.atleast_1d(np.asarray(rhs_values, dtype=float))
         if rhs_values.size == 0:
             return []
-        form = parametric.compiled.form
-        prepared = self._hoisted(form)
-        b_matrix = parametric.b_ub_matrix(rhs_values)
-        solutions = []
         start = time.perf_counter()
         with maybe_span(
             self.instrumentation, "batch.solve",
             model=label, backend=self.name, members=int(rhs_values.size),
         ):
-            for index, b_ub in enumerate(b_matrix):
-                c = (
-                    None if costs is None
-                    else np.ascontiguousarray(costs[index], dtype=float)
-                )
-                solutions.append(
-                    self._solve_compiled(
-                        form, label, model=None, b_ub=b_ub,
-                        prepared=prepared, c=c,
-                    )
-                )
+            solutions = self._ladder(
+                parametric, rhs_values, label, costs=costs
+            )
         if self.instrumentation is not None:
             self.instrumentation.record_lp_batch(
                 label,
@@ -231,10 +402,3 @@ class ScipyBackend:
                 seconds=time.perf_counter() - start,
             )
         return solutions
-
-    @staticmethod
-    def _duals(model, form, result) -> np.ndarray | None:
-        """HiGHS marginals oriented into the model's own sense."""
-        ineqlin = getattr(result, "ineqlin", None)
-        marginals = getattr(ineqlin, "marginals", None)
-        return orient_inequality_duals(marginals, form, model)

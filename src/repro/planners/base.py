@@ -187,9 +187,10 @@ def sweep_solutions(
     Preference order: the cross-session form cache's solution cache
     (:meth:`repro.service.cache.SharedPlanCache.sweep_solutions` —
     equal-content tenants pay one batch solve), then the backend's
-    ``solve_batch`` (vectorized lockstep on the pure simplex, hoisted
-    ``linprog`` loop on scipy), then plain ``solve_sweep``.  All three
-    return element-wise identical solutions.
+    ``solve_batch`` (vectorized lockstep on the pure simplex, one HiGHS
+    session re-solved cold per member on scipy), then plain
+    ``solve_sweep``.  All three return element-wise identical
+    solutions.
     """
     if (
         form_cache is not None

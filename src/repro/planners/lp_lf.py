@@ -221,8 +221,9 @@ class LPLFPlanner:
 
         With a sweep-capable backend the formulation compiles once
         (through the replan cache) and each member patches the budget
-        row's RHS — warm-started where the backend supports it.  The
-        results are element-wise identical to calling :meth:`plan` once
+        row's RHS: the HiGHS backend re-solves each member cold in one
+        loaded session, the pure simplex warm-starts it.  The results
+        are element-wise identical to calling :meth:`plan` once
         per budget; backends without ``solve_sweep`` (or the algebraic
         compiler) fall back to exactly that loop.
         """
