@@ -34,6 +34,13 @@ import sys
 import time
 from dataclasses import replace
 
+# One BLAS/OpenMP thread, set before numpy loads: the pure simplex does
+# many small dense solves, and on a 2-core host a second OpenBLAS
+# thread makes the warm sweep slower than the cold solves it is
+# measured against.  The committed baselines were recorded on 1 core.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
+
 import numpy as np
 from _helpers import RESULTS_DIR, record
 

@@ -42,16 +42,11 @@ class Backend(Protocol):
         optimal vertex in 236 of 280 members and changes the rounded
         plan in 30, so its ``lp.warm_start_ratio`` is always 0.
 
-    ``solve_batch(parametric, rhs_values, name=None, *, costs=None,
-    strategy=None)``
-        Solve B same-structure LPs as one batch: per-member RHS-slot
-        values, optionally per-member cost vectors (``(B, n)``,
-        minimization sense).  The pure simplex runs eligible batches in
-        lockstep — one blocked numpy computation with stacked basis
-        factorizations — falling back to scalar solves per member
-        where needed; the HiGHS backend runs the same one-session cold
-        loop as its ``solve_sweep``.  Results are element-wise
-        identical to independent cold solves either way.
+    ``solve_batch(parametric, rhs_values, name=None)``
+        The same ladder solve as ``solve_sweep`` and the entry point
+        the planners call.  The pure simplex runs the same warm sweep;
+        the HiGHS backend runs the same one-session cold loop, under
+        one ``batch.solve`` span and an ``lp_batch`` event.
     """
 
     name: str

@@ -136,18 +136,6 @@ class ParametricForm:
         """RHS-slot values for a sequence of budgets."""
         return np.array([self.rhs_of(float(b)) for b in budgets])
 
-    def b_ub_matrix(self, rhs_values) -> np.ndarray:
-        """Stacked ``(B, len(b_ub))`` RHS matrix, one patched row per value.
-
-        The batch entry points (``backend.solve_batch``) solve one
-        member per row; this materializes every member's ``b_ub`` in
-        one shot for vectorized consumers.
-        """
-        rhs = np.atleast_1d(np.asarray(rhs_values, dtype=float))
-        matrix = np.tile(self.form.b_ub, (rhs.shape[0], 1))
-        matrix[:, self.row] = rhs
-        return matrix
-
     def form_for_rhs(self, rhs: float) -> StandardForm:
         """An independent :class:`StandardForm` with the slot patched.
 

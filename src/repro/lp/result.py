@@ -22,11 +22,10 @@ class SolveStats:
 
     ``bland_activations`` and ``cold_fallback`` are degeneracy
     telemetry: how many times this solve had to engage Bland's
-    anti-cycling rule, and whether a warm restart or lockstep batch
-    member had to be abandoned for a cold scalar re-solve.  Both are
-    mirrored into the ``lp.sweep.*``/``lp.batch.*`` metrics so
-    warm-start-quality regressions show up in ``python -m repro
-    stats``.
+    anti-cycling rule, and whether a warm restart had to be abandoned
+    for a cold re-solve.  Both are mirrored into the ``lp.sweep.*``
+    metrics so warm-start-quality regressions show up in ``python -m
+    repro stats``.
     """
 
     backend: str = ""

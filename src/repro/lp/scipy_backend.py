@@ -5,10 +5,10 @@ are identical, only the solver implementation differs.
 
 Every entry point loads its compiled form into one HiGHS instance
 (:class:`_HighsSession`) and re-runs it cold per member, patching only
-the budget row or the cost vector in between.  The session feeds HiGHS
-exactly what ``scipy.optimize.linprog(method="highs")`` would — same
-matrix, bounds and options — and applies the same post-solve
-feasibility check, so the solutions are bitwise those of ``linprog``
+the budget row in between.  The session feeds HiGHS exactly what
+``scipy.optimize.linprog(method="highs")`` would — same matrix, bounds
+and options — and applies the same post-solve feasibility check, so
+the solutions are bitwise those of ``linprog``
 (``tests/lp/test_highs_session.py`` keeps ``linprog`` as the oracle)
 without its per-call validation and model hand-off.
 """
@@ -76,14 +76,13 @@ class _HighsSession:
     """One compiled form loaded into one HiGHS instance.
 
     The arrays are built and handed to HiGHS on the first
-    :meth:`solve`, with that member's budget row and costs already in
-    place, so a caller that solves inside its ``solve`` span bills the
-    whole set-up to the solve.  Each later solve patches the budget row
-    (``row``) and/or the cost vector, clears the previous solve's basis
-    and solution, and runs cold.  Warm restarts would be faster, but on
-    20 Fig-3 ladders they land on another optimal vertex in 236 of 280
-    members and change the rounded plan in 30, so ladders would stop
-    matching independent solves.
+    :meth:`solve`, with that member's budget row already in place, so a
+    caller that solves inside its ``solve`` span bills the whole set-up
+    to the solve.  Each later solve patches the budget row (``row``),
+    clears the previous solve's basis and solution, and runs cold.
+    Warm restarts would be faster, but on 20 Fig-3 ladders they land on
+    another optimal vertex in 236 of 280 members and change the rounded
+    plan in 30, so ladders would stop matching independent solves.
     """
 
     def __init__(self, form, row: int | None = None) -> None:
@@ -92,7 +91,7 @@ class _HighsSession:
         self.num_ub = form.a_ub.shape[0]
         self._highs = None
 
-    def _load(self, rhs, cost):
+    def _load(self, rhs):
         """A HiGHS instance holding the form at this member, and its
         load status."""
         form = self.form
@@ -132,7 +131,7 @@ class _HighsSession:
             n, self.row_upper.size, matrix.nnz,
             int(_highs.MatrixFormat.kColwise),
             int(_highs.ObjSense.kMinimize), 0.0,
-            np.array(form.c if cost is None else cost, dtype=float),
+            np.array(form.c, dtype=float),
             _replace_inf(self.lower.copy()),
             _replace_inf(self.upper.copy()),
             row_lower,
@@ -147,28 +146,21 @@ class _HighsSession:
     def _set_rhs(self, rhs: float) -> None:
         self.row_upper[self.row] = _replace_inf(np.array([rhs], dtype=float))[0]
 
-    def _patch(self, rhs, cost):
+    def _patch(self, rhs):
         """Move the loaded model to this member; the HiGHS statuses."""
-        statuses = []
-        if rhs is not None:
-            self._set_rhs(rhs)
-            statuses.append(self._highs.changeRowBounds(
-                self.row, -_highs.kHighsInf, self.row_upper[self.row]
-            ))
-        if cost is not None:
-            n = self.form.num_variables
-            statuses.append(self._highs.changeColsCost(
-                n, np.arange(n, dtype=np.int32),
-                np.array(cost, dtype=float),
-            ))
-        return statuses
+        if rhs is None:
+            return []
+        self._set_rhs(rhs)
+        return [self._highs.changeRowBounds(
+            self.row, -_highs.kHighsInf, self.row_upper[self.row]
+        )]
 
-    def solve(self, rhs: float | None = None, cost=None) -> _HighsRun:
-        """Solve cold with the budget row at ``rhs`` and costs ``cost``."""
+    def solve(self, rhs: float | None = None) -> _HighsRun:
+        """Solve cold with the budget row at ``rhs``."""
         if self._highs is None:
-            highs, statuses = self._load(rhs, cost)
+            highs, statuses = self._load(rhs)
         else:
-            highs, statuses = self._highs, self._patch(rhs, cost)
+            highs, statuses = self._highs, self._patch(rhs)
         # HiGHS rejects a row or model it cannot hold (e.g. an upper
         # bound of -inf) as a model error and keeps what it had, so
         # drop the instance: the next member loads afresh
@@ -320,18 +312,16 @@ class ScipyBackend:
         )
 
     def _ladder(
-        self, parametric, rhs_values, label: str, *, costs=None,
-        member_span=nullcontext,
+        self, parametric, rhs_values, label: str, *, member_span=nullcontext,
     ) -> list[Solution]:
         """Solve each RHS-slot value cold on one shared session."""
         form = parametric.form
         session = _HighsSession(form, row=parametric.row)
         solutions = []
-        for index, rhs in enumerate(rhs_values):
-            cost = None if costs is None else costs[index]
+        for rhs in rhs_values:
             with member_span(rhs):
                 solutions.append(self._solve_member(
-                    form, label, None, partial(session.solve, rhs, cost)
+                    form, label, None, partial(session.solve, rhs)
                 ))
         return solutions
 
@@ -362,24 +352,12 @@ class ScipyBackend:
             )
         return solutions
 
-    def solve_batch(
-        self,
-        parametric,
-        rhs_values,
-        name: str | None = None,
-        *,
-        costs=None,
-        strategy: str | None = None,
-    ):
-        """Solve B same-structure LPs over one compiled form.
+    def solve_batch(self, parametric, rhs_values, name: str | None = None):
+        """Solve one compiled form for many values of its RHS slot.
 
         The same one-session cold loop as :meth:`solve_sweep`, under a
-        single ``batch.solve`` span.  ``costs`` optionally overrides
-        the cost vector per member (``(B, n)``, minimization sense).
-        ``strategy`` is accepted for signature compatibility with the
-        pure simplex and ignored.
+        single ``batch.solve`` span.
         """
-        del strategy
         label = name or parametric.name
         rhs_values = np.atleast_1d(np.asarray(rhs_values, dtype=float))
         if rhs_values.size == 0:
@@ -389,16 +367,11 @@ class ScipyBackend:
             self.instrumentation, "batch.solve",
             model=label, backend=self.name, members=int(rhs_values.size),
         ):
-            solutions = self._ladder(
-                parametric, rhs_values, label, costs=costs
-            )
+            solutions = self._ladder(parametric, rhs_values, label)
         if self.instrumentation is not None:
             self.instrumentation.record_lp_batch(
                 label,
                 members=len(solutions),
-                lockstep_iterations=0,
-                cold_fallbacks=0,
-                bland_activations=0,
                 seconds=time.perf_counter() - start,
             )
         return solutions

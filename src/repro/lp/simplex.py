@@ -28,12 +28,10 @@ the returned :class:`~repro.lp.result.SolveStats`).
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg import LinAlgError, lu_factor, lu_solve
-from scipy.linalg.blas import dger
 
 from repro.errors import SolverError
 from repro.lp.model import Model
@@ -46,10 +44,6 @@ from repro.lp.standard_form import (
 from repro.obs.spans import maybe_span
 
 _OPT_TOL = 1e-9          # reduced-cost threshold for entering candidates
-_LOCKSTEP_MIN_MEMBERS = 12   # below this the sequential warm sweep wins
-_LOCKSTEP_MAX_ROWS = 768     # dense (B, m, m) factorizations beyond this blow memory
-_LOCKSTEP_MAX_BYTES = 512 * 1024 * 1024  # cap on the stacked-LU tensor
-_LOCKSTEP_REFACTOR_EVERY = 96  # lockstep pivots between hygiene refactors
 _FEAS_TOL = 1e-8         # bound-violation threshold (primal feasibility)
 _PIVOT_TOL = 1e-10       # minimum acceptable pivot magnitude
 _PHASE1_TOL = 1e-6       # residual artificial mass that means infeasible
@@ -538,385 +532,6 @@ class _RevisedSimplex:
             raise _WarmRestartFailed("restart left a bound violation")
 
 
-# member states of a lockstep batch
-_ACTIVE = 0
-_DONE = 1
-_FALLBACK = 2
-
-
-class _BatchedSimplex:
-    """B same-structure LPs advanced in lockstep as one blocked computation.
-
-    All members share the constraint matrix ``A`` (densified once) and
-    bounds; each member has its own right-hand side (one patched RHS
-    slot) and optionally its own cost vector.  The basis inverses are
-    stacked into a ``(B, m, m)`` tensor (``numpy.linalg.inv`` is a true
-    gufunc, so the refactorization is one C-level batched call — the
-    scipy ``lu_solve`` route loops members in Python, which dominated
-    the round cost), with a shared product-form eta file whose layers
-    carry one ``(row, w)`` update per member per pivot round (identity
-    layers for members that flipped a bound, converged, or fell back).
-    The exit verification plus the scalar fallback keep the explicit
-    inverse safe: a member whose basis is too ill-conditioned for it
-    simply leaves the lockstep.
-
-    Every member replays the *exact* pivot rules of
-    :class:`_RevisedSimplex.solve` — slack-basis start, Dantzig pricing
-    over the tie-perturbed costs, bound flips, the ``argmax |step|``
-    ratio-test tie-break, per-member Bland's rule after a degenerate
-    run, and the unperturbed-cost retry on apparent unboundedness — so
-    a converged member lands on the same generically-unique perturbed
-    vertex as a cold scalar solve.  Members the lockstep cannot finish
-    (artificial columns needed, iteration limit, singular refactor, or
-    a failed exit verification) are marked ``_FALLBACK`` and re-solved
-    exactly by the caller with the scalar engine.
-    """
-
-    def __init__(
-        self,
-        form: StandardForm,
-        row: int,
-        rhs_values: np.ndarray,
-        name: str,
-        max_iterations: int,
-        costs: np.ndarray | None = None,
-    ) -> None:
-        if form.a_eq.shape[0]:
-            raise SolverError(
-                "lockstep batching requires pure-inequality forms",
-                status="unsupported",
-            )
-        template = _RevisedSimplex(form, name, max_iterations)
-        self.name = name
-        self.max_iterations = max_iterations
-        self.n = template.n
-        self.m_ub = template.m_ub
-        self.m = template.m
-        rhs = np.asarray(rhs_values, dtype=float)
-        self.B = int(rhs.shape[0])
-        self.A = template.A.toarray()
-        a_csc = template.A.tocsc()
-        self._col_indptr = a_csc.indptr
-        self._col_indices = a_csc.indices
-        self._col_data = a_csc.data
-        self.ncols = self.A.shape[1]
-        self.lo = template.lo
-        self.hi = template.hi
-        self.free = template.free
-        self.movable = self.hi > self.lo
-
-        if costs is None:
-            self.cost = np.tile(template.cost, (self.B, 1))
-            self.tie = np.tile(template.tie, (self.B, 1))
-        else:
-            costs = np.asarray(costs, dtype=float)
-            self.cost = np.zeros((self.B, self.ncols))
-            self.cost[:, : self.n] = costs
-            scale = np.maximum(1.0, np.abs(self.cost).max(axis=1))
-            spread = np.modf((np.arange(self.ncols) + 1.0) * _GOLDEN)[0]
-            self.tie = _TIE_BREAK * scale[:, None] * (0.5 + spread)[None, :]
-
-        self.b = np.tile(template.b, (self.B, 1))
-        self.b[:, row] = rhs
-
-        # shared slack-basis start point (the scalar engine's, verbatim)
-        self.x = np.tile(template.x, (self.B, 1))
-        self.at_upper = np.tile(template.at_upper, (self.B, 1))
-        self.basis = np.tile(
-            self.n + np.arange(self.m, dtype=np.int64), (self.B, 1)
-        )
-        self.in_basis = np.zeros((self.B, self.ncols), dtype=bool)
-        self.in_basis[:, self.n:] = True
-        self.xB = np.zeros((self.B, self.m))
-
-        # members whose slack basis cannot absorb the start residual
-        # would need phase-1 artificials; they fall straight back to
-        # the scalar two-phase engine
-        residual = self.b - (self.A @ template.x)[None, :]
-        self.status = np.full(self.B, _ACTIVE, dtype=np.int8)
-        self.status[(residual < 0).any(axis=1)] = _FALLBACK
-
-        self._ar = np.arange(self.B)
-        self._binv = None
-        self.unperturbed = np.zeros(self.B, dtype=bool)
-        self.iterations = np.zeros(self.B, dtype=np.int64)
-        self.member_pivots = np.zeros(self.B, dtype=np.int64)
-        self.bland_counts = np.zeros(self.B, dtype=np.int64)
-        self.lockstep_iterations = 0
-
-    # -- stacked linear algebra -----------------------------------------
-    def _refactor(self) -> None:
-        if (self.basis == self.n + np.arange(self.m)).all() and (
-            np.array_equal(self.A[:, self.n:], np.eye(self.m))
-        ):
-            # the shared slack start: every basis matrix is the identity
-            self._binv = np.tile(np.eye(self.m), (self.B, 1, 1))
-            return
-        mats = np.ascontiguousarray(
-            self.A[:, self.basis].transpose(1, 0, 2)
-        )
-        self._binv = np.linalg.inv(mats)
-
-    def _ftran(self, V: np.ndarray) -> np.ndarray:
-        """Per-member ``B^-1 v`` against the stacked explicit inverse."""
-        return np.matmul(self._binv, V[:, :, None])[..., 0]
-
-    def _btran(self, V: np.ndarray) -> np.ndarray:
-        """Per-member ``B^-T v`` against the stacked explicit inverse."""
-        return np.matmul(V[:, None, :], self._binv)[:, 0, :]
-
-    def _recompute_xB(self) -> None:
-        xnb = self.x.copy()
-        np.put_along_axis(xnb, self.basis, 0.0, axis=1)
-        self.xB = self._ftran(self.b - xnb @ self.A.T)
-
-    def _reduced_costs(self, C: np.ndarray) -> np.ndarray:
-        cB = np.take_along_axis(C, self.basis, axis=1)
-        d = C - self._btran(cB) @ self.A
-        np.put_along_axis(d, self.basis, 0.0, axis=1)
-        return d
-
-    def _exact_reduced_costs(self, P: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """Fresh (non-incremental) reduced costs for the ``idx`` members."""
-        cB = np.take_along_axis(P[idx], self.basis[idx], axis=1)
-        y = np.matmul(cB[:, None, :], self._binv[idx])[:, 0, :]
-        d = P[idx] - y @ self.A
-        np.put_along_axis(d, self.basis[idx], 0.0, axis=1)
-        return d
-
-    # -- the lockstep loop ----------------------------------------------
-    def run(self) -> None:
-        """Advance every active member to optimality (or fallback)."""
-        if not (self.status == _ACTIVE).any():
-            return
-        try:
-            self._refactor()
-        except LinAlgError:  # pragma: no cover - defensive
-            self.status[self.status == _ACTIVE] = _FALLBACK
-            return
-        self._recompute_xB()
-
-        ar = self._ar
-        P = self.cost + self.tie  # per-member pricing (mutable)
-        degrun = np.zeros(self.B, dtype=np.int64)
-        bland = np.zeros(self.B, dtype=bool)
-        # reduced costs are maintained incrementally across pivots (the
-        # textbook d' = d - (d_q / alpha_r) * alpha update); members are
-        # reconfirmed against an exact recompute before being declared
-        # optimal, so update drift can cost extra rounds but never a
-        # wrong vertex
-        D = self._reduced_costs(P)
-        pivots_since_refactor = 0
-
-        def _candidates():
-            active_cols = (
-                self.movable[None, :] & ~self.in_basis & alive[:, None]
-            )
-            inc = (
-                active_cols
-                & (~self.at_upper | self.free[None, :])
-                & (D < -_OPT_TOL)
-            )
-            dec = (
-                active_cols
-                & (self.at_upper | self.free[None, :])
-                & (D > _OPT_TOL)
-            )
-            return inc, dec
-
-        while True:
-            alive = self.status == _ACTIVE
-            if not alive.any():
-                break
-            self.lockstep_iterations += 1
-            if self.lockstep_iterations > self.max_iterations:
-                self.status[alive] = _FALLBACK
-                break
-            self.iterations[alive] += 1
-
-            enter_inc, enter_dec = _candidates()
-            cand = enter_inc | enter_dec
-            has_cand = cand.any(axis=1)
-            finished = alive & ~has_cand
-            if finished.any():
-                # reconfirm optimality on exact reduced costs
-                idx = np.flatnonzero(finished)
-                D[idx] = self._exact_reduced_costs(P, idx)
-                enter_inc, enter_dec = _candidates()
-                cand = enter_inc | enter_dec
-                has_cand = cand.any(axis=1)
-            self.status[alive & ~has_cand] = _DONE
-            alive = alive & has_cand
-            if not alive.any():
-                continue
-
-            score = np.where(enter_inc, -D, 0.0)
-            np.maximum(score, np.where(enter_dec, D, 0.0), out=score)
-            entering = np.where(
-                bland, np.argmax(cand, axis=1), np.argmax(score, axis=1)
-            )
-            sigma = np.where(enter_inc[ar, entering], 1.0, -1.0)
-
-            # per-member B^-1 a_q through the sparse column pattern: the
-            # entering columns have a handful of nonzeros each, so
-            # gathering those inverse columns beats a dense batched
-            # matmul (a full (B, m, m) read) by the column sparsity
-            W = np.zeros((self.B, self.m))
-            indptr = self._col_indptr
-            indices = self._col_indices
-            data = self._col_data
-            for member in np.flatnonzero(alive):
-                j = entering[member]
-                lo_p, hi_p = indptr[j], indptr[j + 1]
-                W[member] = self._binv[member][:, indices[lo_p:hi_p]] @ (
-                    data[lo_p:hi_p]
-                )
-            step = sigma[:, None] * W
-            lo_b = self.lo[self.basis]
-            hi_b = self.hi[self.basis]
-            ratios = np.full((self.B, self.m), np.inf)
-            dec = step > _PIVOT_TOL
-            ratios[dec] = (self.xB - lo_b)[dec] / step[dec]
-            inc = step < -_PIVOT_TOL
-            ratios[inc] = (hi_b - self.xB)[inc] / (-step[inc])
-            np.clip(ratios, 0.0, None, out=ratios)
-            row_min = ratios.min(axis=1)
-            gap = self.hi[entering] - self.lo[entering]
-
-            # apparent unboundedness: retry with true costs once (the
-            # scalar engine's recession-direction re-check), then give
-            # up to the scalar fallback
-            unbounded = alive & ~(np.minimum(row_min, gap) < np.inf)
-            if unbounded.any():
-                retry = unbounded & ~self.unperturbed
-                fail = unbounded & self.unperturbed
-                self.unperturbed[retry] = True
-                P[retry] = self.cost[retry]
-                self.status[fail] = _FALLBACK
-                if retry.any():
-                    # the pricing vector changed; the maintained reduced
-                    # costs are stale for the retried members
-                    idx = np.flatnonzero(retry)
-                    D[idx] = self._exact_reduced_costs(P, idx)
-
-            stepping = alive & ~unbounded
-            flip = stepping & (gap <= row_min)
-            pivot = stepping & ~flip
-
-            tied = ratios <= (row_min + _RATIO_TIE)[:, None]
-            bland_score = np.where(tied, self.basis, np.iinfo(np.int64).max)
-            mag = np.where(tied, np.abs(step), -1.0)
-            rowsel = np.where(
-                bland,
-                np.argmin(bland_score, axis=1),
-                np.argmax(mag, axis=1),
-            )
-            t = np.where(flip, gap, ratios[ar, rowsel])
-
-            if stepping.any():
-                self.xB[stepping] -= step[stepping] * t[stepping][:, None]
-                self.member_pivots[stepping] += 1
-
-            if flip.any():
-                idx = np.flatnonzero(flip)
-                ent = entering[idx]
-                up = sigma[idx] > 0
-                self.x[idx, ent] = np.where(up, self.hi[ent], self.lo[ent])
-                self.at_upper[idx, ent] = up
-
-            if pivot.any():
-                idx = np.flatnonzero(pivot)
-                rw = rowsel[idx]
-                ent = entering[idx]
-                value = self.x[idx, ent] + sigma[idx] * t[idx]
-                leaving = self.basis[idx, rw]
-                to_upper = step[idx, rw] < 0
-                self.x[idx, leaving] = np.where(
-                    to_upper, self.hi[leaving], self.lo[leaving]
-                )
-                self.at_upper[idx, leaving] = to_upper
-                self.in_basis[idx, leaving] = False
-                self.in_basis[idx, ent] = True
-
-                # pre-update pivot row of B^-1 feeds both the pricing
-                # update (alpha = e_r B^-1 A) and the product-form
-                # inverse update
-                wr = W[idx, rw]
-                row = self._binv[idx, rw, :]
-                alpha = row @ self.A
-                ratio = D[idx, ent] / wr
-                Dsub = D[idx] - ratio[:, None] * alpha
-
-                self.basis[idx, rw] = ent
-                self.xB[idx, rw] = value
-                np.put_along_axis(Dsub, self.basis[idx], 0.0, axis=1)
-                D[idx] = Dsub
-
-                # in-place per-member rank-1 inverse updates: dger on the
-                # transposed (Fortran) view avoids both the (B', m, m)
-                # outer-product temporary and the copy-back a fancy-indexed
-                # ``binv[idx] -= ...`` would make
-                scaled = row / wr[:, None]
-                binv = self._binv
-                for position, member in enumerate(idx):
-                    dger(
-                        -1.0, scaled[position], W[member],
-                        a=binv[member].T, overwrite_a=1,
-                    )
-                self._binv[idx, rw, :] = scaled
-
-                pivots_since_refactor += 1
-                if pivots_since_refactor >= _LOCKSTEP_REFACTOR_EVERY:
-                    pivots_since_refactor = 0
-                    try:
-                        self._refactor()
-                    except LinAlgError:  # pragma: no cover - defensive
-                        self.status[self.status == _ACTIVE] = _FALLBACK
-                        break
-                    self._recompute_xB()
-                    D = self._reduced_costs(P)
-
-            degenerate = stepping & (t <= _RATIO_TIE)
-            degrun[degenerate] += 1
-            newly = degenerate & ~bland & (degrun >= _BLAND_AFTER)
-            bland[newly] = True
-            self.bland_counts[newly] += 1
-            progressed = stepping & ~degenerate
-            degrun[progressed] = 0
-            bland[progressed] = False
-
-        self._verify_done()
-
-    def _verify_done(self) -> None:
-        """The scalar engine's exit invariants, batched; violating
-        members are downgraded to the scalar fallback."""
-        done = self.status == _DONE
-        if not done.any():
-            return
-        xfull = self.x.copy()
-        np.put_along_axis(xfull, self.basis, self.xB, axis=1)
-        scale = 1.0 + np.abs(self.b).max(axis=1)
-        bad = (
-            np.abs(xfull @ self.A.T - self.b).max(axis=1) > 1e-6 * scale
-        )
-        lo_gap = (self.lo[None, :] - xfull).max(axis=1)
-        hi_gap = (xfull - self.hi[None, :]).max(axis=1)
-        bad |= np.maximum(lo_gap, hi_gap) > 1e-6
-        self.status[done & bad] = _FALLBACK
-
-    # -- results ----------------------------------------------------------
-    def solution_matrix(self) -> np.ndarray:
-        """``(B, n)`` structural values on the scalar engine's 1e-9 grid."""
-        xfull = self.x.copy()
-        np.put_along_axis(xfull, self.basis, self.xB, axis=1)
-        return np.round(xfull[:, : self.n], 9)
-
-    def dual_matrix(self) -> np.ndarray:
-        """``(B, m_ub)`` row prices against the true (unperturbed) costs."""
-        cB = np.take_along_axis(self.cost, self.basis, axis=1)
-        return self._btran(cB)[:, : self.m_ub]
-
-
 class SimplexBackend:
     """Bounded-variable revised simplex over the model's standard form.
 
@@ -1008,156 +623,27 @@ class SimplexBackend:
     def solve_sweep(self, parametric, rhs_values, name: str | None = None):
         """Solve one compiled form for many values of its RHS slot.
 
-        Delegates to :meth:`solve_batch` with automatic strategy
-        selection, which keeps RHS-only ladders on the sequential
-        dual-simplex warm restarts (first member cold, each later
-        member restarted from the previous optimal basis).  Returns
-        one :class:`~repro.lp.result.Solution` per value, element-wise
-        identical to independent cold solves.
+        Same as :meth:`solve_batch`; kept as the sweep-named entry of
+        the :class:`~repro.lp.backend.Backend` protocol.
         """
         return self.solve_batch(parametric, rhs_values, name=name)
 
-    def solve_batch(
-        self,
-        parametric,
-        rhs_values,
-        name: str | None = None,
-        *,
-        costs=None,
-        strategy: str | None = None,
-    ):
-        """Solve B same-structure LPs as one blocked computation.
+    def solve_batch(self, parametric, rhs_values, name: str | None = None):
+        """Solve a budget ladder with dual-simplex warm restarts.
 
-        ``rhs_values`` patches the parametric RHS slot per member;
-        ``costs`` (optional ``(B, n)``) overrides the structural cost
-        vector per member (minimization sense, like ``form.c``).
-
-        ``strategy`` picks the execution plan:
-
-        - ``"lockstep"`` — the truly vectorized :class:`_BatchedSimplex`
-          (stacked basis inverses, incremental batched pricing,
-          per-member scalar fallback preserving exactness);
-        - ``"sequential"`` — one scalar engine, warm-starting each
-          member from the previous optimal basis (cold per member when
-          ``costs`` differ, since the basis is then not dual-feasible);
-        - ``None`` (default) — lockstep for per-member-``costs``
-          batches of at least ``_LOCKSTEP_MIN_MEMBERS``
-          pure-inequality members whose stacked inverses fit the
-          memory budget; sequential otherwise.  RHS-only ladders stay
-          sequential deliberately: dual warm restarts re-solve each
-          member in a handful of pivots, which measures faster than a
-          cold vectorized pass at every instance size we benchmark,
-          while per-member cost vectors invalidate warm bases and make
-          the sequential path fall back to cold solves — exactly the
-          regime the lockstep engine wins (see
-          ``benchmarks/bench_lpbatch.py``).
-
-        Either way the returned solutions are element-wise identical to
-        independent cold solves (same 1e-9 value grid, same rounded
-        plans).
+        ``rhs_values`` patches the parametric RHS slot per member.  The
+        first member is solved cold; each later member restarts from
+        the previous optimal basis, which stays dual-feasible because
+        only the right-hand side changed, and falls back to a cold
+        solve if the restart cannot finish.  Returns one
+        :class:`~repro.lp.result.Solution` per value, element-wise
+        identical to independent cold solves (same 1e-9 value grid,
+        same rounded plans).
         """
         label = name or parametric.name
         rhs = np.atleast_1d(np.asarray(rhs_values, dtype=float))
         if rhs.size == 0:
             return []
-        form = parametric.compiled.form
-        m = form.a_ub.shape[0] + form.a_eq.shape[0]
-        if strategy is None:
-            eligible = (
-                costs is not None
-                and rhs.size >= _LOCKSTEP_MIN_MEMBERS
-                and form.a_eq.shape[0] == 0
-                and 0 < m <= _LOCKSTEP_MAX_ROWS
-                and rhs.size * m * m * 8 <= _LOCKSTEP_MAX_BYTES
-            )
-            strategy = "lockstep" if eligible else "sequential"
-        if strategy == "lockstep":
-            return self._solve_batch_lockstep(parametric, rhs, label, costs)
-        if strategy != "sequential":
-            raise SolverError(
-                f"unknown batch strategy {strategy!r}", status="unsupported"
-            )
-        return self._solve_sweep_sequential(parametric, rhs, label, costs)
-
-    def _solve_batch_lockstep(self, parametric, rhs, label, costs):
-        """The vectorized path: one lockstep engine, scalar fallbacks."""
-        form = parametric.compiled.form
-        num_members = int(rhs.shape[0])
-        start = time.perf_counter()
-        with maybe_span(
-            self.instrumentation, "batch.solve",
-            model=label, backend=self.name, members=num_members,
-        ) as span:
-            engine = _BatchedSimplex(
-                form, parametric.row, rhs, label,
-                self.max_iterations, costs=costs,
-            )
-            engine.run()
-            done = engine.status == _DONE
-            values = engine.solution_matrix()
-            duals = engine.dual_matrix()
-            span.annotate(
-                lockstep_iterations=engine.lockstep_iterations,
-                cold_fallbacks=int(num_members - done.sum()),
-            )
-        share = (time.perf_counter() - start) / num_members
-        num_constraints = form.a_ub.shape[0] + form.a_eq.shape[0]
-        solutions: list[Solution | None] = [None] * num_members
-        for i in np.flatnonzero(done):
-            x = values[i]
-            cost_i = (
-                form.c if costs is None else np.asarray(costs[i], dtype=float)
-            )
-            stats = SolveStats(
-                backend=self.name,
-                wall_seconds=share,
-                iterations=int(engine.iterations[i]),
-                num_variables=form.num_variables,
-                num_constraints=num_constraints,
-                warm_started=False,
-                pivots=int(engine.member_pivots[i]),
-                bland_activations=int(engine.bland_counts[i]),
-            )
-            solutions[i] = Solution(
-                status="optimal",
-                objective=form.report_objective(float(cost_i @ x)),
-                values=x,
-                stats=stats,
-                inequality_duals=orient_inequality_duals(
-                    duals[i], form, None
-                ),
-            )
-        fallback = np.flatnonzero(~done)
-        for i in fallback:
-            patched = parametric.form_for_rhs(float(rhs[i]))
-            if costs is not None:
-                patched = replace(
-                    patched, c=np.asarray(costs[i], dtype=float)
-                )
-            member_start = time.perf_counter()
-            scalar = _RevisedSimplex(patched, label, self.max_iterations)
-            iterations = scalar.solve()
-            solutions[i] = self._finish(
-                scalar, patched, label, None, member_start,
-                iterations=iterations, warm_started=False,
-                cold_fallback=True,
-            )
-        if self.instrumentation is not None:
-            self.instrumentation.record_lp_batch(
-                label,
-                members=num_members,
-                lockstep_iterations=engine.lockstep_iterations,
-                cold_fallbacks=int(fallback.size),
-                bland_activations=int(engine.bland_counts.sum()),
-                seconds=time.perf_counter() - start,
-            )
-        return solutions
-
-    def _solve_sweep_sequential(self, parametric, rhs, label, costs=None):
-        """The warm-restart path: first member cold, later members
-        restarted from the previous optimal basis (cold per member
-        when ``costs`` differ — the old basis is not dual-feasible for
-        a changed objective)."""
         form = parametric.compiled.form
         row = parametric.row
         solutions: list[Solution] = []
@@ -1168,18 +654,15 @@ class SimplexBackend:
         cold_fallbacks = 0
         bland_total = 0
         sweep_start = time.perf_counter()
-        for index, rhs_value in enumerate(rhs):
+        for rhs_value in rhs:
             start = time.perf_counter()
             warm = False
             fell_back = False
-            member_form = form
             iterations = 0
             with maybe_span(
                 self.instrumentation, "sweep.member",
                 model=label, rhs=float(rhs_value),
             ) as span:
-                if costs is not None:
-                    engine = None
                 if engine is not None:
                     pivots_before = engine.pivots
                     bland_before = engine.bland_activations
@@ -1196,14 +679,9 @@ class SimplexBackend:
                         fell_back = True
                         cold_fallbacks += 1
                 if engine is None:
-                    patched = parametric.form_for_rhs(float(rhs_value))
-                    if costs is not None:
-                        patched = replace(
-                            patched, c=np.asarray(costs[index], dtype=float)
-                        )
-                        member_form = patched
                     engine = _RevisedSimplex(
-                        patched, label, self.max_iterations
+                        parametric.form_for_rhs(float(rhs_value)),
+                        label, self.max_iterations,
                     )
                     pivots_before = engine.pivots
                     bland_before = engine.bland_activations
@@ -1216,7 +694,7 @@ class SimplexBackend:
                     mode="warm" if warm else "cold", pivots=member_pivots
                 )
             member = self._finish(
-                engine, member_form, label, None, start,
+                engine, form, label, None, start,
                 iterations=iterations, warm_started=warm,
                 bland_activations=member_bland, cold_fallback=fell_back,
             )

@@ -148,37 +148,17 @@ class Instrumentation:
         )
 
     def record_lp_batch(
-        self, model_name: str, *, members: int, lockstep_iterations: int,
-        cold_fallbacks: int, bland_activations: int, seconds: float,
+        self, model_name: str, *, members: int, seconds: float
     ) -> None:
-        """One batched solve through ``solve_batch``: many same-structure
-        LPs advanced in lockstep over a stacked basis factorization.
-
-        ``lockstep_iterations`` is the number of vectorized pivot
-        rounds the batch needed (zero for backends that loop compiled
-        arrays instead of truly vectorizing); ``cold_fallbacks`` counts
-        members that left the lockstep for an exact scalar re-solve.
-        """
+        """One ladder solved through ``solve_batch`` under a single
+        ``batch.solve`` span."""
         self.metrics.counter("lp.batch.solves").inc()
         self.metrics.counter("lp.batch.members").inc(members)
-        self.metrics.counter("lp.batch.lockstep_iterations").inc(
-            lockstep_iterations
-        )
-        self.metrics.counter("lp.batch.cold_fallbacks").inc(cold_fallbacks)
-        self.metrics.counter("lp.batch.bland_activations").inc(
-            bland_activations
-        )
         self.metrics.histogram(f"lp.batch.seconds.{model_name}").observe(
             seconds
         )
         self.event(
-            "lp_batch",
-            model=model_name,
-            members=members,
-            lockstep_iterations=lockstep_iterations,
-            cold_fallbacks=cold_fallbacks,
-            bland_activations=bland_activations,
-            seconds=seconds,
+            "lp_batch", model=model_name, members=members, seconds=seconds
         )
 
     def record_fleet_run(

@@ -187,8 +187,8 @@ def sweep_solutions(
     Preference order: the cross-session form cache's solution cache
     (:meth:`repro.service.cache.SharedPlanCache.sweep_solutions` —
     equal-content tenants pay one batch solve), then the backend's
-    ``solve_batch`` (vectorized lockstep on the pure simplex, one HiGHS
-    session re-solved cold per member on scipy), then plain
+    ``solve_batch`` (dual-simplex warm restarts on the pure simplex,
+    one HiGHS session re-solved cold per member on scipy), then plain
     ``solve_sweep``.  All three return element-wise identical
     solutions.
     """

@@ -163,8 +163,7 @@ class SharedPlanCache:
         per ``(content key, backend, ladder)``.
 
         The cache level above :meth:`parametric`: equal-content tenants
-        sweeping the same budgets share one ``solve_batch`` call (the
-        vectorized lockstep pass on the pure simplex).  Like
+        sweeping the same budgets share one ``solve_batch`` call.  Like
         :meth:`parametric`, the lock is held across the solve so racing
         sessions block behind one batch instead of duplicating it.
         Entries share the plan-cache LRU capacity and counters land

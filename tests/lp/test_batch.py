@@ -1,14 +1,13 @@
-"""Batched LP solving: ``solve_batch`` equals per-LP cold solves.
+"""Budget ladders: ``solve_batch`` equals per-member cold solves.
 
-The contract (ISSUE 7): for every formulation and both backends, a
-batch solve must agree with independent per-member solves — objectives
-to 1e-9 relative, variable vectors exactly equal after the 1e-9 value
-rounding, and budget-row duals agreeing across backends.  The pure
-simplex's lockstep engine (auto-selected for per-member-cost batches
-of >= 12 pure-inequality members, explicitly selectable otherwise)
-and its sequential warm-restart path must be interchangeable, and the
-degeneracy telemetry (Bland activations, cold fallbacks) must land in
-``SolveStats`` and the ``lp.batch.*``/``lp.sweep.*`` counters.
+For every formulation and both backends, a ladder solve must agree
+with independent per-member solves — objectives to 1e-9 relative,
+variable vectors exactly equal after the 1e-9 value rounding, and
+budget-row duals agreeing across backends.  The pure simplex solves a
+ladder with dual-simplex warm restarts; its degeneracy telemetry
+(Bland activations, cold fallbacks) must land in ``SolveStats`` and
+the ``lp.sweep.*`` counters, and the HiGHS ladder in the
+``lp.batch.*`` counters and one ``lp_batch`` event.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from repro.planners.proof import ProofPlanner
 from repro.service.cache import SharedPlanCache
 from tests.lp.test_fastbuild import make_context
 
-# 16 members puts every ladder over the lockstep threshold (12)
 _FACTORS = np.linspace(0.7, 2.4, 16)
 
 
@@ -57,11 +55,12 @@ class TestBatchEquivalence:
     def test_lockstep_matches_per_member_cold_solves(
         self, planner_key, seed, n, m, k
     ):
+        """The pure simplex's warm ladder equals a cold solve per member."""
         context = make_context(seed, n, m, k, planner_key=planner_key)
         parametric = _parametric_for(planner_key, context)
         rhs = _ladder(context, parametric)
         backend = SimplexBackend()
-        batch = backend.solve_batch(parametric, rhs, strategy="lockstep")
+        batch = backend.solve_batch(parametric, rhs)
         assert len(batch) == len(rhs)
         for value, member in zip(rhs, batch):
             cold = backend.solve_form(
@@ -76,28 +75,11 @@ class TestBatchEquivalence:
             )
 
     @pytest.mark.parametrize("planner_key", ["lp-no-lf", "lp-lf", "proof"])
-    def test_lockstep_matches_sequential_strategy(self, planner_key):
-        context = make_context(2, 14, 6, 4, planner_key=planner_key)
-        parametric = _parametric_for(planner_key, context)
-        rhs = _ladder(context, parametric)
-        backend = SimplexBackend()
-        lockstep = backend.solve_batch(parametric, rhs, strategy="lockstep")
-        sequential = backend.solve_batch(
-            parametric, rhs, strategy="sequential"
-        )
-        for a, b in zip(lockstep, sequential):
-            scale = max(1.0, abs(b.objective))
-            assert a.objective == pytest.approx(b.objective, abs=1e-9 * scale)
-            assert np.array_equal(np.round(a.values, 9), np.round(b.values, 9))
-
-    @pytest.mark.parametrize("planner_key", ["lp-no-lf", "lp-lf", "proof"])
     def test_backends_agree_on_objectives_and_duals(self, planner_key):
         context = make_context(3, 12, 6, 3, planner_key=planner_key)
         parametric = _parametric_for(planner_key, context)
         rhs = _ladder(context, parametric)
-        simplex = SimplexBackend().solve_batch(
-            parametric, rhs, strategy="lockstep"
-        )
+        simplex = SimplexBackend().solve_batch(parametric, rhs)
         scipy = ScipyBackend().solve_batch(parametric, rhs)
         row = parametric.row
         for a, b in zip(simplex, scipy):
@@ -110,26 +92,6 @@ class TestBatchEquivalence:
             assert float(a.inequality_duals[row]) == pytest.approx(
                 float(b.inequality_duals[row]), abs=1e-6 * scale
             )
-
-    @pytest.mark.parametrize("backend_cls", [SimplexBackend, ScipyBackend])
-    def test_per_member_costs(self, backend_cls):
-        context = make_context(4, 12, 6, 3, planner_key="lp-no-lf")
-        parametric = compile_lp_no_lf_parametric(context)
-        rng = np.random.default_rng(11)
-        base = parametric.form.c
-        costs = np.stack(
-            [base * (1.0 + 0.2 * rng.random(base.size)) for _ in _FACTORS]
-        )
-        rhs = np.full(len(_FACTORS), float(parametric.form.b_ub[parametric.row]))
-        backend = backend_cls()
-        batch = backend.solve_batch(parametric, rhs, costs=costs)
-        reference = SimplexBackend().solve_batch(
-            parametric, rhs, costs=costs, strategy="sequential"
-        )
-        for a, b in zip(batch, reference):
-            scale = max(1.0, abs(b.objective))
-            tol = 1e-9 if backend_cls is SimplexBackend else 1e-7
-            assert a.objective == pytest.approx(b.objective, abs=tol * scale)
 
     def test_rhs_ladders_stay_on_the_warm_restart_path(self):
         # RHS-only ladders keep dual warm restarts regardless of length:
@@ -145,43 +107,8 @@ class TestBatchEquivalence:
             )
             assert any(m.stats.warm_started for m in members[1:])
 
-    def test_cost_batches_select_lockstep(self):
-        # per-member cost vectors invalidate warm bases, so the auto
-        # strategy routes large batches to the lockstep engine
-        obs = Instrumentation()
-        context = make_context(5, 12, 6, 3)
-        parametric = compile_lp_no_lf_parametric(context)
-        rhs = _ladder(context, parametric)
-        base = parametric.form.c
-        rng = np.random.default_rng(3)
-        costs = np.stack(
-            [base * (1.0 + 0.1 * rng.random(base.size)) for _ in rhs]
-        )
-        members = SimplexBackend(instrumentation=obs).solve_batch(
-            parametric, rhs, costs=costs
-        )
-        assert all(m.stats.warm_started is False for m in members)
-        assert obs.counter("lp.batch.solves").value == 1
-        assert obs.counter("lp.batch.lockstep_iterations").value > 0
-
 
 class TestBatchTelemetry:
-    def test_lockstep_records_lp_batch_counters(self):
-        obs = Instrumentation()
-        context = make_context(6, 12, 6, 3)
-        parametric = compile_lp_no_lf_parametric(context)
-        rhs = _ladder(context, parametric)
-        backend = SimplexBackend(instrumentation=obs)
-        members = backend.solve_batch(parametric, rhs, strategy="lockstep")
-        assert obs.counter("lp.batch.solves").value == 1
-        assert obs.counter("lp.batch.members").value == len(rhs)
-        assert obs.counter("lp.batch.lockstep_iterations").value > 0
-        fallbacks = sum(1 for m in members if m.stats.cold_fallback)
-        assert obs.counter("lp.batch.cold_fallbacks").value == fallbacks
-        events = obs.trace.events("lp_batch")
-        assert len(events) == 1
-        assert events[0].data["members"] == len(rhs)
-
     def test_sequential_sweep_records_degeneracy_counters(self):
         obs = Instrumentation()
         context = make_context(6, 12, 6, 3)
@@ -203,7 +130,9 @@ class TestBatchTelemetry:
         ScipyBackend(instrumentation=obs).solve_batch(parametric, rhs)
         assert obs.counter("lp.batch.solves").value == 1
         assert obs.counter("lp.batch.members").value == len(rhs)
-        assert obs.counter("lp.batch.lockstep_iterations").value == 0
+        events = obs.trace.events("lp_batch")
+        assert len(events) == 1
+        assert events[0].data["members"] == len(rhs)
 
 
 class TestSharedSweepCache:

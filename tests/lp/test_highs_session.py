@@ -17,8 +17,6 @@ holds ±inf: HiGHS sees the same problem either way.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -203,7 +201,7 @@ class TestRandomLPs:
     @given(random_forms().filter(lambda f: f.a_ub.shape[0] > 0), st.data())
     def test_ladders_match_independent_linprog_solves(self, form, data):
         """One session re-solved per member equals a fresh ``linprog``
-        per member, for both ladder entry points and per-member costs."""
+        per member, for both ladder entry points."""
         parametric = _parametric(form)
         size = data.draw(st.integers(min_value=1, max_value=4))
         ladder = [_rhs(data.draw) for __ in range(size)]
@@ -215,19 +213,6 @@ class TestRandomLPs:
         )
         _assert_ladder_matches(
             lambda: backend.solve_batch(parametric, ladder), plain
-        )
-        costs = np.array(
-            [[data.draw(st.integers(-4, 4)) for __ in range(form.num_variables)]
-             for __ in ladder],
-            dtype=float,
-        )
-        priced = [
-            _oracle(replace(member, c=cost))
-            for member, cost in zip(members, costs)
-        ]
-        _assert_ladder_matches(
-            lambda: backend.solve_batch(parametric, ladder, costs=costs),
-            priced,
         )
 
 
