@@ -3,8 +3,9 @@
 Measures, per formulation and problem size, how long it takes to get a
 solver-ready :class:`~repro.lp.StandardForm` three ways:
 
-- ``algebraic_s``: ``build_model`` + ``compile_model`` (the reference
-  object-graph path);
+- ``algebraic_s``: the oracle builders of
+  ``tests/lp/_algebraic_oracle.py`` + ``compile_model`` (the reference
+  object-graph path, kept as a test oracle);
 - ``fast_cold_s``: the direct array compiler with an empty replan cache;
 - ``fast_warm_s``: the same compiler after a prior compile on the same
   topology/k/costs (the :class:`~repro.query.engine.TopKEngine` replan
@@ -18,6 +19,10 @@ size ladder for the CI smoke job, which checks optimum equality and
 records the numbers without enforcing the full-size bar.  Besides the
 human-readable ``results/fastpath.txt`` table, a machine-readable
 ``results/BENCH_fastpath.json`` is written for the regression gate.
+
+The oracle lives under ``tests/``, so the repository root must be
+importable: ``cd benchmarks; PYTHONPATH=../src:.. python
+bench_fastpath.py --quick`` (under pytest, ``conftest.py`` adds it).
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from repro.planners.base import PlanningContext
 from repro.planners.lp_lf import LPLFPlanner
 from repro.planners.lp_no_lf import LPNoLFPlanner
 from repro.planners.proof import ProofPlanner
+from tests.lp._algebraic_oracle import build_model
 
 SIZES = ((20, 10), (40, 25), (60, 25))
 QUICK_SIZES = ((20, 10), (30, 10))
@@ -76,7 +82,7 @@ def run(quick: bool = False) -> list[dict]:
         for planner in planners:
             context = _context(planner, n, m, rng)
             algebraic = _best_of(
-                lambda: compile_model(planner.build_model(context)[0])
+                lambda: compile_model(build_model(planner, context)[0])
             )
             fast_cold = _best_of(
                 lambda: type(planner)().compile_fast(context)
@@ -150,7 +156,7 @@ def _assert_bars(rows: list[dict], quick: bool) -> None:
     compiled = planner.compile_fast(context)
     backend = ScipyBackend()
     fast = backend.solve_form(compiled.form, compiled.name)
-    slow = planner.build_model(context)[0].solve(backend)
+    slow = build_model(planner, context)[0].solve(backend)
     assert fast.objective == slow.objective
 
 

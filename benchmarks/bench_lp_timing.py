@@ -1,10 +1,11 @@
 """LP solve-time benchmark (§5 "Other Results").
 
 The paper's CPLEX runs took seconds to ~minutes in the worst cases;
-this records build+solve wall time of each formulation on the HiGHS
-backend across problem sizes, the fast-path compile time, and the
-parametric budget-sweep columns (one compile + ``solve_sweep`` over an
-8-budget ladder vs per-budget cold compile+solve).
+this records, per formulation and problem size on the HiGHS backend,
+the compiled form's size, one cold fast-path compile, one
+``solve_form`` of it, and the parametric budget-sweep columns (one
+compile + ``solve_batch`` over an 8-budget ladder vs per-budget cold
+compile+solve).
 """
 
 from _helpers import record
@@ -13,8 +14,7 @@ from repro.experiments import lp_timing
 
 COLUMNS = [
     "formulation", "n", "m", "variables", "constraints",
-    "build_s", "fastbuild_s", "build_speedup", "solve_s",
-    "sweep_s", "sweep_speedup",
+    "fastbuild_s", "solve_s", "sweep_s", "sweep_speedup",
 ]
 
 

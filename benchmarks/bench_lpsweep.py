@@ -4,7 +4,7 @@ An 8-budget Figure-3-shaped ladder over the LP+LF formulation at
 n = 60, m = 25, measured two ways per backend:
 
 - ``sweep``: one :class:`~repro.lp.ParametricForm` compile plus
-  ``solve_sweep`` — the budget row's RHS slot is patched per member and
+  ``solve_batch`` — the budget row's RHS slot is patched per member and
   the pure simplex backend warm-starts each member from the previous
   optimal basis via a dual-simplex restart;
 - ``cold``: a fresh ``compile_lp_lf`` + ``solve_form`` per budget (the
@@ -70,7 +70,7 @@ def _context(n: int, m: int) -> PlanningContext:
 def _sweep_row(backend, context, budgets) -> dict:
     start = time.perf_counter()
     parametric = compile_lp_lf_parametric(context)
-    sweep = backend.solve_sweep(parametric, parametric.rhs_values(budgets))
+    sweep = backend.solve_batch(parametric, parametric.rhs_values(budgets))
     sweep_s = time.perf_counter() - start
 
     start = time.perf_counter()

@@ -8,3 +8,9 @@ paper's.  Run with::
 
     pytest benchmarks/ --benchmark-only
 """
+
+import sys
+from pathlib import Path
+
+# bench_fastpath times the algebraic oracle kept in tests/lp/
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))

@@ -3,10 +3,13 @@
 The paper reports CPLEX 8.1 timings on a 250(?) MHz desktop: usually a
 few seconds, slower near budgets where many plans tie.  This experiment
 measures build+solve wall time of each PROSPECTOR formulation across
-network and sample sizes on our HiGHS backend, plus the parametric
-budget-sweep columns: ``sweep_s`` is one compile + ``solve_sweep`` over
-an 8-budget ladder, ``sweep_speedup`` is how much faster that is than
-compiling and solving each budget cold.  (The HiGHS sweep shares the
+network and sample sizes on our HiGHS backend: ``fastbuild_s`` is one
+cold :mod:`repro.lp.fastbuild` compile, ``solve_s`` one ``solve_form``
+of its output, and ``variables``/``constraints`` are the compiled
+form's sizes.  The parametric budget-sweep columns follow: ``sweep_s``
+is one compile + ``solve_batch`` over an 8-budget ladder,
+``sweep_speedup`` is how much faster that is than compiling and
+solving each budget cold.  (The HiGHS sweep shares the
 compile and one loaded solver session but re-solves each member cold:
 warm restarts would move members to other optimal vertices.  The pure
 simplex backend adds dual-simplex warm starts — see
@@ -68,7 +71,7 @@ def _sweep_timings(planner, context, solver) -> tuple[float, float]:
     budgets = [context.budget * factor for factor in _SWEEP_FACTORS]
     start = time.perf_counter()
     parametric = _parametric_for(planner, context)
-    solver.solve_sweep(parametric, parametric.rhs_values(budgets))
+    solver.solve_batch(parametric, parametric.rhs_values(budgets))
     sweep_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -120,15 +123,12 @@ def run(
                     )
                 else:
                     context_p = context
+                # cold compile: a fresh planner has an empty replan cache
                 start = time.perf_counter()
-                model, *__ = planner.build_model(context_p)
-                build_seconds = time.perf_counter() - start
-                solution = model.solve(solver)
-                # the fast-path compiler, cold (fresh planner => empty
-                # replan cache), produces the same arrays directly
-                start = time.perf_counter()
-                planner.compile_fast(context_p)
+                compiled = planner.compile_fast(context_p)
                 fastbuild_seconds = time.perf_counter() - start
+                form = compiled.form
+                solution = solver.solve_form(form, compiled.name)
                 sweep_seconds, cold_seconds = _sweep_timings(
                     planner, context_p, solver
                 )
@@ -137,12 +137,10 @@ def run(
                         "formulation": planner.name,
                         "n": n,
                         "m": m,
-                        "variables": model.num_variables,
-                        "constraints": model.num_constraints,
-                        "build_s": build_seconds,
+                        "variables": form.num_variables,
+                        "constraints": form.a_ub.shape[0]
+                        + form.a_eq.shape[0],
                         "fastbuild_s": fastbuild_seconds,
-                        "build_speedup": build_seconds
-                        / max(fastbuild_seconds, 1e-12),
                         "solve_s": solution.stats.wall_seconds,
                         "sweep_s": sweep_seconds,
                         "sweep_speedup": cold_seconds
@@ -158,8 +156,7 @@ def main() -> list[dict]:
         rows,
         columns=[
             "formulation", "n", "m", "variables", "constraints",
-            "build_s", "fastbuild_s", "build_speedup", "solve_s",
-            "sweep_s", "sweep_speedup",
+            "fastbuild_s", "solve_s", "sweep_s", "sweep_speedup",
         ],
         title="LP solve-time study",
     )

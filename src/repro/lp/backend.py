@@ -21,38 +21,45 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @runtime_checkable
 class Backend(Protocol):
-    """Anything that can solve a compiled LP model.
+    """Anything that can solve an LP in the three shapes the code uses.
 
-    Both shipped backends additionally implement two optional entry
-    points that callers feature-test with ``hasattr``:
+    ``solve(model)``
+        Solve an algebraic :class:`~repro.lp.Model` (used by
+        :mod:`repro.stochastic.steiner` and the tests' oracles).
 
     ``solve_form(form, name)``
         Solve a pre-compiled
-        :class:`~repro.lp.standard_form.StandardForm` (the
-        :mod:`repro.lp.fastbuild` fast path).
-
-    ``solve_sweep(parametric, rhs_values, name=None)``
-        Solve one :class:`~repro.lp.fastbuild.ParametricForm` for a
-        sequence of RHS-slot values, returning one ``Solution`` per
-        value — element-wise identical to independent cold solves.
-        The pure simplex warm-starts each member from the previous
-        optimal basis (dual-simplex restart).  The HiGHS backend loads
-        the form into one session and re-solves each member cold, by
-        design: on Fig-3 ladders a HiGHS warm restart lands on another
-        optimal vertex in 236 of 280 members and changes the rounded
-        plan in 30, so its ``lp.warm_start_ratio`` is always 0.
+        :class:`~repro.lp.standard_form.StandardForm`, the
+        :mod:`repro.lp.fastbuild` output every planner solves.
 
     ``solve_batch(parametric, rhs_values, name=None)``
-        The same ladder solve as ``solve_sweep`` and the entry point
-        the planners call.  The pure simplex runs the same warm sweep;
-        the HiGHS backend runs the same one-session cold loop, under
-        one ``batch.solve`` span and an ``lp_batch`` event.
+        Solve one :class:`~repro.lp.fastbuild.ParametricForm` for a
+        sequence of RHS-slot values, returning one ``Solution`` per
+        value, element-wise identical to independent cold solves.  The
+        pure simplex warm-starts each member from the previous optimal
+        basis (dual-simplex restart) and records an ``lp_sweep`` event.
+        The HiGHS backend loads the form into one session and re-solves
+        each member cold under one ``batch.solve`` span and an
+        ``lp_batch`` event, by design: on Fig-3 ladders a HiGHS warm
+        restart lands on another optimal vertex in 236 of 280 members
+        and changes the rounded plan in 30, so its
+        ``lp.warm_start_ratio`` is always 0.
     """
 
     name: str
 
     def solve(self, model: "Model") -> "Solution":
         """Return an optimal solution or raise :class:`SolverError`."""
+        ...  # pragma: no cover - protocol definition
+
+    def solve_form(self, form, name: str = "lp") -> "Solution":
+        """Solve a compiled standard form."""
+        ...  # pragma: no cover - protocol definition
+
+    def solve_batch(
+        self, parametric, rhs_values, name: str | None = None
+    ) -> "list[Solution]":
+        """Solve a budget ladder, one solution per RHS-slot value."""
         ...  # pragma: no cover - protocol definition
 
 

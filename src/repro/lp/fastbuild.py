@@ -7,11 +7,12 @@ of allocations, and *build* time dominates solve time — the same
 pathology the paper reports for its CPLEX runs (§5 "Other Results").
 
 This module lowers each formulation **directly** to COO triplets with
-numpy and assembles a :class:`~repro.lp.standard_form.StandardForm`
-whose rows, columns, coefficients, bounds, and objective are identical
-to ``compile_model(planner.build_model(context))`` — the algebraic path
-stays in the tree as the reference oracle, and the equivalence is
-property-tested (``tests/lp/test_fastbuild.py``).
+numpy and assembles a :class:`~repro.lp.standard_form.StandardForm`;
+it is the only way the planners compile.  Its rows, columns,
+coefficients, bounds, and objective are bitwise identical to
+``compile_model`` of the algebraic builders kept as a test oracle in
+``tests/lp/_algebraic_oracle.py``, and ``tests/lp/test_fastbuild.py``
+checks that equivalence.
 
 On top of the compilers sits :class:`ReplanCache`: the constraint
 blocks that do not depend on the sample matrix (edge-use rows, path
@@ -58,8 +59,8 @@ class CompiledLP:
     Attributes
     ----------
     name:
-        The formulation's model name (matches the algebraic path, so
-        observability series line up).
+        The formulation's model name (matches the algebraic oracle's,
+        so observability series line up).
     form:
         The standard-form arrays, ready for ``backend.solve_form``.
     column_names:
@@ -87,7 +88,7 @@ class ParametricForm:
     entry (the budget row).  A budget sweep therefore compiles **once**
     (through the :class:`ReplanCache` like any other compile) and each
     sweep member just patches that one float — via
-    ``backend.solve_sweep`` (warm-started on the pure simplex, cold
+    ``backend.solve_batch`` (warm-started on the pure simplex, cold
     members of one loaded session on HiGHS), or via
     :meth:`form_for` for an independent cold oracle solve.
 
@@ -314,7 +315,7 @@ def compile_lp_no_lf(context, cache: ReplanCache | None = None) -> CompiledLP:
 
     Columns: ``x_i`` per node, then ``y_e`` per edge.  Rows: the path
     constraints (node order, bottom-up edges), then the budget row —
-    the exact order of the algebraic ``build_model``.
+    the exact order of the algebraic oracle's builder.
     """
     obs = context.instrumentation
     with maybe_span(obs, "compile", formulation="prospector-lp-no-lf"), \
@@ -415,7 +416,7 @@ def compile_lp_lf(context, cache: ReplanCache | None = None) -> CompiledLP:
     Columns: ``b_e`` per edge, ``y_e`` per edge, then ``z_{j,i}`` per
     sample-matrix 1-entry (``j`` ascending, nodes ascending within a
     sample).  Rows: edge-use rows, path rows, bandwidth rows, budget —
-    matching the algebraic ``build_model`` exactly.
+    matching the algebraic oracle's builder exactly.
     """
     obs = context.instrumentation
     with maybe_span(obs, "compile", formulation="prospector-lp-lf"), \

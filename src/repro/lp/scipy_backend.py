@@ -16,7 +16,6 @@ without its per-call validation and model hand-off.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from functools import partial
 from typing import NamedTuple
 
@@ -311,52 +310,23 @@ class ScipyBackend:
             ),
         )
 
-    def _ladder(
-        self, parametric, rhs_values, label: str, *, member_span=nullcontext,
-    ) -> list[Solution]:
+    def _ladder(self, parametric, rhs_values, label: str) -> list[Solution]:
         """Solve each RHS-slot value cold on one shared session."""
         form = parametric.form
         session = _HighsSession(form, row=parametric.row)
-        solutions = []
-        for rhs in rhs_values:
-            with member_span(rhs):
-                solutions.append(self._solve_member(
-                    form, label, None, partial(session.solve, rhs)
-                ))
-        return solutions
-
-    def solve_sweep(self, parametric, rhs_values, name: str | None = None):
-        """Solve one compiled form for many values of its RHS slot.
-
-        The form is loaded into HiGHS once; each member patches the
-        budget row and re-solves cold, so the returned
-        :class:`~repro.lp.result.Solution` list is element-wise
-        identical to independent cold solves.
-        """
-        label = name or parametric.name
-        start = time.perf_counter()
-        solutions = self._ladder(
-            parametric, np.asarray(rhs_values, dtype=float), label,
-            member_span=lambda rhs: maybe_span(
-                self.instrumentation, "sweep.member",
-                model=label, rhs=float(rhs), mode="cold",
-            ),
-        )
-        if self.instrumentation is not None:
-            self.instrumentation.record_lp_sweep(
-                label,
-                members=len(solutions),
-                warm_hits=0,
-                pivots_saved=0,
-                seconds=time.perf_counter() - start,
-            )
-        return solutions
+        return [
+            self._solve_member(form, label, None, partial(session.solve, rhs))
+            for rhs in rhs_values
+        ]
 
     def solve_batch(self, parametric, rhs_values, name: str | None = None):
         """Solve one compiled form for many values of its RHS slot.
 
-        The same one-session cold loop as :meth:`solve_sweep`, under a
-        single ``batch.solve`` span.
+        The form is loaded into HiGHS once; each member patches the
+        budget row and re-solves cold, all under a single
+        ``batch.solve`` span, so the returned
+        :class:`~repro.lp.result.Solution` list is element-wise
+        identical to independent cold solves.
         """
         label = name or parametric.name
         rhs_values = np.atleast_1d(np.asarray(rhs_values, dtype=float))

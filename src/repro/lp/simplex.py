@@ -19,7 +19,7 @@ cold-start directly in phase 2.
 Because the factorized basis persists, the engine also supports the
 parametric sweeps of :mod:`repro.lp.fastbuild`: when only one
 right-hand-side entry changes between solves the optimal basis stays
-dual-feasible, so :meth:`SimplexBackend.solve_sweep` re-solves each
+dual-feasible, so :meth:`SimplexBackend.solve_batch` re-solves each
 sweep member with a dual-simplex restart from the previous optimum — a
 handful of pivots instead of a cold run (``warm_started``/``pivots`` in
 the returned :class:`~repro.lp.result.SolveStats`).
@@ -619,14 +619,6 @@ class SimplexBackend:
             stats=stats,
             inequality_duals=duals,
         )
-
-    def solve_sweep(self, parametric, rhs_values, name: str | None = None):
-        """Solve one compiled form for many values of its RHS slot.
-
-        Same as :meth:`solve_batch`; kept as the sweep-named entry of
-        the :class:`~repro.lp.backend.Backend` protocol.
-        """
-        return self.solve_batch(parametric, rhs_values, name=name)
 
     def solve_batch(self, parametric, rhs_values, name: str | None = None):
         """Solve a budget ladder with dual-simplex warm restarts.

@@ -115,7 +115,8 @@ class Instrumentation:
         pivots_saved: int, seconds: float, bland_activations: int = 0,
         cold_fallbacks: int = 0,
     ) -> None:
-        """One parametric budget sweep solved through ``solve_sweep``.
+        """One budget ladder warm-solved by the pure simplex's
+        ``solve_batch``.
 
         ``warm_hits`` counts members restarted from the previous
         optimal basis; ``pivots_saved`` is the pivot count a cold solve

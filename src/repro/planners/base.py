@@ -9,7 +9,6 @@ budget ``E``.
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Protocol
 
@@ -96,8 +95,8 @@ class PlannerConfig:
     """Construction knobs shared by the LP-based planners.
 
     The counterpart of :class:`~repro.query.engine.EngineConfig` for
-    planner construction: one keyword-friendly object instead of a
-    positional tail, so ``LPLFPlanner(config=PlannerConfig(...))``,
+    planner construction: one keyword-only object, so
+    ``LPLFPlanner(config=PlannerConfig(...))``,
     ``LPLFPlanner(strict_budget=False)`` and the service layer's
     per-session planner factories all spell options the same way.
     Explicit keyword arguments override the config's fields.
@@ -111,9 +110,6 @@ class PlannerConfig:
 
     backend: object = None
     """LP solver backend instance or registered name (default HiGHS)."""
-
-    compiler: str = "fast"
-    """``"fast"`` (direct array lowering) or ``"algebraic"``."""
 
     replan_cache: object = None
     """Optional :class:`~repro.lp.fastbuild.ReplanCache` to share
@@ -130,34 +126,16 @@ class PlannerConfig:
 def resolve_planner_config(
     planner_name: str,
     defaults: PlannerConfig,
-    args: tuple,
     config: PlannerConfig | None,
     overrides: dict,
 ) -> PlannerConfig:
-    """Merge deprecated positional args, a config object, and keywords.
+    """Merge a config object and keyword overrides.
 
-    Precedence (highest first): explicit keyword overrides, deprecated
-    positional arguments, ``config``, the planner's own ``defaults``.
-    A non-empty positional tail fires exactly one
-    :class:`DeprecationWarning` — the shim kept for pre-1.1 signatures
-    like ``LPLFPlanner(True, False, backend)``.
+    Precedence (highest first): explicit keyword overrides, ``config``,
+    the planner's own ``defaults``.  Unknown keywords raise
+    :class:`TypeError`.
     """
     merged = config if config is not None else defaults
-    if args:
-        warnings.warn(
-            f"positional arguments to {planner_name} are deprecated;"
-            " pass keywords or a PlannerConfig",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        positional_fields = ("strict_budget", "fill_budget", "backend",
-                             "compiler")
-        if len(args) > len(positional_fields):
-            raise TypeError(
-                f"{planner_name} takes at most"
-                f" {len(positional_fields)} positional arguments"
-            )
-        merged = replace(merged, **dict(zip(positional_fields, args)))
     known = {f.name for f in fields(PlannerConfig)}
     unknown = set(overrides) - known
     if unknown:
@@ -168,8 +146,6 @@ def resolve_planner_config(
     supplied = {k: v for k, v in overrides.items() if v is not None}
     if supplied:
         merged = replace(merged, **supplied)
-    if merged.compiler not in ("fast", "algebraic"):
-        raise ValueError(f"unknown compiler {merged.compiler!r}")
     return merged
 
 
@@ -182,27 +158,20 @@ def sweep_solutions(
     formulation: str | None = None,
     context: "PlanningContext | None" = None,
 ):
-    """Route a budget ladder to the best available batch entry point.
+    """Solve a budget ladder, through the form cache when one is set.
 
-    Preference order: the cross-session form cache's solution cache
-    (:meth:`repro.service.cache.SharedPlanCache.sweep_solutions` —
-    equal-content tenants pay one batch solve), then the backend's
-    ``solve_batch`` (dual-simplex warm restarts on the pure simplex,
-    one HiGHS session re-solved cold per member on scipy), then plain
-    ``solve_sweep``.  All three return element-wise identical
-    solutions.
+    The cross-session form cache's solution cache
+    (:meth:`repro.service.cache.SharedPlanCache.sweep_solutions`) lets
+    equal-content tenants pay one batch solve; otherwise the backend's
+    ``solve_batch`` runs the ladder (dual-simplex warm restarts on the
+    pure simplex, one HiGHS session re-solved cold per member on
+    scipy).  Both return element-wise identical solutions.
     """
-    if (
-        form_cache is not None
-        and formulation is not None
-        and hasattr(form_cache, "sweep_solutions")
-    ):
+    if form_cache is not None:
         return form_cache.sweep_solutions(
             formulation, context, parametric, rhs_values, backend
         )
-    if hasattr(backend, "solve_batch"):
-        return backend.solve_batch(parametric, rhs_values)
-    return backend.solve_sweep(parametric, rhs_values)
+    return backend.solve_batch(parametric, rhs_values)
 
 
 class Planner(Protocol):

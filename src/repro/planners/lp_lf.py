@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.lp import LinExpr, Model
 from repro.lp.backend import resolve_backend
 from repro.lp.fastbuild import (
     CompiledLP,
@@ -48,8 +47,7 @@ class LPLFPlanner:
     """PROSPECTOR LP+LF.
 
     Constructed from keywords or a shared
-    :class:`~repro.planners.base.PlannerConfig` (positional arguments
-    are deprecated):
+    :class:`~repro.planners.base.PlannerConfig`:
 
     Parameters
     ----------
@@ -68,30 +66,26 @@ class LPLFPlanner:
         LP solver backend instance or registered name (see
         :func:`repro.lp.backend.available_backends`); defaults to
         HiGHS.
-    compiler:
-        ``"fast"`` (default) lowers the formulation straight to
-        standard-form arrays (:mod:`repro.lp.fastbuild`) with a replan
-        cache for the sample-independent blocks; ``"algebraic"`` builds
-        the reference :class:`~repro.lp.Model` object graph.  The two
-        produce identical arrays (property-tested), so this only trades
-        build time.
     replan_cache / form_cache:
         Optional shared caches (see :class:`PlannerConfig`); the
         service layer installs one pool across all sessions.
+
+    The formulation is lowered straight to standard-form arrays
+    (:mod:`repro.lp.fastbuild`), with the replan cache holding the
+    sample-independent blocks.
     """
 
     name = "lp-lf"
     _defaults = PlannerConfig()
 
-    def __init__(self, *args, config: PlannerConfig | None = None,
+    def __init__(self, *, config: PlannerConfig | None = None,
                  **overrides) -> None:
         resolved = resolve_planner_config(
-            type(self).__name__, self._defaults, args, config, overrides
+            type(self).__name__, self._defaults, config, overrides
         )
         self.strict_budget = resolved.strict_budget
         self.fill_budget = resolved.fill_budget
         self.backend = resolved.backend
-        self.compiler = resolved.compiler
         # explicit None-check: an empty shared ReplanCache is falsy
         self.replan_cache = (
             resolved.replan_cache
@@ -99,68 +93,6 @@ class LPLFPlanner:
             else ReplanCache()
         )
         self.form_cache = resolved.form_cache
-
-    def build_model(self, context: PlanningContext) -> tuple[Model, dict, dict, dict]:
-        topology = context.topology
-        samples = context.samples
-        model = Model("prospector-lp-lf")
-
-        subtree = topology.subtree_size
-        b = {
-            edge: model.add_variable(f"b_{edge}", lb=0.0, ub=float(subtree(edge)))
-            for edge in topology.edges
-        }
-        y = {
-            edge: model.add_variable(f"y_{edge}", lb=0.0, ub=1.0)
-            for edge in topology.edges
-        }
-        z: dict[tuple[int, int], object] = {}
-        for j in range(samples.num_samples):
-            # sorted so the column order is deterministic and matches
-            # the fast-path compiler (frozenset order is not)
-            for node in sorted(samples.ones(j)):
-                z[j, node] = model.add_variable(f"z_{j}_{node}", lb=0.0, ub=1.0)
-
-        # an unused edge carries no bandwidth (ties b to y so the
-        # per-message cost is paid whenever bandwidth is allocated)
-        for edge in topology.edges:
-            model.add_constraint(
-                b[edge] <= float(subtree(edge)) * y[edge], name=f"use_{edge}"
-            )
-
-        # (7) returning i's value for sample j needs every edge above i
-        for (j, node), var in z.items():
-            for edge in topology.path_edges(node):
-                model.add_constraint(var <= y[edge], name=f"path_{j}_{node}_{edge}")
-
-        # (8) bandwidth caps the sample's top-k flow through each edge
-        descendant_sets = topology.descendant_sets()
-        for j in range(samples.num_samples):
-            ones = samples.ones(j)
-            for edge in topology.edges:
-                members = ones & descendant_sets[edge]
-                if not members:
-                    continue
-                flow = LinExpr.sum_of(z[j, node] for node in members)
-                model.add_constraint(flow <= b[edge], name=f"bw_{j}_{edge}")
-
-        # (6) energy budget; acquisition (§4.4) attaches to each used
-        # edge's child endpoint, with the root's share constant
-        acquisition = context.energy.acquisition_mj
-        cost = LinExpr.sum_of(
-            [
-                (context.edge_cost(edge) + acquisition) * y[edge]
-                for edge in topology.edges
-            ]
-            + [context.per_value * b[edge] for edge in topology.edges]
-        )
-        model.add_constraint(
-            cost <= context.budget - acquisition, name="budget"
-        )
-
-        # (5) minimize misses == maximize returned top-k entries
-        model.maximize(LinExpr.sum_of(z.values()))
-        return model, b, y, z
 
     def _parametric(self, context: PlanningContext):
         """The compiled parametric form, via the cross-session cache
@@ -179,8 +111,7 @@ class LPLFPlanner:
     def compile_fast(self, context: PlanningContext) -> CompiledLP:
         """Lower the formulation straight to standard-form arrays.
 
-        Bit-compatible with ``compile_model(build_model(context))``;
-        sample-independent blocks come from ``self.replan_cache``.
+        Sample-independent blocks come from ``self.replan_cache``.
         With a cross-session ``form_cache`` installed, a hit returns
         the cached arrays with only the budget RHS patched — no
         compile at all.
@@ -195,64 +126,46 @@ class LPLFPlanner:
 
     @observed
     def plan(self, context: PlanningContext) -> QueryPlan:
-        topology = context.topology
         backend = resolve_backend(self.backend, context.instrumentation)
-        if self.compiler == "fast" and hasattr(backend, "solve_form"):
-            compiled = self.compile_fast(context)
-            solution = backend.solve_form(compiled.form, compiled.name)
-            bandwidth_of = compiled.primary_columns
-            bandwidths = {
-                edge: round_bandwidth(float(solution.values[bandwidth_of[edge]]))
-                for edge in topology.edges
-            }
-        else:
-            model, b, __, __ = self.build_model(context)
-            solution = model.solve(backend)
-            bandwidths = {
-                edge: round_bandwidth(solution.value(b[edge]))
-                for edge in topology.edges
-            }
-        return self._repair_and_fill(context, bandwidths)
+        compiled = self.compile_fast(context)
+        solution = backend.solve_form(compiled.form, compiled.name)
+        return self._round(context, solution, compiled.primary_columns)
 
     def plan_for_budgets(
         self, context: PlanningContext, budgets
     ) -> list[QueryPlan]:
         """One plan per budget, sharing a single compiled formulation.
 
-        With a sweep-capable backend the formulation compiles once
-        (through the replan cache) and each member patches the budget
-        row's RHS: the HiGHS backend re-solves each member cold in one
-        loaded session, the pure simplex warm-starts it.  The results
-        are element-wise identical to calling :meth:`plan` once
-        per budget; backends without ``solve_sweep`` (or the algebraic
-        compiler) fall back to exactly that loop.
+        The formulation compiles once (through the replan cache) and
+        each member patches the budget row's RHS: the HiGHS backend
+        re-solves each member cold in one loaded session, the pure
+        simplex warm-starts it.  The results are element-wise identical
+        to calling :meth:`plan` once per budget.
         """
         budgets = [float(b) for b in budgets]
         backend = resolve_backend(self.backend, context.instrumentation)
-        if self.compiler != "fast" or not hasattr(backend, "solve_sweep"):
-            return [self.plan(replace(context, budget=b)) for b in budgets]
         parametric = self._parametric(context)
         solutions = sweep_solutions(
             backend, parametric, parametric.rhs_values(budgets),
             form_cache=self.form_cache, formulation="lp-lf",
             context=context,
         )
-        bandwidth_of = parametric.primary_columns
-        topology = context.topology
-        plans = []
-        for budget, solution in zip(budgets, solutions):
-            bandwidths = {
-                edge: round_bandwidth(
-                    float(solution.values[bandwidth_of[edge]])
-                )
-                for edge in topology.edges
-            }
-            plans.append(
-                self._repair_and_fill(
-                    replace(context, budget=budget), bandwidths
-                )
+        return [
+            self._round(
+                replace(context, budget=budget), solution,
+                parametric.primary_columns,
             )
-        return plans
+            for budget, solution in zip(budgets, solutions)
+        ]
+
+    def _round(self, context: PlanningContext, solution, bandwidth_of):
+        """Round one LP solution's bandwidth columns, then repair and
+        fill the plan."""
+        bandwidths = {
+            edge: round_bandwidth(float(solution.values[bandwidth_of[edge]]))
+            for edge in context.topology.edges
+        }
+        return self._repair_and_fill(context, bandwidths)
 
     def _repair_and_fill(
         self, context: PlanningContext, bandwidths: dict[int, int]

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.lp import LinExpr, Model
 from repro.lp.backend import resolve_backend
 from repro.lp.fastbuild import (
     CompiledLP,
@@ -44,8 +43,7 @@ class LPNoLFPlanner:
     """PROSPECTOR LP−LF.
 
     Constructed from keywords or a shared
-    :class:`~repro.planners.base.PlannerConfig` (positional arguments
-    are deprecated):
+    :class:`~repro.planners.base.PlannerConfig`:
 
     Parameters
     ----------
@@ -68,25 +66,23 @@ class LPNoLFPlanner:
         LP solver backend instance or registered name (see
         :func:`repro.lp.backend.available_backends`); defaults to
         HiGHS.
-    compiler:
-        ``"fast"`` (default) lowers the formulation straight to
-        standard-form arrays (:mod:`repro.lp.fastbuild`) with a replan
-        cache for the sample-independent blocks; ``"algebraic"`` builds
-        the reference :class:`~repro.lp.Model` object graph.
+
+    The formulation is lowered straight to standard-form arrays
+    (:mod:`repro.lp.fastbuild`), with a replan cache for the
+    sample-independent blocks.
     """
 
     name = "lp-no-lf"
     _defaults = PlannerConfig()
 
-    def __init__(self, *args, config: PlannerConfig | None = None,
+    def __init__(self, *, config: PlannerConfig | None = None,
                  **overrides) -> None:
         resolved = resolve_planner_config(
-            type(self).__name__, self._defaults, args, config, overrides
+            type(self).__name__, self._defaults, config, overrides
         )
         self.strict_budget = resolved.strict_budget
         self.fill_budget = resolved.fill_budget
         self.backend = resolved.backend
-        self.compiler = resolved.compiler
         # explicit None-check: an empty shared ReplanCache is falsy
         self.replan_cache = (
             resolved.replan_cache
@@ -94,57 +90,6 @@ class LPNoLFPlanner:
             else ReplanCache()
         )
         self.form_cache = resolved.form_cache
-
-    def build_model(self, context: PlanningContext) -> tuple[Model, dict, dict]:
-        """Construct the LP; exposed separately for tests and timing."""
-        topology = context.topology
-        counts = context.samples.column_counts()
-        model = Model("prospector-lp-no-lf")
-
-        x = {
-            node: model.add_variable(f"x_{node}", lb=0.0, ub=1.0)
-            for node in topology.nodes
-        }
-        y = {
-            edge: model.add_variable(f"y_{edge}", lb=0.0, ub=1.0)
-            for edge in topology.edges
-        }
-
-        # (2) fetching node i uses every edge above it
-        for node in topology.nodes:
-            if node == topology.root:
-                continue
-            for edge in topology.path_edges(node):
-                model.add_constraint(x[node] <= y[edge], name=f"path_{node}_{edge}")
-
-        # (3) energy budget: per-message on used edges + per-value along
-        # paths. Per-node acquisition (§4.4 "Modeling Other Costs")
-        # attaches to each edge's child endpoint — every node on an
-        # active path measures, since execution merges its own reading;
-        # the root always measures, so its share is constant.
-        acquisition = context.energy.acquisition_mj
-        cost = LinExpr.sum_of(
-            [
-                (context.edge_cost(edge) + acquisition) * y[edge]
-                for edge in topology.edges
-            ]
-            + [
-                (topology.depth(node) * context.per_value) * x[node]
-                for node in topology.nodes
-                if node != topology.root
-            ]
-        )
-        model.add_constraint(
-            cost <= context.budget - acquisition, name="budget"
-        )
-
-        # (1) maximize covered top-k appearances == minimize misses
-        model.maximize(
-            LinExpr.sum_of(
-                int(counts[node]) * x[node] for node in topology.nodes
-            )
-        )
-        return model, x, y
 
     def _parametric(self, context: PlanningContext):
         """The compiled parametric form, via the cross-session cache
@@ -162,8 +107,7 @@ class LPNoLFPlanner:
     def compile_fast(self, context: PlanningContext) -> CompiledLP:
         """Lower the formulation straight to standard-form arrays.
 
-        Bit-compatible with ``compile_model(build_model(context))``;
-        sample-independent blocks come from ``self.replan_cache``.
+        Sample-independent blocks come from ``self.replan_cache``.
         With a cross-session ``form_cache`` installed, a hit returns
         the cached arrays with only the budget RHS patched.
         """
@@ -178,40 +122,27 @@ class LPNoLFPlanner:
     @observed
     def plan(self, context: PlanningContext) -> QueryPlan:
         backend = resolve_backend(self.backend, context.instrumentation)
-        if self.compiler == "fast" and hasattr(backend, "solve_form"):
-            compiled = self.compile_fast(context)
-            solution = backend.solve_form(compiled.form, compiled.name)
-            columns = compiled.primary_columns
-
-            def x_value(node: int) -> float:
-                return float(solution.values[columns[node]])
-
-        else:
-            model, x, __ = self.build_model(context)
-            solution = model.solve(backend)
-
-            def x_value(node: int) -> float:
-                return solution.value(x[node])
-
-        return self._round_and_fill(context, x_value)
+        compiled = self.compile_fast(context)
+        solution = backend.solve_form(compiled.form, compiled.name)
+        columns = compiled.primary_columns
+        values = solution.values
+        return self._round_and_fill(
+            context, lambda node: float(values[columns[node]])
+        )
 
     def plan_for_budgets(
         self, context: PlanningContext, budgets
     ) -> list[QueryPlan]:
         """One plan per budget, sharing a single compiled formulation.
 
-        With a sweep-capable backend the formulation compiles once
-        (through the replan cache) and each member patches the budget
-        row's RHS: the HiGHS backend re-solves each member cold in one
-        loaded session, the pure simplex warm-starts it.  The results
-        are element-wise identical to calling :meth:`plan` once
-        per budget; backends without ``solve_sweep`` (or the algebraic
-        compiler) fall back to exactly that loop.
+        The formulation compiles once (through the replan cache) and
+        each member patches the budget row's RHS: the HiGHS backend
+        re-solves each member cold in one loaded session, the pure
+        simplex warm-starts it.  The results are element-wise identical
+        to calling :meth:`plan` once per budget.
         """
         budgets = [float(b) for b in budgets]
         backend = resolve_backend(self.backend, context.instrumentation)
-        if self.compiler != "fast" or not hasattr(backend, "solve_sweep"):
-            return [self.plan(replace(context, budget=b)) for b in budgets]
         parametric = self._parametric(context)
         solutions = sweep_solutions(
             backend, parametric, parametric.rhs_values(budgets),

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.errors import BudgetError
-from repro.lp import LinExpr, Model
 from repro.lp.backend import resolve_backend
 from repro.lp.fastbuild import CompiledLP, compile_proof, compile_proof_parametric
 from repro.obs.spans import maybe_span
@@ -58,25 +57,27 @@ class ProofPlanner:
         allocated energy — "the first phase acquires more values than
         needed" — which is this behaviour; the extra margin also
         hedges against model error.  Off by default.
-    compiler:
-        ``"fast"`` (default) lowers the formulation straight to
-        standard-form arrays (:mod:`repro.lp.fastbuild`);
-        ``"algebraic"`` builds the reference :class:`~repro.lp.Model`
-        object graph.
+    backend:
+        LP solver backend instance or registered name; defaults to
+        HiGHS.
+
+    Constructed from keywords or a shared
+    :class:`~repro.planners.base.PlannerConfig`; the formulation is
+    lowered straight to standard-form arrays
+    (:mod:`repro.lp.fastbuild`).
     """
 
     name = "prospector-proof"
     _defaults = PlannerConfig(fill_budget=False)
 
-    def __init__(self, *args, config: PlannerConfig | None = None,
+    def __init__(self, *, config: PlannerConfig | None = None,
                  **overrides) -> None:
         resolved = resolve_planner_config(
-            type(self).__name__, self._defaults, args, config, overrides
+            type(self).__name__, self._defaults, config, overrides
         )
         self.strict_budget = resolved.strict_budget
         self.fill_budget = resolved.fill_budget
         self.backend = resolved.backend
-        self.compiler = resolved.compiler
 
     def minimum_cost(self, context: PlanningContext) -> float:
         """Cost of the cheapest legal proof plan (bandwidth 1 everywhere),
@@ -103,91 +104,11 @@ class ProofPlanner:
         """Constant §4.4 acquisition cost: every node measures."""
         return context.energy.acquisition_mj * context.topology.n
 
-    def build_model(self, context: PlanningContext) -> tuple[Model, dict, dict]:
-        topology = context.topology
-        samples = context.samples
-        model = Model("prospector-proof")
-
-        b = {
-            edge: model.add_variable(
-                f"b_{edge}", lb=1.0, ub=float(topology.subtree_size(edge))
-            )
-            for edge in topology.edges
-        }
-
-        p: dict[tuple[int, int, int], object] = {}
-        for j in range(samples.num_samples):
-            for node in topology.nodes:
-                for anc in topology.ancestors(node):
-                    p[j, node, anc] = model.add_variable(
-                        f"p_{j}_{node}_{anc}", lb=0.0, ub=1.0
-                    )
-
-        descendant_sets = topology.descendant_sets()
-        for j in range(samples.num_samples):
-            # (13) chain monotonicity along each node's ancestor path
-            for node in topology.nodes:
-                chain = topology.ancestors(node)
-                for below, above in zip(chain, chain[1:]):
-                    model.add_constraint(
-                        p[j, node, above] <= p[j, node, below],
-                        name=f"chain_{j}_{node}_{above}",
-                    )
-
-            # (12) bandwidth caps proven flow through each edge
-            for edge in topology.edges:
-                parent = topology.parent(edge)
-                flow = LinExpr.sum_of(
-                    p[j, node, parent] for node in descendant_sets[edge]
-                )
-                model.add_constraint(flow <= b[edge], name=f"bw_{j}_{edge}")
-
-            # (14) sibling subtrees must prove smaller values
-            for node in topology.nodes:
-                smaller = samples.smaller_than(node, j)
-                for anc in topology.ancestors(node):
-                    for sibling in topology.sibling_children(node, anc):
-                        support = descendant_sets[sibling] & smaller
-                        if not support:
-                            continue  # paper's exception: no constraint
-                        model.add_constraint(
-                            p[j, node, anc]
-                            <= LinExpr.sum_of(p[j, s, sibling] for s in support),
-                            name=f"sup_{j}_{node}_{anc}_{sibling}",
-                        )
-
-        # (11) budget with the proven-count reserve
-        cost = LinExpr.sum_of(
-            [
-                context.edge_cost(edge) + context.per_value * b[edge]
-                for edge in topology.edges
-            ]
-        )
-        model.add_constraint(
-            cost
-            <= context.budget
-            - self._reserve(context)
-            - self._acquisition_total(context),
-            name="budget",
-        )
-
-        # (10) expected number of top-k values proven at the root
-        root = topology.root
-        model.maximize(
-            LinExpr.sum_of(
-                p[j, node, root]
-                for j in range(samples.num_samples)
-                for node in samples.ones(j)
-            )
-        )
-        return model, b, p
-
     def compile_fast(self, context: PlanningContext) -> CompiledLP:
         """Lower the formulation straight to standard-form arrays.
 
         The reserve/acquisition policy stays here: the compiler only
-        sees the net budget right-hand side, exactly as ``build_model``
-        passes it to the budget constraint.
+        sees the net budget right-hand side.
         """
         budget_rhs = (
             context.budget
@@ -198,30 +119,11 @@ class ProofPlanner:
 
     @observed
     def plan(self, context: PlanningContext) -> QueryPlan:
-        minimum = self.minimum_cost(context)
-        if context.budget < minimum:
-            raise BudgetError(
-                f"budget {context.budget:.1f} mJ below the minimum proof plan"
-                f" cost {minimum:.1f} mJ (every edge must carry a value)"
-            )
-        topology = context.topology
+        self._check_budgets(context, [context.budget])
         backend = resolve_backend(self.backend, context.instrumentation)
-        if self.compiler == "fast" and hasattr(backend, "solve_form"):
-            compiled = self.compile_fast(context)
-            solution = backend.solve_form(compiled.form, compiled.name)
-            columns = compiled.primary_columns
-            bandwidths = {
-                edge: max(1, round_bandwidth(float(solution.values[columns[edge]])))
-                for edge in topology.edges
-            }
-        else:
-            model, b, __ = self.build_model(context)
-            solution = model.solve(backend)
-            bandwidths = {
-                edge: max(1, round_bandwidth(solution.value(b[edge])))
-                for edge in topology.edges
-            }
-        return self._repair_and_fill(context, bandwidths)
+        compiled = self.compile_fast(context)
+        solution = backend.solve_form(compiled.form, compiled.name)
+        return self._round(context, solution, compiled.primary_columns)
 
     def plan_for_budgets(
         self, context: PlanningContext, budgets
@@ -230,21 +132,12 @@ class ProofPlanner:
 
         Mirrors :meth:`plan` member for member (including the
         :class:`~repro.errors.BudgetError` below :meth:`minimum_cost`,
-        raised for the first offending budget); with a sweep-capable
-        backend the LP compiles once and each member patches the budget
-        row's RHS.
+        raised for the first offending budget); the LP compiles once
+        and each member patches the budget row's RHS.
         """
         budgets = [float(b) for b in budgets]
-        minimum = self.minimum_cost(context)
-        for budget in budgets:
-            if budget < minimum:
-                raise BudgetError(
-                    f"budget {budget:.1f} mJ below the minimum proof plan"
-                    f" cost {minimum:.1f} mJ (every edge must carry a value)"
-                )
+        self._check_budgets(context, budgets)
         backend = resolve_backend(self.backend, context.instrumentation)
-        if self.compiler != "fast" or not hasattr(backend, "solve_sweep"):
-            return [self.plan(replace(context, budget=b)) for b in budgets]
         reserve = self._reserve(context)
         acquisition_total = self._acquisition_total(context)
         parametric = compile_proof_parametric(
@@ -254,22 +147,33 @@ class ProofPlanner:
         solutions = sweep_solutions(
             backend, parametric, parametric.rhs_values(budgets)
         )
-        columns = parametric.primary_columns
-        topology = context.topology
-        plans = []
-        for budget, solution in zip(budgets, solutions):
-            bandwidths = {
-                edge: max(
-                    1, round_bandwidth(float(solution.values[columns[edge]]))
-                )
-                for edge in topology.edges
-            }
-            plans.append(
-                self._repair_and_fill(
-                    replace(context, budget=budget), bandwidths
-                )
+        return [
+            self._round(
+                replace(context, budget=budget), solution,
+                parametric.primary_columns,
             )
-        return plans
+            for budget, solution in zip(budgets, solutions)
+        ]
+
+    def _check_budgets(self, context: PlanningContext, budgets) -> None:
+        """Raise :class:`BudgetError` for the first budget below
+        :meth:`minimum_cost`."""
+        minimum = self.minimum_cost(context)
+        for budget in budgets:
+            if budget < minimum:
+                raise BudgetError(
+                    f"budget {budget:.1f} mJ below the minimum proof plan"
+                    f" cost {minimum:.1f} mJ (every edge must carry a value)"
+                )
+
+    def _round(self, context: PlanningContext, solution, columns):
+        """Round one LP solution's bandwidth columns (at least 1 per
+        edge), then repair and fill the plan."""
+        bandwidths = {
+            edge: max(1, round_bandwidth(float(solution.values[columns[edge]])))
+            for edge in context.topology.edges
+        }
+        return self._repair_and_fill(context, bandwidths)
 
     def _repair_and_fill(
         self, context: PlanningContext, bandwidths: dict[int, int]

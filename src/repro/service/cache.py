@@ -182,10 +182,7 @@ class SharedPlanCache:
                 self._count("sweep_hits")
                 return list(entry)
             self._count("sweep_misses")
-            if hasattr(backend, "solve_batch"):
-                entry = backend.solve_batch(parametric, rhs)
-            else:
-                entry = backend.solve_sweep(parametric, rhs)
+            entry = backend.solve_batch(parametric, rhs)
             while len(self._solutions) >= self.capacity:
                 self._solutions.popitem(last=False)
                 self._count("evictions")

@@ -43,7 +43,6 @@ from repro.plans.execution import (
 from repro.plans.plan import Message, QueryPlan
 from repro.query.accuracy import batch_accuracy
 from repro.simulation.distribution import trigger_cost
-from repro.simulation.runtime import _positional_shim
 
 _EMPTY_BOOL = np.zeros((0, 0), dtype=bool)
 
@@ -130,7 +129,7 @@ class BatchSimulator:
     """Vectorized counterpart of :class:`~repro.simulation.runtime.Simulator`.
 
     Same construction shape and semantics (everything after
-    ``(topology, energy)`` keyword-only, positional tail deprecated);
+    ``(topology, energy)`` keyword-only);
     the entry points take an ``(E, n)`` readings matrix (or a
     :class:`~repro.datagen.trace.Trace`) instead of a single epoch's
     vector.  Under a shared seed the failure draws match the scalar
@@ -147,15 +146,12 @@ class BatchSimulator:
         self,
         topology: Topology,
         energy: EnergyModel,
-        *args,
+        *,
         failures: LinkFailureModel | None = None,
         rng: np.random.Generator | None = None,
         instrumentation: Instrumentation | None = None,
         ledger: EnergyLedger | None = None,
     ) -> None:
-        failures, rng, instrumentation, ledger = _positional_shim(
-            type(self).__name__, args, failures, rng, instrumentation, ledger
-        )
         self.topology = topology
         self.energy = energy
         self.failures = failures

@@ -10,7 +10,6 @@ the edge, costing the message again plus the model's re-route penalty
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,38 +47,11 @@ class SimulationReport:
         return {node for __, node in self.returned[:k]}
 
 
-def _positional_shim(cls_name, args, failures, rng, instrumentation, ledger):
-    """Map a deprecated positional tail ``(failures, rng,
-    instrumentation, ledger)`` onto the keyword-only parameters,
-    warning exactly once per construction."""
-    if not args:
-        return failures, rng, instrumentation, ledger
-    names = ("failures", "rng", "instrumentation", "ledger")
-    if len(args) > len(names):
-        raise TypeError(
-            f"{cls_name}() takes at most {2 + len(names)} positional"
-            f" arguments ({2 + len(args)} given)"
-        )
-    warnings.warn(
-        f"positional arguments to {cls_name} after (topology, energy)"
-        " are deprecated; pass failures/rng/instrumentation/ledger as"
-        " keywords",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    current = [failures, rng, instrumentation, ledger]
-    for slot, value in enumerate(args):
-        current[slot] = value
-    return tuple(current)
-
-
 class Simulator:
     """Charges an :class:`~repro.network.energy.EnergyModel` for the
     messages produced by plan executions over a topology.
 
-    Everything after ``(topology, energy)`` is keyword-only (the old
-    positional tail still works behind a :class:`DeprecationWarning`
-    shim for one release).
+    Everything after ``(topology, energy)`` is keyword-only.
 
     Parameters
     ----------
@@ -105,15 +77,12 @@ class Simulator:
         self,
         topology: Topology,
         energy: EnergyModel,
-        *args,
+        *,
         failures: LinkFailureModel | None = None,
         rng: np.random.Generator | None = None,
         instrumentation: Instrumentation | None = None,
         ledger: EnergyLedger | None = None,
     ) -> None:
-        failures, rng, instrumentation, ledger = _positional_shim(
-            type(self).__name__, args, failures, rng, instrumentation, ledger
-        )
         self.topology = topology
         self.energy = energy
         self.failures = failures

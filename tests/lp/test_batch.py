@@ -115,7 +115,7 @@ class TestBatchTelemetry:
         parametric = compile_lp_no_lf_parametric(context)
         budgets = [context.budget * f for f in (0.8, 1.0, 1.3, 1.7)]
         backend = SimplexBackend(instrumentation=obs)
-        members = backend.solve_sweep(parametric, parametric.rhs_values(budgets))
+        members = backend.solve_batch(parametric, parametric.rhs_values(budgets))
         assert obs.counter("lp.sweep.solves").value == 1
         blands = sum(m.stats.bland_activations for m in members)
         falls = sum(1 for m in members if m.stats.cold_fallback)

@@ -70,16 +70,15 @@ class TestDuals:
         from repro.network.builder import star_topology
         from repro.network.energy import EnergyModel
         from repro.planners.base import PlanningContext
-        from repro.planners.lp_no_lf import LPNoLFPlanner
         from repro.sampling.matrix import SampleMatrix
+        from tests.lp._algebraic_oracle import build_lp_no_lf_model
 
         topo = star_topology(6)
         rng = np.random.default_rng(0)
         samples = SampleMatrix(rng.normal(10, 3, size=(10, 6)), 3)
         energy = EnergyModel.uniform(per_message_mj=1.0, per_value_mj=0.1)
         context = PlanningContext(topo, energy, samples, 3, budget=2.0)
-        planner = LPNoLFPlanner()
-        model, __, __ = planner.build_model(context)
+        model, __, __ = build_lp_no_lf_model(context)
         budget_row = next(c for c in model.constraints if c.name == "budget")
         sol = model.solve()
         price = sol.dual_of(model, budget_row)
@@ -127,11 +126,11 @@ class TestCrossBackendDuals:
         assert ours.dual_of(m, cap) > 0
 
     def test_planner_budget_row_agrees(self):
+        from tests.lp._algebraic_oracle import build_lp_no_lf_model
         from tests.lp.test_fastbuild import make_context
-        from repro.planners.lp_no_lf import LPNoLFPlanner
 
         context = make_context(5, 12, 8, 4, planner_key="lp-no-lf")
-        model, __, __ = LPNoLFPlanner().build_model(context)
+        model, __, __ = build_lp_no_lf_model(context)
         budget_row = next(
             c for c in model.constraints if c.name == "budget"
         )

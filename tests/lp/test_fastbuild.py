@@ -1,10 +1,11 @@
 """Equivalence and cache tests for the fast-path LP compiler.
 
 The contract of :mod:`repro.lp.fastbuild` is *bitwise* agreement with
-the algebraic oracle: ``compile_fast(context)`` must produce the exact
-arrays of ``compile_model(planner.build_model(context))`` — same row
-and column order, same floats — so the two paths are interchangeable
-everywhere downstream.  These tests sweep random topologies, sample
+the algebraic oracle (``tests/lp/_algebraic_oracle.py``):
+``compile_fast(context)`` must produce the exact arrays of
+``compile_model(build_model(planner, context)[0])`` — same row and
+column order, same floats — so the fast path plans exactly as the
+paper's constraint-by-constraint formulation would.  These tests sweep random topologies, sample
 matrices, ``k`` and energy models, and additionally check the replan
 cache's invalidation rules (topology change, ``k`` change, cost drift).
 """
@@ -34,6 +35,7 @@ from repro.planners.lp_lf import LPLFPlanner
 from repro.planners.lp_no_lf import LPNoLFPlanner
 from repro.planners.proof import ProofPlanner
 from repro.sampling.matrix import SampleMatrix
+from tests.lp._algebraic_oracle import build_model, oracle_plan
 
 PLANNERS = {
     "lp-no-lf": LPNoLFPlanner,
@@ -112,7 +114,7 @@ class TestEquivalence:
         context = make_context(seed, n, m, k, planner_key=planner_key)
         planner = PLANNERS[planner_key]()
         compiled = planner.compile_fast(context)
-        assert_forms_equal(compiled, planner.build_model(context)[0])
+        assert_forms_equal(compiled, build_model(planner, context)[0])
 
     @pytest.mark.parametrize("planner_key", sorted(PLANNERS))
     def test_matches_with_acquisition_and_failures(self, planner_key):
@@ -122,7 +124,7 @@ class TestEquivalence:
         context.failures = LinkFailureModel.random(context.topology, rng)
         planner = PLANNERS[planner_key]()
         compiled = planner.compile_fast(context)
-        assert_forms_equal(compiled, planner.build_model(context)[0])
+        assert_forms_equal(compiled, build_model(planner, context)[0])
 
     @pytest.mark.parametrize("planner_key", sorted(PLANNERS))
     def test_degenerate_line_k_exceeds_nodes(self, planner_key):
@@ -134,24 +136,36 @@ class TestEquivalence:
         )
         planner = PLANNERS[planner_key]()
         compiled = planner.compile_fast(context)
-        assert_forms_equal(compiled, planner.build_model(context)[0])
+        assert_forms_equal(compiled, build_model(planner, context)[0])
 
     @pytest.mark.parametrize("planner_key", sorted(PLANNERS))
     def test_same_plan_both_compilers(self, planner_key):
-        """End to end: identical rounded bandwidths and objective."""
+        """End to end: identical rounded, repaired and filled plans."""
         for seed in (11, 12):
             fast_ctx = make_context(seed, 15, 8, 3, planner_key=planner_key)
             slow_ctx = make_context(seed, 15, 8, 3, planner_key=planner_key)
-            fast = PLANNERS[planner_key](compiler="fast").plan(fast_ctx)
-            slow = PLANNERS[planner_key](compiler="algebraic").plan(slow_ctx)
+            fast = PLANNERS[planner_key]().plan(fast_ctx)
+            slow = oracle_plan(PLANNERS[planner_key](), slow_ctx)
             assert fast.bandwidths == slow.bandwidths
+
+    @pytest.mark.parametrize("planner_key", sorted(PLANNERS))
+    @pytest.mark.parametrize("n", [20, 40])
+    def test_compiled_sizes_match_oracle(self, planner_key, n):
+        """The LP-timing study reads its ``variables``/``constraints``
+        columns off the compiled form; they are the oracle model's."""
+        context = make_context(2006, n, 10, 10, planner_key=planner_key)
+        planner = PLANNERS[planner_key]()
+        form = planner.compile_fast(context).form
+        model = build_model(planner, context)[0]
+        assert form.num_variables == model.num_variables
+        assert form.a_ub.shape[0] + form.a_eq.shape[0] == model.num_constraints
 
     def test_same_objective_both_solve_entry_points(self):
         context = make_context(21, 18, 9, 4)
         planner = LPLFPlanner()
         compiled = planner.compile_fast(context)
         fast = ScipyBackend().solve_form(compiled.form, compiled.name)
-        slow = planner.build_model(context)[0].solve(ScipyBackend())
+        slow = build_model(planner, context)[0].solve(ScipyBackend())
         assert fast.objective == slow.objective
         assert np.array_equal(fast.values, slow.values)
 
@@ -161,11 +175,6 @@ class TestEquivalence:
         simplex = SimplexBackend().solve_form(compiled.form, compiled.name)
         scipy_sol = ScipyBackend().solve_form(compiled.form, compiled.name)
         assert simplex.objective == pytest.approx(scipy_sol.objective, abs=1e-6)
-
-    def test_rejects_unknown_compiler(self):
-        for cls in PLANNERS.values():
-            with pytest.raises(ValueError, match="compiler"):
-                cls(compiler="turbo")
 
 
 class TestReplanCache:
@@ -189,7 +198,7 @@ class TestReplanCache:
         )
         compiled = planner.compile_fast(slide)
         assert (cache.hits, cache.misses) == (1, 1)
-        assert_forms_equal(compiled, planner.build_model(slide)[0])
+        assert_forms_equal(compiled, build_model(planner, slide)[0])
 
     def test_topology_change_invalidates(self):
         planner = LPNoLFPlanner()
@@ -200,7 +209,7 @@ class TestReplanCache:
         # both topologies stay alive here, so ids cannot collide
         assert planner.replan_cache.hits == 0
         assert planner.replan_cache.misses == 2
-        assert_forms_equal(compiled, planner.build_model(second)[0])
+        assert_forms_equal(compiled, build_model(planner, second)[0])
 
     def test_k_change_invalidates(self):
         planner = LPLFPlanner()
@@ -216,7 +225,7 @@ class TestReplanCache:
         compiled = planner.compile_fast(rekeyed)
         assert planner.replan_cache.hits == 0
         assert planner.replan_cache.misses == 2
-        assert_forms_equal(compiled, planner.build_model(rekeyed)[0])
+        assert_forms_equal(compiled, build_model(planner, rekeyed)[0])
 
     def test_cost_drift_invalidates(self):
         """An EWMA update to the failure model changes edge costs and
@@ -229,7 +238,7 @@ class TestReplanCache:
         compiled = planner.compile_fast(first)
         assert planner.replan_cache.hits == 0
         assert planner.replan_cache.misses == 2
-        assert_forms_equal(compiled, planner.build_model(first)[0])
+        assert_forms_equal(compiled, build_model(planner, first)[0])
 
     def test_content_keying_shares_equal_structures(self):
         """Structurally equal topologies share an entry (the property

@@ -201,16 +201,13 @@ class TestRandomLPs:
     @given(random_forms().filter(lambda f: f.a_ub.shape[0] > 0), st.data())
     def test_ladders_match_independent_linprog_solves(self, form, data):
         """One session re-solved per member equals a fresh ``linprog``
-        per member, for both ladder entry points."""
+        per member."""
         parametric = _parametric(form)
         size = data.draw(st.integers(min_value=1, max_value=4))
         ladder = [_rhs(data.draw) for __ in range(size)]
         members = [parametric.form_for_rhs(rhs) for rhs in ladder]
         backend = ScipyBackend()
         plain = [_oracle(member) for member in members]
-        _assert_ladder_matches(
-            lambda: backend.solve_sweep(parametric, ladder), plain
-        )
         _assert_ladder_matches(
             lambda: backend.solve_batch(parametric, ladder), plain
         )
@@ -232,9 +229,6 @@ class TestProspectorLadders:
         backend = ScipyBackend()
         _assert_ladder_matches(
             lambda: backend.solve_batch(parametric, ladder), expected
-        )
-        _assert_ladder_matches(
-            lambda: backend.solve_sweep(parametric, ladder), expected
         )
         _assert_ladder_matches(
             lambda: [

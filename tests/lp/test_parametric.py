@@ -1,6 +1,6 @@
 """Parametric sweep equivalence: one compile, many budgets.
 
-The contract of :class:`repro.lp.ParametricForm` and ``solve_sweep``
+The contract of :class:`repro.lp.ParametricForm` and ``solve_batch``
 is element-wise agreement with the cold path: a patched form must be
 *bitwise* identical to a fresh compile at that budget, and a swept
 solve must match independent cold solves — objectives to 1e-9 and
@@ -139,7 +139,7 @@ class TestSweepEquivalence:
         budgets = _budgets(context)
         backend = backend_cls()
         parametric = _parametric_for(planner_key, context)
-        members = backend.solve_sweep(
+        members = backend.solve_batch(
             parametric, parametric.rhs_values(budgets)
         )
         for budget, member in zip(budgets, members):
@@ -149,24 +149,13 @@ class TestSweepEquivalence:
                 reference.objective, abs=1e-9 * max(1.0, abs(reference.objective))
             )
 
-    def test_algebraic_compiler_falls_back_to_plan_loop(self):
-        context = make_context(5, 8, 5, 3)
-        planner = LPLFPlanner(compiler="algebraic")
-        budgets = _budgets(context)
-        swept = planner.plan_for_budgets(context, budgets)
-        for budget, plan in zip(budgets, swept):
-            cold = LPLFPlanner(compiler="algebraic").plan(
-                replace(context, budget=budget)
-            )
-            assert plan.bandwidths == cold.bandwidths
-
 
 class TestSweepStats:
     def test_simplex_members_report_warm_starts(self):
         context = make_context(6, 14, 8, 4)
         backend = SimplexBackend()
         parametric = compile_lp_lf_parametric(context)
-        members = backend.solve_sweep(
+        members = backend.solve_batch(
             parametric, parametric.rhs_values(_budgets(context))
         )
         assert members[0].stats.warm_started is False
@@ -178,7 +167,7 @@ class TestSweepStats:
         context = make_context(6, 14, 8, 4)
         backend = ScipyBackend()
         parametric = compile_lp_lf_parametric(context)
-        members = backend.solve_sweep(
+        members = backend.solve_batch(
             parametric, parametric.rhs_values(_budgets(context))
         )
         assert all(m.stats.warm_started is False for m in members)

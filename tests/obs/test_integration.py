@@ -220,7 +220,9 @@ class TestDisabledInstrumentation:
 
 
 class TestSweepInstrumentation:
-    """The lp.sweep.* counters and lp_sweep event from solve_sweep."""
+    """Ladder telemetry from ``solve_batch``: the pure simplex's warm
+    sweep records lp.sweep.* and an lp_sweep event, the HiGHS cold
+    ladder an lp_batch event and no warm starts."""
 
     def _sweep(self, backend_cls):
         from repro.lp.fastbuild import compile_lp_lf_parametric
@@ -231,7 +233,7 @@ class TestSweepInstrumentation:
         backend = backend_cls(instrumentation=obs)
         parametric = compile_lp_lf_parametric(context)
         budgets = [context.budget * f for f in (0.8, 1.0, 1.3, 1.7)]
-        members = backend.solve_sweep(parametric, parametric.rhs_values(budgets))
+        members = backend.solve_batch(parametric, parametric.rhs_values(budgets))
         return obs, members
 
     def test_simplex_sweep_counters_and_event(self):
@@ -261,10 +263,10 @@ class TestSweepInstrumentation:
         from repro.lp import ScipyBackend
 
         obs, members = self._sweep(ScipyBackend)
-        assert obs.metrics.counter("lp.sweep.solves").value == 1
-        assert obs.metrics.counter("lp.sweep.warm_hits").value == 0
-        assert obs.metrics.counter("lp.sweep.pivots_saved").value == 0
-        assert obs.trace.events("lp_sweep")[0].data["members"] == len(members)
+        assert obs.metrics.counter("lp.warm_starts").value == 0
+        assert obs.metrics.counter("lp.solves").value == len(members)
+        assert obs.trace.events("lp_sweep") == []
+        assert obs.trace.events("lp_batch")[0].data["members"] == len(members)
 
     def test_record_lp_solve_tuple_compat(self):
         """Stats objects without the new fields still record cleanly."""

@@ -1,4 +1,6 @@
-"""Unit tests for the planning context."""
+"""Unit tests for the planning context and planner construction."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +9,10 @@ from repro.errors import BudgetError, SamplingError
 from repro.network.builder import star_topology
 from repro.network.energy import EnergyModel
 from repro.network.failures import LinkFailureModel
-from repro.planners.base import PlanningContext
+from repro.planners.base import PlannerConfig, PlanningContext
+from repro.planners.lp_lf import LPLFPlanner
+from repro.planners.lp_no_lf import LPNoLFPlanner
+from repro.planners.proof import ProofPlanner
 from repro.plans.plan import QueryPlan
 from repro.sampling.matrix import SampleMatrix
 
@@ -65,3 +70,45 @@ class TestCosts:
         plan = QueryPlan(topology, {1: 1, 2: 1})
         base = QueryPlan(topology, {1: 1, 2: 1}).static_cost(UNIFORM)
         assert context.plan_cost(plan) == pytest.approx(base + 2.0)
+
+
+def _silent(build):
+    """Run ``build`` asserting it warns nothing; returns the result."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        built = build()
+    assert caught == []
+    return built
+
+
+class TestPlannerConfig:
+    """The LP planners take ``(*, config=None, **overrides)``."""
+
+    @pytest.mark.parametrize(
+        "planner_cls", [LPLFPlanner, LPNoLFPlanner, ProofPlanner]
+    )
+    def test_planner_keywords_are_silent(self, planner_cls):
+        planner = _silent(lambda: planner_cls(strict_budget=False))
+        assert planner.strict_budget is False
+
+    def test_planner_config_object_is_silent(self):
+        config = PlannerConfig(fill_budget=False, strict_budget=False)
+        planner = _silent(lambda: LPLFPlanner(config=config))
+        assert planner.fill_budget is False
+        assert planner.strict_budget is False
+
+    def test_planner_keyword_overrides_beat_config(self):
+        config = PlannerConfig(fill_budget=False)
+        planner = LPLFPlanner(config=config, fill_budget=True)
+        assert planner.fill_budget is True
+
+    def test_planner_rejects_unknown_keywords(self):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            LPLFPlanner(frobnicate=True)
+
+    @pytest.mark.parametrize(
+        "planner_cls", [LPLFPlanner, LPNoLFPlanner, ProofPlanner]
+    )
+    def test_planner_rejects_positional_arguments(self, planner_cls):
+        with pytest.raises(TypeError):
+            planner_cls(False)

@@ -13,6 +13,7 @@ from repro.planners.lp_no_lf import LPNoLFPlanner
 from repro.plans.execution import count_topk_hits, expected_hits
 from repro.sampling.matrix import SampleMatrix
 from tests.conftest import tree_strategy
+from tests.lp._algebraic_oracle import build_lp_lf_model
 
 UNIFORM = EnergyModel.uniform(per_message_mj=1.0, per_value_mj=0.3)
 
@@ -79,8 +80,7 @@ class TestLPLF:
         topo = star_topology(5)
         samples = np.array([[0, 9, 8, 1, 1], [0, 1, 8, 9, 1.0]])
         context = make_context(topo, samples, k=2, budget=100.0)
-        planner = LPLFPlanner()
-        model, b, __, __ = planner.build_model(context)
+        model, b, __, __ = build_lp_lf_model(context)
         solution = model.solve()
         bandwidths = {e: solution.value(b[e]) for e in topo.edges}
         assert all(abs(v - round(v)) < 1e-6 for v in bandwidths.values())

@@ -10,6 +10,7 @@ from repro.planners.greedy import GreedyPlanner
 from repro.planners.lp_no_lf import LPNoLFPlanner
 from repro.plans.execution import expected_hits
 from repro.sampling.matrix import SampleMatrix
+from tests.lp._algebraic_oracle import build_lp_no_lf_model
 
 UNIFORM = EnergyModel.uniform(per_message_mj=1.0, per_value_mj=0.1)
 
@@ -90,7 +91,7 @@ class TestLPNoLF:
         topo = line_topology(4)
         samples = np.array([[0, 1, 2, 3.0]])
         context = make_context(topo, samples, k=2, budget=5.0)
-        model, x, y = LPNoLFPlanner().build_model(context)
+        model, x, y = build_lp_no_lf_model(context)
         assert len(x) == 4 and len(y) == 3
         # path constraints: depth 1 + 2 + 3 = 6, plus one budget row
         assert model.num_constraints == 7

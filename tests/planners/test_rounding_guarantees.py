@@ -18,6 +18,7 @@ from repro.planners.rounding import ROUND_THRESHOLD
 from repro.plans.plan import QueryPlan
 from repro.sampling.matrix import SampleMatrix
 from tests.conftest import tree_strategy
+from tests.lp._algebraic_oracle import build_lp_no_lf_model
 
 UNIFORM = EnergyModel.uniform(per_message_mj=1.0, per_value_mj=0.3)
 
@@ -42,7 +43,7 @@ def lp_no_lf_instance(draw):
 @given(lp_no_lf_instance())
 def test_half_threshold_rounding_guarantees(context):
     planner = LPNoLFPlanner(strict_budget=False, fill_budget=False)
-    model, x, __ = planner.build_model(context)
+    model, x, __ = build_lp_no_lf_model(context)
     solution = model.solve()
     counts = context.samples.column_counts()
     total = int(counts.sum())

@@ -171,8 +171,8 @@ def test_loaded_form_solves_identically(tmp_path, context, compiled):
     loaded = store.load(key)
     backend = get_backend("pure-simplex")
     ladder = [context.budget * f for f in (0.8, 1.0, 1.2)]
-    originals = backend.solve_sweep(compiled, ladder)
-    revived = backend.solve_sweep(loaded, ladder)
+    originals = backend.solve_batch(compiled, ladder)
+    revived = backend.solve_batch(loaded, ladder)
     for a, b in zip(originals, revived):
         np.testing.assert_array_equal(a.values, b.values)
         assert a.objective == b.objective

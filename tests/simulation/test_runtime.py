@@ -1,5 +1,7 @@
 """Unit tests for the simulator's energy accounting."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.network.builder import line_topology
 from repro.network.energy import EnergyModel
 from repro.network.failures import LinkFailureModel
 from repro.plans.plan import QueryPlan, top_k_set
+from repro.simulation.batch import BatchSimulator
 from repro.simulation.runtime import Simulator
 
 UNIFORM = EnergyModel.uniform(per_message_mj=1.0, per_value_mj=0.5)
@@ -109,3 +112,25 @@ class TestFailures:
             for __ in range(2000)
         )
         assert 0.25 < retries / 2000 < 0.35
+
+
+class TestConstruction:
+    """Everything after ``(topology, energy)`` is keyword-only."""
+
+    @pytest.mark.parametrize("simulator_cls", [Simulator, BatchSimulator])
+    def test_simulator_keywords_are_silent(self, simulator_cls):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            simulator = simulator_cls(
+                line_topology(4),
+                EnergyModel.mica2(),
+                failures=None,
+                rng=np.random.default_rng(5),
+            )
+        assert caught == []
+        assert simulator.failures is None
+
+    @pytest.mark.parametrize("simulator_cls", [Simulator, BatchSimulator])
+    def test_simulator_rejects_positional_tail(self, simulator_cls):
+        with pytest.raises(TypeError):
+            simulator_cls(line_topology(4), EnergyModel.mica2(), None)
