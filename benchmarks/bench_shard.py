@@ -18,16 +18,15 @@ Three workload families over live socket deployments:
   ``pipeline_speedup`` is the pipelined qps over lockstep — this bar
   (>= 2x) holds even on one core, because it removes per-request
   syscalls and context switches, not compute.
-- ``wire``: the same pipelined query bursts on a 2-worker deployment
-  under each wire protocol (``wire_v1`` JSON-lines, ``wire_v2``
-  negotiated binary).  ``wire_speedup`` is v2's aggregate qps over
-  v1's; both transcripts are collected and must agree exactly
-  (``identical``, asserted always).
+- ``wire``: pipelined query bursts on a 2-worker deployment over the
+  binary wire protocol (``wire_v2``, aggregate qps).  The same stream
+  is replayed through an in-process service, and the two reply
+  transcripts must agree exactly (``identical``, asserted always).
 - ``parity``: the sharded deployment must be *byte-identical* to a
-  single-process service on the same requests — same query replies
-  (nodes, values, energy, accuracy) and same serialized plans —
-  under **both** wire protocols.  Recorded as ``identical`` 1/0 and
-  asserted always, full and quick.
+  single-process service on the same lockstep requests — same query
+  replies (nodes, values, energy, accuracy) and same serialized
+  plans.  Recorded as ``identical`` 1/0 and asserted always, full and
+  quick.
 
 ``run(quick=True)`` (or ``--quick`` / ``BENCH_QUICK=1``) shrinks
 worker counts and request volumes for the CI smoke job.
@@ -191,61 +190,56 @@ def _pipeline_rows(feeds: int) -> list[dict]:
     return out
 
 
+def _stream_transcript(client, queries: int, readings):
+    """Pipelined query bursts over a fresh fleet: the replies in order
+    and the seconds the bursts took (fleet set-up excluded)."""
+    handles = _open_fleet(client, _topologies(2), 1, BUDGET)
+    transcript = []
+    fired = 0
+    start = time.perf_counter()
+    while fired < queries:
+        burst = 0
+        for handle in handles:
+            if fired + burst >= queries or burst >= BURST:
+                break
+            handle.query_nowait(readings[(fired + burst) % 16])
+            burst += 1
+        for reply in client.drain():
+            transcript.append(
+                (reply.nodes, reply.values, reply.energy_mj, reply.accuracy)
+            )
+        fired += burst
+    elapsed = time.perf_counter() - start
+    for handle in handles:
+        handle.close()
+    return transcript, elapsed
+
+
 def _protocol_rows(queries: int) -> list[dict]:
-    """Pipelined sharded query throughput per wire protocol."""
+    """Pipelined sharded query throughput over the wire, checked
+    against the same stream through an in-process service."""
     rng = np.random.default_rng(23)
     readings = [rng.normal(25.0, 3.0, N) for __ in range(16)]
-    timings: dict[str, float] = {}
-    transcripts: dict[str, list] = {}
     with ShardedService(2, _config(8)) as deployment:
-        for protocol in ("v1", "v2"):
-            client = deployment.client(protocol=protocol)
-            try:
-                handles = _open_fleet(client, _topologies(2), 1, BUDGET)
-                transcript = []
-                fired = 0
-                start = time.perf_counter()
-                while fired < queries:
-                    burst = 0
-                    for handle in handles:
-                        if fired + burst >= queries or burst >= BURST:
-                            break
-                        handle.query_nowait(readings[(fired + burst) % 16])
-                        burst += 1
-                    for reply in client.drain():
-                        transcript.append(
-                            (
-                                reply.nodes,
-                                reply.values,
-                                reply.energy_mj,
-                                reply.accuracy,
-                            )
-                        )
-                    fired += burst
-                timings[protocol] = time.perf_counter() - start
-                transcripts[protocol] = transcript
-                for handle in handles:
-                    handle.close()
-            finally:
-                client.close()
-    identical = float(transcripts["v1"] == transcripts["v2"])
-    out = []
-    for protocol, elapsed in timings.items():
-        out.append(
-            {
-                "workload": f"wire_{protocol}",
-                "workers": 2,
-                "sessions": 2,
-                "requests": queries,
-                "cores": _cores(),
-                "qps": queries / max(elapsed, 1e-12),
-                "identical": identical,
-            }
-        )
-    base_qps = out[0]["qps"]
-    for row in out:
-        row["wire_speedup"] = row["qps"] / max(base_qps, 1e-12)
-    return out
+        client = deployment.client()
+        try:
+            sharded, elapsed = _stream_transcript(client, queries, readings)
+        finally:
+            client.close()
+    single, __ = _stream_transcript(
+        InProcessClient(TopKService(_config(8))), queries, readings
+    )
+    return [
+        {
+            "workload": "wire_v2",
+            "workers": 2,
+            "sessions": 2,
+            "requests": queries,
+            "cores": _cores(),
+            "qps": queries / max(elapsed, 1e-12),
+            "identical": float(sharded == single),
+        }
+    ]
 
 
 def _parity_row(groups: int) -> dict:
@@ -275,21 +269,19 @@ def _parity_row(groups: int) -> dict:
     single = transcript(
         InProcessClient(TopKService(_config(groups)))
     )
-    sharded: dict[str, list] = {}
     with ShardedService(2, _config(2 * groups)) as deployment:
-        for protocol in ("v1", "v2"):
-            client = deployment.client(protocol=protocol)
-            try:
-                sharded[protocol] = transcript(client)
-            finally:
-                client.close()
+        client = deployment.client()
+        try:
+            sharded = transcript(client)
+        finally:
+            client.close()
     return {
         "workload": "parity",
         "workers": 2,
         "sessions": groups,
         "requests": groups * len(readings),
         "cores": _cores(),
-        "identical": float(sharded["v1"] == sharded["v2"] == single),
+        "identical": float(sharded == single),
     }
 
 
@@ -324,7 +316,7 @@ def _archive(rows: list[dict], quick: bool) -> None:
         columns=[
             "workload", "workers", "sessions", "requests", "cores",
             "qps", "scaling_speedup", "pipeline_speedup",
-            "wire_speedup", "identical",
+            "identical",
         ],
         title="Sharded service scaling and pipelined-client throughput",
     )
@@ -376,7 +368,7 @@ def _assert_bars(rows: list[dict], quick: bool) -> None:
     )
     wire = next(r for r in rows if r["workload"] == "wire_v2")
     assert wire["identical"] == 1.0, (
-        "sharded transcripts diverged between wire protocols"
+        "sharded pipelined transcript diverged from the in-process one"
     )
     if quick:
         assert all(r["qps"] > 0 for r in rows if "qps" in r)

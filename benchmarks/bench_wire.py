@@ -1,4 +1,4 @@
-"""Wire-codec micro-benchmark: JSON-lines v1 vs binary v2.
+"""Wire-codec micro-benchmark: the JSON debug codec vs binary v2.
 
 One row per representative message shape.  Each codec is timed on full
 ``decode(encode(m))`` round trips — the work a connection actually
@@ -17,12 +17,15 @@ first, so the speedups can never come from dropping fidelity:
   path); ``bytes_ratio`` is the interesting column — the digest makes
   encode compute-bound, so its speedup is not asserted.
 
-``codec_speedup`` is v2 round-trips/sec over v1's on the same
-message; ``bytes_ratio`` is the v1 frame size over v2's.  The
-acceptance bars — v2 >= 4x codec speed on the batched request, >= 1.2x
-on the ragged batched reply, and >= 2x byte compaction on the matrix
-— are asserted at full size and
-archived into ``results/BENCH_wire.json`` for the regression gate.
+The ``v1`` columns time the JSON debug codec
+(:func:`repro.service.messages.encode` / ``decode``), which no socket
+speaks; it stays here as the baseline the binary codec is measured
+against.  ``codec_speedup`` is v2 round-trips/sec over the JSON debug
+codec's on the same message; ``bytes_ratio`` is the JSON line size over
+the v2 frame's.  The acceptance bars — v2 >= 4x codec speed on the
+batched request, >= 1.2x on the ragged batched reply, and >= 2x byte
+compaction on the matrix — are asserted at full size and archived
+into ``results/BENCH_wire.json`` for the regression gate.
 
 ``run(quick=True)`` (or ``--quick`` / ``BENCH_QUICK=1``) shrinks the
 iteration counts for the CI smoke job, which still asserts round-trip

@@ -14,7 +14,7 @@ Usage::
     python -m repro trace --demo --chrome /tmp/trace.json --prom /tmp/metrics.prom
     python -m repro serve --port 7690
     python -m repro serve --workers 4 --grace 10
-    python -m repro serve --protocol v2 --blob-dir /dev/shm/repro-blobs
+    python -m repro serve --blob-dir /dev/shm/repro-blobs
     python -m repro serve --workers 4 --telemetry-port 7691
     python -m repro top --port 7691
     python -m repro top --url http://127.0.0.1:7691 --once
@@ -22,10 +22,10 @@ Usage::
 With ``--service`` the demo runs through a live in-process
 multi-tenant service (two sessions sharing one compiled plan), so the
 reported spans include ``service.request``, the ``service.cache.*``
-counters, and — after a short socket exchange on each protocol — the
-``service.wire.*`` negotiated-version counters and bytes-per-request
+counters, and — after a short socket exchange — the
+``service.wire.*`` connection counter and bytes-per-request
 histograms; ``serve`` exposes the same service over a socket speaking
-JSON-lines v1 and (by negotiation) the binary wire protocol v2.
+the binary wire protocol (:mod:`repro.service.wire`).
 """
 
 from __future__ import annotations
@@ -180,7 +180,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = subparsers.add_parser(
         "serve",
-        help="host the multi-tenant top-k query service (JSON lines/TCP)",
+        help=(
+            "host the multi-tenant top-k query service (binary wire"
+            " protocol over TCP)"
+        ),
     )
     serve.add_argument(
         "--host", default="127.0.0.1", help="bind address (default localhost)"
@@ -223,17 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--protocol", choices=("v1", "v2", "auto"), default="auto",
-        help=(
-            "wire protocol policy: 'auto' (default) negotiates binary"
-            " v2 per connection and falls back to JSON-lines v1;"
-            " 'v2' refuses v1 clients; 'v1' never negotiates"
-        ),
-    )
-    serve.add_argument(
         "--blob-dir", default=None,
         help=(
-            "directory for the v2 same-host shared-memory fast path:"
+            "directory for the same-host shared-memory fast path:"
             " large numpy payloads ship as mmap'd blob references"
             " instead of inline bytes"
         ),
@@ -433,25 +428,22 @@ def _service_demo(
             client.stats()
 
         with obs.span("phase.wire"):
-            # a short socket exchange on each protocol so the report
-            # carries live service.wire.* metrics: negotiated versions
-            # per connection and bytes-per-request histograms
+            # a short socket exchange so the report carries live
+            # service.wire.* metrics: the connection counter and the
+            # bytes-per-request histograms
             from repro.service.client import SocketClient
             from repro.service.server import ServiceThread
 
             matrix = np.array([field.sample(rng) for __ in range(4)])
             with ServiceThread(service) as live:
-                for protocol in ("v1", "v2"):
-                    with SocketClient(
-                        live.host, live.port, protocol=protocol
-                    ) as socket_client:
-                        handle = socket_client.open_session(
-                            topology_id, k, budget_mj=budget
-                        )
-                        for row in warmup:
-                            handle.feed(row)
-                        handle.query_batch(matrix)
-                        socket_client.stats()
+                with SocketClient(live.host, live.port) as socket_client:
+                    handle = socket_client.open_session(
+                        topology_id, k, budget_mj=budget
+                    )
+                    for row in warmup:
+                        handle.feed(row)
+                    handle.query_batch(matrix)
+                    socket_client.stats()
 
     ledger = service.ledger_of(handles[0].session_id)
     ledger.publish(obs)
@@ -490,7 +482,7 @@ def _energy_section(ledger) -> str:
 
 
 def _wire_blob_section(counters: dict) -> str:
-    """Per-shard wire-protocol bytes and blob-spool outcome counters.
+    """Per-shard wire request/byte totals and blob-spool outcome counters.
 
     Accepts either a sharded ``GetStats`` counters dict (with a
     ``per_shard`` map) or a single service's counters (rendered as
@@ -502,18 +494,12 @@ def _wire_blob_section(counters: dict) -> str:
         shard_counters = per_shard[shard] or {}
         wire = shard_counters.get("wire") or {}
         blobs = shard_counters.get("blobs") or {}
-        requests = wire.get("requests") or {}
-        request_bytes = wire.get("request_bytes") or {}
-        reply_bytes = wire.get("reply_bytes") or {}
         rows.append(
             {
                 "shard": shard,
-                "req_v1": requests.get("v1", 0),
-                "req_v2": requests.get("v2", 0),
-                "request_bytes": request_bytes.get("v1", 0)
-                + request_bytes.get("v2", 0),
-                "reply_bytes": reply_bytes.get("v1", 0)
-                + reply_bytes.get("v2", 0),
+                "requests": wire.get("requests", 0),
+                "request_bytes": wire.get("request_bytes", 0),
+                "reply_bytes": wire.get("reply_bytes", 0),
                 "blob_spills": blobs.get("spills", 0),
                 "blob_reuses": blobs.get("reuses", 0),
                 "blob_loads": blobs.get("loads", 0),
@@ -542,7 +528,7 @@ def _run_one(name: str, chart: bool = False) -> str:
 
 
 def _serve_command(args) -> int:
-    """Host the JSON-lines service until interrupted.
+    """Host the binary-wire socket service until interrupted.
 
     SIGTERM (and Ctrl-C) triggers a graceful shutdown: the listener
     closes, draining sessions refuse new work, and requests already in
@@ -559,7 +545,6 @@ def _serve_command(args) -> int:
         queue_limit=args.queue_limit,
         session_ttl_s=args.session_ttl,
         artifact_dir=args.artifact_dir,
-        protocol=args.protocol,
         blob_dir=args.blob_dir,
     )
 

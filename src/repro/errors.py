@@ -73,12 +73,13 @@ class ServiceError(ReproError):
 
 
 class ProtocolError(ServiceError):
-    """A wire-protocol violation (framing, negotiation, or payload).
+    """A wire-protocol violation (framing, preamble, or payload).
 
-    Raised when a peer breaks the binary v2 framing rules — a
+    Raised when a peer breaks the binary framing rules — a
     malformed or truncated frame, trailing payload bytes, an unknown
-    kind code, a bad blob reference — or when version negotiation
-    fails (a v1-only peer against a server requiring v2, say).
+    kind code, a bad blob reference — or when the connection preamble
+    fails (a first line that is not a valid hello, or a hello answered
+    with anything but an accept line).
     Distinct from :class:`ServiceError` proper so clients can tell
     "the bytes were wrong" from "the request was wrong".
     """

@@ -3,8 +3,8 @@
 Three layers, all optional and all built on the in-process toolkit:
 
 - :class:`TraceContext` — a compact (trace id, parent span id) pair
-  that rides the wire with a request (v2 header block, v1 envelope
-  field) so a client span, the router's dispatch span, and the worker's
+  that rides the wire with a request (a fixed block in the binary
+  frame header) so a client span, the router's dispatch span, and the worker's
   ``service.request`` → plan → compile → solve subtree stitch into one
   cross-process trace.  Trace ids are minted at the outermost client
   span and inherited by anything nested inside it (:func:`adopt_trace`).
@@ -67,8 +67,8 @@ class TraceContext:
 
     ``trace_id`` names the whole distributed trace; ``parent_span_id``
     is the sender-side span the receiver's work nests under.  Both are
-    unsigned 64-bit so the pair packs into a fixed 16-byte v2 header
-    block (and a two-int JSON envelope field on v1).
+    unsigned 64-bit so the pair packs into a fixed 16-byte frame
+    header block.
     """
 
     trace_id: int
@@ -83,22 +83,6 @@ class TraceContext:
                 )
         if self.trace_id == 0:
             raise ObservabilityError("trace id 0 is reserved (no trace)")
-
-    def to_jsonable(self) -> list[int]:
-        return [self.trace_id, self.parent_span_id]
-
-    @classmethod
-    def from_jsonable(cls, value) -> "TraceContext":
-        if (
-            not isinstance(value, (list, tuple))
-            or len(value) != 2
-            or not all(isinstance(v, int) for v in value)
-        ):
-            raise ObservabilityError(
-                f"malformed trace context {value!r}; expected"
-                " [trace_id, parent_span_id]"
-            )
-        return cls(trace_id=value[0], parent_span_id=value[1])
 
 
 _TRACE_RNG = random.Random()

@@ -4,18 +4,19 @@ One process hosts many concurrent :class:`~repro.query.engine.TopKEngine`
 sessions over a registry of shared topologies.  The layer splits into:
 
 - :mod:`repro.service.messages` — the wire protocol's message types:
-  frozen request/reply dataclasses with exact JSON-lines (v1)
+  frozen request/reply dataclasses, plus a JSON debug codec with exact
   round-trips;
-- :mod:`repro.service.wire` — the negotiated binary protocol (v2):
-  length-prefixed struct-packed frames, zero-copy numpy payloads, and
-  the same-host shared-memory blob fast path;
+- :mod:`repro.service.wire` — the binary wire protocol the socket
+  speaks: the hello/accept preamble, length-prefixed struct-packed
+  frames, zero-copy numpy payloads, and the same-host shared-memory
+  blob fast path;
 - :mod:`repro.service.cache` — :class:`SharedPlanCache`, the
   cross-session pool of compiled parametric LPs and replan-cache
   blocks, keyed by content fingerprint;
 - :mod:`repro.service.session` — one tenant's engine plus its
   lifecycle (open → expired/closed) and per-session backpressure;
 - :mod:`repro.service.server` — :class:`TopKService` (the sync,
-  transport-agnostic core) and the asyncio JSON-lines socket front end;
+  transport-agnostic core) and the asyncio socket front end;
 - :mod:`repro.service.client` — in-process and socket clients behind
   one :class:`SessionHandle` surface, with request pipelining
   (``submit_nowait``/``stream``/``drain``);

@@ -311,8 +311,8 @@ class BlobSpool:
     ----------
     root:
         Spool directory (created on first spill).  Both peers must see
-        the same path — it is what the hello/accept negotiation lines
-        agree on.
+        the same path — it is what the server's accept line
+        advertises.
     threshold:
         Minimum ``nbytes`` before an array is worth spilling; smaller
         payloads stay inline in the frame.

@@ -2,7 +2,8 @@
 
 :class:`InProcessClient` calls :meth:`TopKService.handle` directly
 (zero serialization — the load benchmark's path), while
-:class:`SocketClient` speaks the JSON-lines protocol over TCP and
+:class:`SocketClient` speaks the binary wire protocol
+(:mod:`repro.service.wire`) over TCP and
 :class:`~repro.service.shard.ShardedClient` routes over many socket
 workers.  All raise the same typed :mod:`repro.errors` exceptions and
 hand out the same :class:`SessionHandle`, so code written against one
@@ -14,7 +15,7 @@ Two request disciplines coexist on every client:
 - **lockstep** — :meth:`~_BaseClient.request` writes one frame and
   awaits its reply (errors re-raised typed);
 - **pipelined** — :meth:`~_BaseClient.submit_nowait` queues a frame
-  with an envelope correlation id and returns immediately;
+  with a correlation id and returns immediately;
   :meth:`~_BaseClient.drain` (or the :meth:`~_BaseClient.stream`
   iterator) flushes the batch and yields replies in submit order,
   checking each echoed cid.  Failures arrive as
@@ -297,7 +298,7 @@ class InProcessClient(_BaseClient):
 
 
 class SocketClient(_BaseClient):
-    """The negotiated wire protocol over one TCP connection.
+    """The binary wire protocol over one TCP connection.
 
     Requests on one connection are answered in order; failures come
     back as :class:`~repro.service.messages.ErrorReply` frames and are
@@ -313,22 +314,17 @@ class SocketClient(_BaseClient):
     connect_timeout_s:
         Bound on establishing (and re-establishing) the TCP
         connection; defaults to ``timeout_s``.
-    protocol:
-        Wire preference: ``"auto"`` (default) opens with a binary v2
-        hello and transparently falls back to JSON-lines v1 when the
-        server does not accept it; ``"v2"`` raises
-        :class:`~repro.errors.ProtocolError` instead of falling back;
-        ``"v1"`` never sends the hello (an old client).  The version a
-        connection actually negotiated is :attr:`protocol_version`
-        (``None`` until the first request settles it), and a reconnect
-        re-negotiates with the same preference, so a retried
-        idempotent request stays on the same protocol.
     instrumentation:
         Optional :class:`~repro.obs.instrument.Instrumentation`: each
         lockstep request then runs under a ``client.request`` span
-        whose trace context rides the wire (v2 frame flag, v1
-        envelope field), stitching client and server spans into one
-        distributed trace (see :mod:`repro.obs.distributed`).
+        whose trace context rides the frame header, stitching client
+        and server spans into one distributed trace (see
+        :mod:`repro.obs.distributed`).
+
+    Each connection (and each reconnect) opens with the hello/accept
+    preamble before its first frame; a peer that answers the hello with
+    anything but an accept line raises
+    :class:`~repro.errors.ProtocolError`.
     """
 
     def __init__(
@@ -338,14 +334,8 @@ class SocketClient(_BaseClient):
         timeout_s: float = 30.0,
         *,
         connect_timeout_s: float | None = None,
-        protocol: str = "auto",
         instrumentation=None,
     ) -> None:
-        if protocol not in ("v1", "v2", "auto"):
-            raise ServiceError(
-                f"unknown wire protocol {protocol!r}; choose v1, v2,"
-                " or auto"
-            )
         self.host = host
         self.port = port
         self.instrumentation = instrumentation
@@ -353,8 +343,7 @@ class SocketClient(_BaseClient):
         self.connect_timeout_s = (
             timeout_s if connect_timeout_s is None else connect_timeout_s
         )
-        self.protocol = protocol
-        self.protocol_version: str | None = None
+        self._accepted = False
         self._sock = None
         self._file = None
         self._spool = None
@@ -376,19 +365,13 @@ class SocketClient(_BaseClient):
         self._sock.settimeout(self.timeout_s)
         self._file = self._sock.makefile("rwb")
         self._spool = None
-        # negotiation is deferred to the first request so constructing
+        # the preamble is deferred to the first request so constructing
         # a client never blocks on reading from the server
-        self.protocol_version = "v1" if self.protocol == "v1" else None
+        self._accepted = False
 
-    def _negotiate(self) -> None:
-        """Send the v2 hello; settle on what the server answers.
-
-        A v2 server answers with an accept line (switch to binary
-        framing, optionally adopting its shared-memory spool); any
-        other server answers the hello like a garbage line — that
-        reply is consumed here and the connection stays on v1 (or
-        raises, when the caller demanded v2).
-        """
+    def _preamble(self) -> None:
+        """Send the hello; the server's accept line may name its
+        shared-memory spool, which this client then adopts."""
         try:
             self._file.write(wire.hello_line())
             self._file.flush()
@@ -401,27 +384,23 @@ class SocketClient(_BaseClient):
             raise self._unavailable("dropped the connection", err) from err
         if not answer:
             raise self._unavailable("closed the connection")
-        if wire.is_negotiation_line(answer):
+        try:
             opts = wire.parse_accept(answer)
-            self.protocol_version = "v2"
-            blob_dir = opts.get("blob_dir")
-            if blob_dir:
-                from repro.service.artifacts import BlobSpool
-
-                # best-effort: if this process cannot actually write
-                # there (different host, say), spill() degrades to
-                # inline frames
-                self._spool = BlobSpool(blob_dir)
-            return
-        # the server spoke JSON back: a v1-only peer answering the
-        # hello with an error line, which completes the fallback
-        if self.protocol == "v2":
+        except ProtocolError as err:
             self._teardown()
             raise ProtocolError(
-                f"service at {self.host}:{self.port} does not speak"
-                " wire protocol v2 and fallback was disabled"
-            )
-        self.protocol_version = "v1"
+                f"service at {self.host}:{self.port} did not accept the"
+                f" wire preamble: {err}"
+            ) from err
+        self._accepted = True
+        blob_dir = opts.get("blob_dir")
+        if blob_dir:
+            from repro.service.artifacts import BlobSpool
+
+            # best-effort: if this process cannot actually write
+            # there (different host, say), spill() degrades to
+            # inline frames
+            self._spool = BlobSpool(blob_dir)
 
     def _teardown(self) -> None:
         """Drop the broken connection; outstanding pipeline is lost."""
@@ -450,30 +429,23 @@ class SocketClient(_BaseClient):
     def _write_request(self, request: msg.Message, cid=None, trace=None) -> None:
         if self._file is None:
             self._connect()
-        if self.protocol_version is None:
-            self._negotiate()
+        if not self._accepted:
+            self._preamble()
         try:
-            if self.protocol_version == "v2":
-                self._file.write(
-                    wire.encode_frame(
-                        request, cid=cid, spool=self._spool, trace=trace
-                    )
+            self._file.write(
+                wire.encode_frame(
+                    request, cid=cid, spool=self._spool, trace=trace
                 )
-            else:
-                self._file.write(
-                    (msg.encode(request, cid=cid, trace=trace) + "\n").encode()
-                )
+            )
         except OSError as err:
             raise self._unavailable("dropped the connection", err) from err
 
-    def _read_envelope(self) -> tuple[msg.Message, int | None]:
+    def _read_reply(self) -> tuple[msg.Message, int | None]:
         try:
-            if self.protocol_version == "v2":
-                body = wire.read_frame_blocking(self._file)
-                if not body:
-                    raise self._unavailable("closed the connection")
-                return wire.decode_frame(body, spool=self._spool)
-            line = self._file.readline()
+            body = wire.read_frame_blocking(self._file)
+            if not body:
+                raise self._unavailable("closed the connection")
+            return wire.decode_frame(body, spool=self._spool)
         except ProtocolError:
             # framing is unrecoverable; surface the typed error but
             # drop the connection first
@@ -483,9 +455,6 @@ class SocketClient(_BaseClient):
             raise self._unavailable(
                 f"did not reply within {self.timeout_s}s", err
             ) from err
-        if not line:
-            raise self._unavailable("closed the connection")
-        return msg.decode_envelope(line.decode())
 
     # -- lockstep -------------------------------------------------------
     def request(self, request: msg.Message) -> msg.Message:
@@ -509,13 +478,12 @@ class SocketClient(_BaseClient):
                 if request.kind not in IDEMPOTENT_KINDS:
                     raise
                 # reconnect-once retry: the request has no side effects,
-                # the fresh connection re-negotiates the same protocol,
-                # and the retry carries the same trace context so both
+                # the fresh connection repeats the preamble, and the
+                # retry carries the same trace context so both
                 # attempts stitch into one distributed trace
                 span.annotate(retried=True)
                 self._connect()
                 reply = self._roundtrip(request, trace=trace)
-            span.annotate(protocol=self.protocol_version)
         if isinstance(reply, msg.ErrorReply):
             raise msg.error_from_reply(reply)
         return reply
@@ -526,7 +494,7 @@ class SocketClient(_BaseClient):
             self._file.flush()
         except OSError as err:
             raise self._unavailable("dropped the connection", err) from err
-        return self._read_envelope()[0]
+        return self._read_reply()[0]
 
     # -- pipelining -----------------------------------------------------
     def submit_nowait(self, request: msg.Message) -> int:
@@ -574,7 +542,7 @@ class SocketClient(_BaseClient):
     def _stream_replies(self):
         while self._pending:
             expected = self._pending[0]
-            reply, cid = self._read_envelope()
+            reply, cid = self._read_reply()
             if cid != expected:
                 self._teardown()
                 raise ServiceError(
@@ -605,7 +573,6 @@ def connect(
     host: str | None = None,
     port: int | None = None,
     shards=None,
-    protocol: str = "auto",
     instrumentation=None,
 ):
     """The service front door.
@@ -617,10 +584,6 @@ def connect(
     - ``connect(shards=[(host, port), ...])`` — a sharded deployment
       (sessions routed by content hash; see
       :class:`~repro.service.shard.ShardedClient`).
-
-    ``protocol`` picks the socket wire preference (``"auto"`` opens
-    binary v2 with transparent JSON v1 fallback; see
-    :class:`SocketClient`); in-process transports ignore it.
     """
     if shards is not None:
         if service is not None or host is not None or port is not None:
@@ -629,9 +592,7 @@ def connect(
             )
         from repro.service.shard import ShardedClient
 
-        return ShardedClient(
-            shards, protocol=protocol, instrumentation=instrumentation
-        )
+        return ShardedClient(shards, instrumentation=instrumentation)
     if host is not None or port is not None:
         if service is not None:
             raise ServiceError(
@@ -639,9 +600,7 @@ def connect(
             )
         if host is None or port is None:
             raise ServiceError("socket connection needs both host and port")
-        return SocketClient(
-            host, port, protocol=protocol, instrumentation=instrumentation
-        )
+        return SocketClient(host, port, instrumentation=instrumentation)
     if service is None:
         from repro.service.server import TopKService
 

@@ -1,9 +1,12 @@
-"""The service wire protocol: typed requests/replies over JSON lines.
+"""The service's typed requests/replies, plus a JSON debug codec.
 
-Every message is a frozen dataclass with a class-level ``kind`` tag;
-:func:`encode` writes one JSON line and :func:`decode` rehydrates the
-exact same value (``decode(encode(m)) == m``, property-tested).  To
-keep that round-trip exact, sequence fields are tuples (JSON lists
+Every message is a frozen dataclass with a class-level ``kind`` tag.
+The socket service frames them with the binary codec in
+:mod:`repro.service.wire`; :func:`encode` / :func:`decode` here are
+the plain JSON debug codec (one JSON document per message, used for
+dumps and as the codec benchmark's baseline) and rehydrate the exact
+same value (``decode(encode(m)) == m``, property-tested).  To keep
+that round-trip exact, sequence fields are tuples (JSON lists
 normalize back on decode) and optional accuracies use ``None`` rather
 than NaN (JSON has no NaN).
 
@@ -16,19 +19,13 @@ Failures cross the wire as :class:`ErrorReply` carrying the exception
 *class name* from :mod:`repro.errors`; clients re-raise the matching
 typed error (see :func:`error_from_reply`).
 
-**Pipelining envelope.** Correlation ids live at the *envelope* level,
-not in the messages: :func:`encode` accepts an optional ``cid`` that
-rides as a top-level ``"cid"`` JSON key, and :func:`decode_envelope`
-returns ``(message, cid)``.  A server echoes a request's cid on its
-reply verbatim, which is what lets a pipelined client fire many frames
-without awaiting each reply and still match replies to requests.
-Messages themselves stay cid-free, so ``decode(encode(m)) == m`` keeps
-holding and old peers interoperate (an absent cid is simply ``None``).
+Messages carry no correlation ids or trace contexts: those ride in
+the binary frame header (see :mod:`repro.service.wire`).
 
-**Frame bound.** :data:`MAX_FRAME_BYTES` caps one encoded line;
-:func:`decode` (and the socket server's read limit) reject oversized
-frames with a typed :class:`~repro.errors.ServiceError` instead of
-buffering without bound.
+**Frame bound.** :data:`MAX_FRAME_BYTES` caps one encoded message on
+either codec; :func:`decode` (and the socket server's read limit)
+reject oversized input with a typed
+:class:`~repro.errors.ServiceError` instead of buffering without bound.
 """
 
 from __future__ import annotations
@@ -38,10 +35,10 @@ from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import repro.errors as _errors
-from repro.errors import ObservabilityError, ServiceError
+from repro.errors import ServiceError
 
 MAX_FRAME_BYTES = 1_048_576
-"""Upper bound on one encoded JSON-lines frame (1 MiB).
+"""Upper bound on one encoded frame (1 MiB).
 
 Large enough for any realistic readings vector or serialized plan,
 small enough that a misbehaving peer cannot make the server buffer an
@@ -382,53 +379,17 @@ REQUEST_KINDS: frozenset[str] = frozenset(
 )
 
 
-def encode(message: Message, cid: int | None = None, trace=None) -> str:
-    """One JSON line (no trailing newline) for ``message``.
-
-    ``cid`` (when given) is attached as the envelope-level correlation
-    id a pipelined peer uses to match replies to requests; ``trace``
-    (a :class:`~repro.obs.distributed.TraceContext`) rides the same
-    envelope as a two-int ``trace`` field — the v1 fallback for the v2
-    header trace block.
-    """
-    data = message.to_dict()
-    if cid is not None:
-        data["cid"] = int(cid)
-    if trace is not None:
-        data["trace"] = trace.to_jsonable()
-    return json.dumps(data, allow_nan=False, sort_keys=True)
+def encode(message: Message) -> str:
+    """One JSON document (no trailing newline) for ``message``."""
+    return json.dumps(message.to_dict(), allow_nan=False, sort_keys=True)
 
 
 def decode(line: str) -> Message:
-    """Rehydrate one JSON line into its typed message.
+    """Rehydrate one JSON document into its typed message.
 
-    Any envelope-level correlation id is discarded; use
-    :func:`decode_envelope` to keep it.
-    """
-    return decode_envelope(line)[0]
-
-
-def decode_envelope(line: str) -> tuple[Message, int | None]:
-    """Rehydrate one JSON line into ``(message, correlation id)``.
-
-    Any envelope-level trace context is discarded; use
-    :func:`decode_envelope_trace` to keep it.
-    """
-    message, cid, __ = decode_envelope_trace(line)
-    return message, cid
-
-
-def decode_envelope_trace(line: str):
-    """Rehydrate one JSON line into ``(message, cid, trace context)``.
-
-    The cid is ``None`` for lockstep peers that did not send one; the
-    trace is ``None`` unless the envelope carries a valid ``trace``
-    field (a :class:`~repro.obs.distributed.TraceContext` otherwise).
-    Frames longer than :data:`MAX_FRAME_BYTES` are rejected before any
+    Input longer than :data:`MAX_FRAME_BYTES` is rejected before any
     JSON parsing.
     """
-    from repro.obs.distributed import TraceContext
-
     if len(line) > MAX_FRAME_BYTES:
         raise ServiceError(
             f"frame of {len(line)} bytes exceeds the"
@@ -440,21 +401,12 @@ def decode_envelope_trace(line: str):
         raise ServiceError(f"request is not valid JSON: {err}") from err
     if not isinstance(data, dict):
         raise ServiceError("request must be a JSON object")
-    cid = data.pop("cid", None)
-    if cid is not None and not isinstance(cid, int):
-        raise ServiceError("correlation id must be an integer")
-    trace = data.pop("trace", None)
-    if trace is not None:
-        try:
-            trace = TraceContext.from_jsonable(trace)
-        except ObservabilityError as err:
-            raise ServiceError(str(err)) from err
     kind = data.get("kind")
     cls = MESSAGE_KINDS.get(kind)
     if cls is None:
         raise ServiceError(f"unknown message kind {kind!r}")
     try:
-        return cls.from_dict(data), cid, trace
+        return cls.from_dict(data)
     except TypeError as err:
         raise ServiceError(f"malformed {kind!r} message: {err}") from err
 

@@ -3,18 +3,19 @@
 :class:`TopKService` is deliberately synchronous and
 transport-agnostic: :meth:`TopKService.handle` maps one typed request
 to one typed reply (raising :mod:`repro.errors` types), and
-:meth:`TopKService.handle_line` is the same thing over JSON lines with
-failures serialized as :class:`~repro.service.messages.ErrorReply`
-and envelope correlation ids echoed verbatim.  The asyncio layer
-(:func:`serve`, :class:`ServiceThread`) moves lines between sockets
-and a thread-pool executor — per-session serialization and
-backpressure live in :class:`.session.Session`, so the core behaves
-identically under the in-process client and the socket.
+:meth:`TopKService.handle_frame` is the same thing over binary wire
+frames with failures serialized as
+:class:`~repro.service.messages.ErrorReply` and correlation ids echoed
+verbatim.  The asyncio layer (:func:`serve`, :class:`ServiceThread`)
+moves frames between sockets and a thread-pool executor — per-session
+serialization and backpressure live in :class:`.session.Session`, so
+the core behaves identically under the in-process client and the
+socket.
 
 The socket front end is **pipelined**: a per-connection reader task
 keeps pulling frames (bounded read-ahead, oversized frames rejected)
 while a processor task answers them strictly in order, and replies are
-coalesced — many encoded lines are joined into one ``write`` when a
+coalesced — many encoded frames are joined into one ``write`` when a
 burst is in flight — so a streaming client pays one syscall per batch
 rather than one round trip per request.  :meth:`ServiceServer.shutdown`
 is the graceful path: stop accepting, stop reading, finish every
@@ -75,8 +76,6 @@ from repro.service.session import Session
 
 PLANNERS = ("greedy", "lp-lf", "lp-no-lf", "proof")
 
-WIRE_PROTOCOLS = ("v1", "v2", "auto")
-
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -109,25 +108,11 @@ class ServiceConfig:
     parametric forms spill here keyed by content, so a cold process
     (a fresh shard worker, say) loads arrays instead of recompiling."""
 
-    protocol: str = "auto"
-    """Wire protocols the socket front end accepts: ``"auto"`` speaks
-    whichever a connection opens with (binary v2 hello or JSON v1
-    line), ``"v1"`` ignores v2 hellos (an old server), ``"v2"``
-    refuses JSON connections with a typed
-    :class:`~repro.errors.ProtocolError`."""
-
     blob_dir: str | None = None
-    """Optional directory for the v2 same-host shared-memory fast
-    path: advertised to v2 clients at accept time, who may then ship
-    large float payloads as :class:`~repro.service.artifacts.BlobSpool`
+    """Optional directory for the same-host shared-memory fast path:
+    advertised to clients in the accept line, who may then ship large
+    float payloads as :class:`~repro.service.artifacts.BlobSpool`
     references instead of socket bytes."""
-
-    def __post_init__(self) -> None:
-        if self.protocol not in WIRE_PROTOCOLS:
-            raise ServiceError(
-                f"unknown wire protocol {self.protocol!r}; choose from"
-                f" {', '.join(WIRE_PROTOCOLS)}"
-            )
 
 
 class TopKService:
@@ -183,10 +168,10 @@ class TopKService:
         self.slow_requests = SlowRequestLog()
         self._wire_lock = threading.Lock()
         self._wire = {
-            "connections": {"v1": 0, "v2": 0},
-            "requests": {"v1": 0, "v2": 0},
-            "request_bytes": {"v1": 0, "v2": 0},
-            "reply_bytes": {"v1": 0, "v2": 0},
+            "connections": 0,
+            "requests": 0,
+            "request_bytes": 0,
+            "reply_bytes": 0,
         }
 
     # -- shared resources ----------------------------------------------
@@ -369,33 +354,17 @@ class TopKService:
                 )
                 self.slow_requests.offer(span)
 
-    def handle_line(self, line: str) -> str:
-        """JSON-line transport shim over :meth:`handle`.
-
-        Every failure — protocol or application — comes back as one
-        encoded :class:`~repro.service.messages.ErrorReply` line, so a
-        socket client never sees a dropped request.  An envelope
-        correlation id on the request is echoed on the reply (errors
-        included), which is the contract pipelined clients rely on.
-        """
-        cid = None
-        try:
-            request, cid, trace = msg.decode_envelope_trace(line)
-            reply = self.handle(request, trace=trace)
-        except Exception as err:  # typed errors included
-            reply = msg.error_to_reply(err)
-        return msg.encode(reply, cid=cid)
-
     def handle_frame(self, body: bytes, spool=None) -> bytes:
-        """Binary v2 transport shim over :meth:`handle`.
+        """Binary wire transport shim over :meth:`handle`.
 
-        The framed analog of :meth:`handle_line`: one frame body in,
-        one complete reply frame (length prefix included) out, with
-        every failure serialized as an
-        :class:`~repro.service.messages.ErrorReply` frame and the
-        request's correlation id echoed when it was decodable.  Float
-        payloads are decoded in zero-copy ``vectors="array"`` mode —
-        the data plane never materializes tuples for a batch's
+        One frame body in, one complete reply frame (length prefix
+        included) out.  Every failure — protocol or application — comes
+        back as an :class:`~repro.service.messages.ErrorReply` frame, so
+        a socket client never sees a dropped request, and the request's
+        correlation id is echoed when it was decodable (errors
+        included), which is the contract pipelined clients rely on.
+        Float payloads are decoded in zero-copy ``vectors="array"``
+        mode — the data plane never materializes tuples for a batch's
         readings matrix.
         """
         cid = None
@@ -412,54 +381,41 @@ class TopKService:
             return wire.encode_frame(msg.error_to_reply(err), cid=cid)
 
     # -- wire accounting ------------------------------------------------
-    def record_connection(self, protocol: str) -> None:
-        """Count one socket connection's negotiated protocol version."""
+    def record_connection(self) -> None:
+        """Count one socket connection whose preamble was accepted."""
         with self._wire_lock:
-            self._wire["connections"][protocol] += 1
+            self._wire["connections"] += 1
         if self.instrumentation is not None:
-            self.instrumentation.counter(
-                f"service.wire.connections.{protocol}"
-            ).inc()
+            self.instrumentation.counter("service.wire.connections").inc()
 
-    def record_wire(
-        self, protocol: str, request_bytes: int, reply_bytes: int
-    ) -> None:
+    def record_wire(self, request_bytes: int, reply_bytes: int) -> None:
         """Account one request/reply exchange's bytes on the wire."""
         with self._wire_lock:
-            self._wire["requests"][protocol] += 1
-            self._wire["request_bytes"][protocol] += request_bytes
-            self._wire["reply_bytes"][protocol] += reply_bytes
+            self._wire["requests"] += 1
+            self._wire["request_bytes"] += request_bytes
+            self._wire["reply_bytes"] += reply_bytes
         obs = self.instrumentation
         if obs is not None:
-            obs.histogram(
-                f"service.wire.request_bytes.{protocol}"
-            ).observe(request_bytes)
-            obs.histogram(
-                f"service.wire.reply_bytes.{protocol}"
-            ).observe(reply_bytes)
+            obs.histogram("service.wire.request_bytes").observe(
+                request_bytes
+            )
+            obs.histogram("service.wire.reply_bytes").observe(reply_bytes)
 
     def wire_stats(self) -> dict:
-        """Per-protocol connection counts and bytes-per-request summary
+        """Connection count, byte totals and bytes-per-request summary
         (the ``counters["wire"]`` section of :class:`GetStats`)."""
         with self._wire_lock:
-            snapshot = {
-                name: dict(values) for name, values in self._wire.items()
-            }
-        snapshot["bytes_per_request"] = {}
-        for protocol in ("v1", "v2"):
-            requests = snapshot["requests"][protocol]
-            snapshot["bytes_per_request"][protocol] = (
-                round(
-                    (
-                        snapshot["request_bytes"][protocol]
-                        + snapshot["reply_bytes"][protocol]
-                    )
-                    / requests,
-                    1,
-                )
-                if requests
-                else None
+            snapshot = dict(self._wire)
+        requests = snapshot["requests"]
+        snapshot["bytes_per_request"] = (
+            round(
+                (snapshot["request_bytes"] + snapshot["reply_bytes"])
+                / requests,
+                1,
             )
+            if requests
+            else None
+        )
         return snapshot
 
     def blob_counters(self) -> dict:
@@ -477,7 +433,7 @@ class TopKService:
 
     def _histogram_merge_dumps(self) -> dict:
         """Mergeable dumps of every ``service.*`` histogram (request
-        latency, per-protocol wire bytes): the stats-reply form shard
+        latency, wire bytes): the stats-reply form shard
         aggregation merges with exact min/max and bucket quantiles."""
         obs = self.instrumentation
         if obs is None:
@@ -677,7 +633,7 @@ a pipelined burst is still in flight (the ``writev``-style batch)."""
 
 class _ReaderFailure:
     """End-of-input marker carrying the wire error to report before
-    closing (oversized v1 line, malformed v2 frame, refused protocol)."""
+    closing (bad preamble, malformed or oversized frame)."""
 
     def __init__(self, error: Exception) -> None:
         self.error = error
@@ -686,12 +642,12 @@ class _ReaderFailure:
 class _Connection:
     """One client connection: a reader task feeding a processor task.
 
-    The reader's first ``readline`` doubles as protocol negotiation: a
-    ``\\x00``-led v2 hello switches the connection to length-prefixed
-    binary framing (after an accept line), anything else is a v1 JSON
-    line handled exactly as before — subject to the server's
-    ``policy`` (``auto``/``v1``/``v2``).  From then on the reader
-    pulls frames into a bounded queue; the processor answers them
+    The reader's first ``readline`` is the connection preamble: a valid
+    hello line is answered with the accept line (which advertises the
+    blob spool), anything else with one
+    :class:`~repro.errors.ProtocolError` reply frame before the
+    connection closes.  From then on the reader pulls length-prefixed
+    frames into a bounded queue; the processor answers them
     strictly in order (the sync core on the default executor, so a
     slow LP solve never blocks the event loop) and coalesces reply
     writes while a burst is in flight.  Fairness *between* sessions
@@ -702,15 +658,11 @@ class _Connection:
     half of :meth:`ServiceServer.shutdown`.
     """
 
-    def __init__(
-        self, service, reader, writer, *, policy: str = "auto", spool=None
-    ) -> None:
+    def __init__(self, service, reader, writer, *, spool=None) -> None:
         self.service = service
         self.reader = reader
         self.writer = writer
-        self.policy = policy
         self.spool = spool
-        self.protocol: str | None = None  # negotiated per connection
         self._queue: asyncio.Queue = asyncio.Queue(maxsize=PIPELINE_DEPTH)
         self._reader_task: asyncio.Task | None = None
         self.done: asyncio.Task | None = None
@@ -728,7 +680,7 @@ class _Connection:
         failure: Exception | None = None
         try:
             try:
-                failure = await self._negotiate_and_read()
+                failure = await self._preamble_and_read()
             except (ConnectionError, OSError):
                 pass
         except asyncio.CancelledError:
@@ -736,8 +688,8 @@ class _Connection:
         finally:
             await self._signal_end(failure)
 
-    async def _negotiate_and_read(self) -> Exception | None:
-        """Settle the connection's protocol, then run its read loop.
+    async def _preamble_and_read(self) -> Exception | None:
+        """Check the hello, answer with the accept line, read frames.
 
         Returns the wire error to report before closing, or ``None``
         for a clean end of input.
@@ -745,56 +697,23 @@ class _Connection:
         try:
             first = await self.reader.readline()
         except (asyncio.LimitOverrunError, ValueError):
-            self.protocol = "v1"
-            return self._oversized_error()
-        if not first:
-            self.protocol = "v1"  # EOF before a single byte mattered
-            return None
-        if wire.is_negotiation_line(first) and self.policy != "v1":
-            try:
-                wire.parse_hello(first)
-            except ProtocolError as err:
-                self.protocol = "v1"  # reply readable either way
-                return err
-            self.protocol = "v2"
-            self.service.record_connection("v2")
-            blob_dir = (
-                str(self.spool.root) if self.spool is not None else None
-            )
-            self.writer.write(wire.accept_line(blob_dir))
-            await self.writer.drain()
-            return await self._v2_loop()
-        if not wire.is_negotiation_line(first) and self.policy == "v2":
-            self.protocol = "v1"
             return ProtocolError(
-                "server requires wire protocol v2; connect with"
-                " protocol='v2' (or 'auto')"
+                "frame exceeds the"
+                f" {msg.MAX_FRAME_BYTES}-byte protocol limit"
             )
-        # v1 — either a plain JSON opening, or a hello at a v1-only
-        # server, which answers it like any other unparseable line
-        self.protocol = "v1"
-        self.service.record_connection("v1")
-        await self._queue.put(first)
-        return await self._v1_loop()
+        if not first:
+            return None  # EOF before a single byte mattered
+        try:
+            wire.parse_hello(first)
+        except ProtocolError as err:
+            return err
+        self.service.record_connection()
+        blob_dir = str(self.spool.root) if self.spool is not None else None
+        self.writer.write(wire.accept_line(blob_dir))
+        await self.writer.drain()
+        return await self._frame_loop()
 
-    @staticmethod
-    def _oversized_error() -> ServiceError:
-        return ServiceError(
-            "frame exceeds the"
-            f" {msg.MAX_FRAME_BYTES}-byte protocol limit"
-        )
-
-    async def _v1_loop(self) -> Exception | None:
-        while True:
-            try:
-                line = await self.reader.readline()
-            except (asyncio.LimitOverrunError, ValueError):
-                return self._oversized_error()
-            if not line:
-                return None
-            await self._queue.put(line)
-
-    async def _v2_loop(self) -> Exception | None:
+    async def _frame_loop(self) -> Exception | None:
         while True:
             try:
                 prefix = await self.reader.readexactly(4)
@@ -841,24 +760,11 @@ class _Connection:
         """Answer a chunk of frames in one executor hop (in order)."""
         service = self.service
         out = []
-        if self.protocol == "v2":
-            for frame in frames:
-                reply = service.handle_frame(frame, spool=self.spool)
-                service.record_wire("v2", len(frame) + 4, len(reply))
-                out.append(reply)
-            return out
-        for line in frames:
-            reply = service.handle_line(line.decode()).encode() + b"\n"
-            service.record_wire("v1", len(line), len(reply))
+        for frame in frames:
+            reply = service.handle_frame(frame, spool=self.spool)
+            service.record_wire(len(frame) + 4, len(reply))
             out.append(reply)
         return out
-
-    def _encode_failure(self, error: Exception) -> bytes:
-        """The final error reply, framed for the negotiated protocol."""
-        reply = msg.error_to_reply(error)
-        if self.protocol == "v2":
-            return wire.encode_frame(reply)
-        return msg.encode(reply).encode() + b"\n"
 
     async def _process_loop(self) -> None:
         loop = asyncio.get_running_loop()
@@ -894,7 +800,9 @@ class _Connection:
                         )
                     )
                 if stop and failure is not None:
-                    out.append(self._encode_failure(failure.error))
+                    out.append(
+                        wire.encode_frame(msg.error_to_reply(failure.error))
+                    )
                 if out and (
                     stop
                     or self._queue.empty()
@@ -950,11 +858,7 @@ class ServiceServer:
 
     async def _on_connection(self, reader, writer) -> None:
         connection = _Connection(
-            self.service,
-            reader,
-            writer,
-            policy=getattr(self.service.config, "protocol", "auto"),
-            spool=self._spool,
+            self.service, reader, writer, spool=self._spool
         )
         self._connections.add(connection)
         connection.start()
@@ -1013,7 +917,7 @@ class ServiceServer:
 async def serve(
     service: TopKService, host: str = "127.0.0.1", port: int = 0
 ) -> ServiceServer:
-    """Start the JSON-lines socket server; returns a
+    """Start the binary-wire socket server; returns a
     :class:`ServiceServer` (its bound port is
     ``server.sockets[0].getsockname()[1]``)."""
     return await ServiceServer(service).start(host, port)

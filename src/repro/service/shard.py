@@ -365,24 +365,14 @@ class ShardedService:
             _session_route_key(topology_id, planner, k), self.workers
         )
 
-    def client(
-        self, *, timeout_s: float = 30.0, protocol: str = "auto"
-    ) -> "ShardedClient":
-        """A routed client over every live worker endpoint.
-
-        ``protocol`` is the per-connection wire preference handed to
-        each worker's :class:`~repro.service.client.SocketClient`
-        (``auto``/``v1``/``v2``); the workers themselves accept
-        whatever their :class:`~repro.service.server.ServiceConfig`
-        ``protocol`` allows.
-        """
+    def client(self, *, timeout_s: float = 30.0) -> "ShardedClient":
+        """A routed client over every live worker endpoint."""
         if not self.endpoints:
             raise ServiceError("sharded service is not running; start() it")
         return ShardedClient(
             self.endpoints,
             timeout_s=timeout_s,
             instrumentation=self.instrumentation,
-            protocol=protocol,
         )
 
 
@@ -403,14 +393,12 @@ class ShardedClient(_BaseClient):
         *,
         timeout_s: float = 30.0,
         instrumentation=None,
-        protocol: str = "auto",
     ) -> None:
         self.endpoints = [(str(h), int(p)) for h, p in endpoints]
         if not self.endpoints:
             raise ServiceError("sharded client needs >= 1 endpoint")
         self.timeout_s = timeout_s
         self.instrumentation = instrumentation
-        self.protocol = protocol
         self._clients: dict[int, SocketClient] = {}
         self._submit_order: list[int] = []
 
@@ -426,7 +414,6 @@ class ShardedClient(_BaseClient):
                 host,
                 port,
                 timeout_s=self.timeout_s,
-                protocol=self.protocol,
                 instrumentation=self.instrumentation,
             )
             self._clients[index] = client

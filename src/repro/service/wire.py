@@ -1,12 +1,11 @@
-"""Binary wire protocol v2: negotiated, length-prefixed, zero-copy.
+"""Binary wire protocol v2: length-prefixed, zero-copy.
 
-The JSON-lines codec in :mod:`repro.service.messages` (protocol
-``v1``) spends most of each request's byte budget — and a large slice
-of its CPU budget — on text framing.  This module is the negotiated
-binary alternative (protocol ``v2``): the same typed messages, packed
-with :mod:`struct` into length-prefixed frames whose numeric payloads
-are raw little-endian buffers a server can view with
-``np.frombuffer`` without copying.
+The one protocol the socket service speaks.  The typed messages of
+:mod:`repro.service.messages` are packed with :mod:`struct` into
+length-prefixed frames whose numeric payloads are raw little-endian
+buffers a server can view with ``np.frombuffer`` without copying.
+(The JSON codec in :mod:`repro.service.messages` stays as a debug
+dump; no socket speaks it.)
 
 **Frame layout.**  One frame on the wire is::
 
@@ -16,7 +15,7 @@ are raw little-endian buffers a server can view with
     +----------------+---------------------------+------------------+
 
 The length prefix covers header plus payload (bounded by
-:data:`~repro.service.messages.MAX_FRAME_BYTES`, same cap as v1).
+:data:`~repro.service.messages.MAX_FRAME_BYTES`).
 ``kind`` is a stable one-byte code from :data:`KIND_CODES`; ``cid`` is
 the pipelining correlation id, meaningful only when
 :data:`FLAG_CID` is set in ``flags``.  Payload fields are packed in
@@ -26,23 +25,23 @@ as a count plus packed ``i64``/``f64``, matrices as ``rows·cols`` plus
 a raw ``f64`` buffer, optional floats as a presence byte.  Decoding is
 strict: unknown kind codes, unknown flag bits, truncated payloads, and
 trailing bytes all raise :class:`~repro.errors.ProtocolError` — the
-binary analog of v1's unknown-field rejection.  Non-finite floats are
-rejected on encode exactly as v1's ``allow_nan=False`` does, so
-``decode(encode(m)) == m`` holds for the same message population on
-both codecs.
+binary analog of the JSON codec's unknown-field rejection.  Non-finite
+floats are rejected on encode exactly as the JSON codec's
+``allow_nan=False`` does, so ``decode(encode(m)) == m`` holds for the
+same message population on both codecs.
 
-**Negotiation.**  A v2-capable client opens the conversation with a
-*hello line*: a single ``\\x00``-prefixed, newline-terminated line
-(:func:`hello_line`).  No JSON document can begin with a NUL byte, so
-a server's ordinary first ``readline`` distinguishes the two protocols
-without peeking: a v2 server answers with an *accept line*
-(:func:`accept_line`) and both sides switch to binary framing; a
-v1-only server answers with whatever it says to garbage (an
-``ErrorReply`` line), which an ``auto`` client treats as "speak v1".
-The hello/accept options carry the shared-memory spool directory for
-the same-host fast path below.
+**Preamble.**  Every connection opens with a fixed exchange of two
+lines before the first frame: the client's *hello line*
+(:func:`hello_line`), a single ``\\x00``-prefixed, newline-terminated
+line, and the server's *accept line* (:func:`accept_line`).  The
+accept options carry the server's shared-memory spool directory for
+the same-host fast path below — the only thing the exchange tells a
+client.  A server that reads anything but a valid hello
+(:func:`parse_hello`) answers with one ``ErrorReply`` frame and
+closes; a client that reads anything but a valid accept
+(:func:`parse_accept`) raises :class:`~repro.errors.ProtocolError`.
 
-**Shared-memory fast path.**  When both peers negotiate a common
+**Shared-memory fast path.**  When both peers agree on a common
 ``blob_dir``, large float payloads (a batch's readings matrix, say)
 are spilled to a content-named ``.npy`` file by
 :class:`~repro.service.artifacts.BlobSpool` and cross the socket as a
@@ -67,17 +66,11 @@ from repro.service.messages import (
     Message,
 )
 
-PROTOCOL_V1 = "v1"
 PROTOCOL_V2 = "v2"
-PROTOCOLS = (PROTOCOL_V1, PROTOCOL_V2)
 
 WIRE_MAGIC = b"\x00repro-wire"
-"""Leading bytes of every negotiation line.
-
-The NUL prefix is the whole trick: JSON text can never start with
-``\\x00``, so one ``readline`` tells a server (or a waiting client)
-which protocol the peer speaks.
-"""
+"""Leading bytes of both preamble lines (the NUL prefix keeps a stray
+text line from ever parsing as one)."""
 
 FLAG_CID = 0x01
 FLAG_TRACE = 0x02
@@ -195,11 +188,11 @@ _FIELD_SPECS: dict[str, tuple[tuple[str, str], ...]] = {
 }
 
 
-# -- negotiation lines ------------------------------------------------------
+# -- preamble lines ---------------------------------------------------------
 
 
 def hello_line(blob_dir: str | None = None) -> bytes:
-    """The client's opening line requesting protocol v2."""
+    """The client's opening line."""
     opts = {"blob_dir": blob_dir} if blob_dir else {}
     return b"%s hello %s %s\n" % (
         WIRE_MAGIC,
@@ -209,7 +202,7 @@ def hello_line(blob_dir: str | None = None) -> bytes:
 
 
 def accept_line(blob_dir: str | None = None) -> bytes:
-    """The server's answer committing the connection to v2."""
+    """The server's answer to a valid hello (advertises ``blob_dir``)."""
     opts = {"blob_dir": blob_dir} if blob_dir else {}
     return b"%s accept %s %s\n" % (
         WIRE_MAGIC,
@@ -218,17 +211,7 @@ def accept_line(blob_dir: str | None = None) -> bytes:
     )
 
 
-def is_negotiation_line(first_bytes: bytes) -> bool:
-    """Whether a peer's first bytes open a v2 negotiation.
-
-    Only the NUL byte is checked: any ``\\x00``-led line *claims* to be
-    a negotiation line and must then survive :func:`parse_hello` /
-    :func:`parse_accept`; JSON traffic can never trip this.
-    """
-    return first_bytes[:1] == b"\x00"
-
-
-def _parse_negotiation(line: bytes, verb: str) -> dict:
+def _parse_preamble(line: bytes, verb: str) -> dict:
     parts = line.rstrip(b"\n").split(b" ", 3)
     if (
         len(parts) != 4
@@ -252,12 +235,12 @@ def _parse_negotiation(line: bytes, verb: str) -> dict:
 
 def parse_hello(line: bytes) -> dict:
     """Validate a hello line; returns its options dict."""
-    return _parse_negotiation(line, "hello")
+    return _parse_preamble(line, "hello")
 
 
 def parse_accept(line: bytes) -> dict:
     """Validate an accept line; returns its options dict."""
-    return _parse_negotiation(line, "accept")
+    return _parse_preamble(line, "accept")
 
 
 # -- field packers ----------------------------------------------------------
@@ -597,8 +580,8 @@ def encode_frame(
 ) -> bytes:
     """One complete v2 frame (length prefix included) for ``message``.
 
-    ``cid`` rides in the header exactly like v1's envelope-level
-    correlation id; ``trace`` (a
+    ``cid`` is the pipelining correlation id carried in the header;
+    ``trace`` (a
     :class:`~repro.obs.distributed.TraceContext`) adds the fixed-width
     trace-context block behind :data:`FLAG_TRACE`; ``spool`` (a
     :class:`~repro.service.artifacts.BlobSpool`) enables the same-host

@@ -152,8 +152,7 @@ class TestEngineBatch:
 
 
 class TestServiceBatch:
-    @pytest.mark.parametrize("protocol", ["v1", "v2"])
-    def test_batch_matches_scalar_over_the_wire(self, protocol):
+    def test_batch_matches_scalar_over_the_wire(self):
         rng = np.random.default_rng(3)
         feed = [tuple(rng.uniform(0, 100, len(PARENTS))) for __ in range(4)]
         rows = [tuple(rng.uniform(0, 100, len(PARENTS))) for __ in range(5)]
@@ -166,9 +165,7 @@ class TestServiceBatch:
             return session
 
         with ServiceThread(TopKService()) as live:
-            with SocketClient(
-                live.host, live.port, protocol=protocol
-            ) as client:
+            with SocketClient(live.host, live.port) as client:
                 scalar = open_fed(client)
                 batched = open_fed(client)
                 replies = [scalar.query(row) for row in rows]
@@ -184,7 +181,7 @@ class TestServiceBatch:
             [rng.uniform(0, 100, len(PARENTS)) for __ in range(3)]
         )
         with ServiceThread(TopKService()) as live:
-            with SocketClient(live.host, live.port, protocol="v2") as client:
+            with SocketClient(live.host, live.port) as client:
                 topology_id = client.register_topology(PARENTS)
                 session = client.open_session(
                     topology_id, 2, budget_mj=500.0
@@ -200,7 +197,7 @@ class TestServiceBatch:
         from repro.errors import SessionError
 
         with ServiceThread(TopKService()) as live:
-            with SocketClient(live.host, live.port, protocol="v2") as client:
+            with SocketClient(live.host, live.port) as client:
                 with pytest.raises(SessionError):
                     client.request(
                         msg.SubmitBatch(

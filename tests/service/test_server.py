@@ -15,6 +15,7 @@ from repro.errors import (
 from repro.obs import Instrumentation
 from repro.plans.serialize import plan_from_dict
 from repro.service import messages as msg
+from repro.service import wire
 from repro.service.server import ServiceConfig, TopKService
 
 PARENTS = (-1, 0, 0, 1, 1, 2, 5)
@@ -291,27 +292,34 @@ def test_error_counters_track_typed_failures(clock):
     assert obs.counter("service.errors.SessionError").value == 1
 
 
-# -- line transport ---------------------------------------------------------
+# -- frame transport --------------------------------------------------------
 
 
-def test_handle_line_round_trip(service):
-    line = msg.encode(msg.RegisterTopology(parents=PARENTS))
-    reply = msg.decode(service.handle_line(line))
+def _frame_reply(service, body: bytes):
+    reply, cid = wire.decode_frame(service.handle_frame(body)[4:])
+    return reply, cid
+
+
+def test_handle_frame_round_trip(service):
+    frame = wire.encode_frame(msg.RegisterTopology(parents=PARENTS), cid=9)
+    reply, cid = _frame_reply(service, frame[4:])
     assert isinstance(reply, msg.TopologyRegistered)
+    assert cid == 9
 
 
-def test_handle_line_serializes_typed_errors(service):
-    reply = msg.decode(
-        service.handle_line(msg.encode(msg.GetPlan(session_id="sX")))
-    )
+def test_handle_frame_serializes_typed_errors(service):
+    frame = wire.encode_frame(msg.GetPlan(session_id="sX"), cid=4)
+    reply, cid = _frame_reply(service, frame[4:])
     assert isinstance(reply, msg.ErrorReply)
     assert reply.error == "SessionError"
+    assert cid == 4
 
 
-def test_handle_line_survives_garbage(service):
-    reply = msg.decode(service.handle_line("{{{{ not json"))
+def test_handle_frame_survives_garbage(service):
+    reply, cid = _frame_reply(service, b"\xff" * 16)
     assert isinstance(reply, msg.ErrorReply)
-    assert reply.error == "ServiceError"
+    assert reply.error == "ProtocolError"
+    assert cid is None
 
 
 def test_handle_rejects_reply_kinds(service):

@@ -11,6 +11,7 @@ from repro.errors import (
     SessionError,
 )
 from repro.service import messages as msg
+from repro.service import wire
 from repro.service.client import InProcessClient, SocketClient
 from repro.service.server import ServiceConfig, ServiceThread, TopKService
 
@@ -22,39 +23,19 @@ def _rows(n=4, nodes=len(PARENTS), seed=11):
     return [rng.normal(25, 3, nodes) for __ in range(n)]
 
 
-# -- envelope correlation ids ----------------------------------------------
+# -- correlation ids ---------------------------------------------------------
 
 
-def test_envelope_cid_round_trips():
-    request = msg.GetStats()
-    line = msg.encode(request, cid=7)
-    decoded, cid = msg.decode_envelope(line)
-    assert decoded == request
-    assert cid == 7
-
-
-def test_envelope_without_cid_decodes_to_none():
-    decoded, cid = msg.decode_envelope(msg.encode(msg.GetStats()))
-    assert decoded == msg.GetStats()
-    assert cid is None
-
-
-def test_non_integer_cid_is_rejected():
-    line = msg.encode(msg.GetStats()).replace("}", ', "cid": "x"}')
-    with pytest.raises(ServiceError, match="correlation id"):
-        msg.decode_envelope(line)
-
-
-def test_handle_line_echoes_cid_on_success_and_error():
+def test_handle_frame_echoes_cid_on_success_and_error():
     service = TopKService()
-    ok = service.handle_line(msg.encode(msg.GetStats(), cid=3))
-    reply, cid = msg.decode_envelope(ok)
+    ok = service.handle_frame(wire.encode_frame(msg.GetStats(), cid=3)[4:])
+    reply, cid = wire.decode_frame(ok[4:])
     assert isinstance(reply, msg.StatsReply)
     assert cid == 3
-    bad = service.handle_line(
-        msg.encode(msg.GetPlan(session_id="sX"), cid=4)
+    bad = service.handle_frame(
+        wire.encode_frame(msg.GetPlan(session_id="sX"), cid=4)[4:]
     )
-    reply, cid = msg.decode_envelope(bad)
+    reply, cid = wire.decode_frame(bad[4:])
     assert isinstance(reply, msg.ErrorReply)
     assert cid == 4
 
@@ -62,7 +43,7 @@ def test_handle_line_echoes_cid_on_success_and_error():
 def test_oversized_frame_rejected_at_decode():
     line = msg.encode(msg.GetStats()) + " " * msg.MAX_FRAME_BYTES
     with pytest.raises(ServiceError, match="protocol limit"):
-        msg.decode_envelope(line)
+        msg.decode(line)
 
 
 # -- pipelined flow, both transports ---------------------------------------
@@ -154,23 +135,22 @@ def test_stream_yields_lazily():
 
 
 def test_oversized_frame_over_socket_gets_error_reply():
+    """An over-long first line is a preamble violation: one
+    ``ProtocolError`` reply frame, the same type the frame loop uses
+    for an oversized length prefix, then the connection closes."""
     with ServiceThread(TopKService()) as live:
         with socket.create_connection(
             (live.host, live.port), timeout=10
         ) as raw:
             raw.sendall(b"x" * (msg.MAX_FRAME_BYTES + 2048) + b"\n")
             raw.settimeout(10)
-            blob = b""
-            while not blob.endswith(b"\n"):
-                chunk = raw.recv(65536)
-                if not chunk:
-                    break
-                blob += chunk
-            reply, __ = msg.decode_envelope(blob.decode())
+            handle = raw.makefile("rb")
+            reply, __ = wire.decode_frame(wire.read_frame_blocking(handle))
             assert isinstance(reply, msg.ErrorReply)
+            assert reply.error == "ProtocolError"
             assert "protocol limit" in reply.message
             # the connection is closed after the protocol violation
-            assert raw.recv(1) == b""
+            assert handle.read(1) == b""
 
 
 # -- liveness: timeouts, retry, unavailability ------------------------------

@@ -1,14 +1,14 @@
-"""Trace-context propagation over both wire protocols (S3).
+"""Trace-context propagation over the binary wire protocol (S3).
 
-The context must ride a v2 frame's header block and a v1 envelope's
-``trace`` field byte-exactly, survive the idempotent reconnect-retry,
-and stitch client and server spans under one trace id.
+The context must ride a frame's header block byte-exactly, survive the
+idempotent reconnect-retry, and stitch client and server spans under
+one trace id.
 """
 
 import numpy as np
 import pytest
 
-from repro.errors import ProtocolError, ServiceError, ServiceUnavailableError
+from repro.errors import ProtocolError, ServiceUnavailableError
 from repro.obs import Instrumentation, TraceContext
 from repro.service import messages as msg
 from repro.service import wire
@@ -63,35 +63,6 @@ class TestV2Frames:
             wire.encode_frame(msg.GetStats(), trace=bad)
 
 
-class TestV1Envelopes:
-    def test_trace_field_round_trips(self):
-        request = msg.GetStats()
-        line = msg.encode(request, cid=3, trace=CTX)
-        decoded, cid, trace = msg.decode_envelope_trace(line)
-        assert decoded == request
-        assert cid == 3
-        assert trace == CTX
-
-    def test_absent_trace_decodes_as_none(self):
-        decoded, cid, trace = msg.decode_envelope_trace(
-            msg.encode(msg.GetStats())
-        )
-        assert (decoded, cid, trace) == (msg.GetStats(), None, None)
-
-    def test_legacy_decode_envelope_stays_a_two_tuple(self):
-        line = msg.encode(msg.GetStats(), trace=CTX)
-        assert msg.decode_envelope(line) == (msg.GetStats(), None)
-
-    @pytest.mark.parametrize("bad", [[0, 0], [1], "x", [1, 2, 3]])
-    def test_malformed_trace_field_is_a_service_error(self, bad):
-        import json
-
-        envelope = json.loads(msg.encode(msg.GetStats()))
-        envelope["trace"] = bad
-        with pytest.raises(ServiceError):
-            msg.decode_envelope_trace(json.dumps(envelope))
-
-
 # -- server-side adoption ---------------------------------------------------
 
 
@@ -100,13 +71,6 @@ class TestServerAdoption:
         (root,) = service.instrumentation.spans.roots
         assert root.name == "service.request"
         return root
-
-    def test_v1_line_annotates_the_request_span(self):
-        service = TopKService(instrumentation=Instrumentation())
-        service.handle_line(msg.encode(msg.GetStats(), trace=CTX))
-        span = self._span_of(service)
-        assert span.attributes["trace_id"] == CTX.trace_id
-        assert span.attributes["parent_span_id"] == CTX.parent_span_id
 
     def test_v2_frame_annotates_the_request_span(self):
         service = TopKService(instrumentation=Instrumentation())
@@ -118,7 +82,7 @@ class TestServerAdoption:
 
     def test_untraced_requests_leave_spans_unannotated(self):
         service = TopKService(instrumentation=Instrumentation())
-        service.handle_line(msg.encode(msg.GetStats()))
+        service.handle_frame(wire.encode_frame(msg.GetStats())[4:])
         assert "trace_id" not in self._span_of(service).attributes
 
 
@@ -135,18 +99,16 @@ def _query_session(client):
     session.close()
 
 
-@pytest.mark.parametrize("protocol", ["v1", "v2"])
-def test_client_and_server_spans_share_one_trace_per_request(protocol):
+def test_client_and_server_spans_share_one_trace_per_request():
     service = TopKService(
         ServiceConfig(), instrumentation=Instrumentation()
     )
     obs = Instrumentation()
     with ServiceThread(service) as live:
         with SocketClient(
-            live.host, live.port, protocol=protocol, instrumentation=obs
+            live.host, live.port, instrumentation=obs
         ) as client:
             _query_session(client)
-            assert client.protocol_version == protocol
     client_traces = [
         root.attributes["trace_id"] for root in obs.spans.roots
         if root.name == "client.request"

@@ -1,8 +1,12 @@
 """Binary protocol v2: exact round-trips on both codecs, strictness,
-and the shared-memory blob fast path."""
+the shared-memory blob fast path, and the socket boundary (preamble
+and mid-connection violations)."""
 
+import inspect
 import math
+import socket
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -13,6 +17,9 @@ from repro.errors import ProtocolError
 from repro.service import messages as msg
 from repro.service import wire
 from repro.service.artifacts import BlobSpool
+from repro.service.client import SocketClient, connect
+from repro.service.server import ServiceConfig, ServiceThread, TopKService
+from repro.service.shard import ShardedClient, ShardedService
 
 EXAMPLES = [
     msg.RegisterTopology(parents=(-1, 0, 0, 1, 1)),
@@ -293,16 +300,13 @@ def test_zero_copy_array_mode():
     np.testing.assert_array_equal(arr, matrix)
 
 
-# -- negotiation lines ------------------------------------------------------
+# -- preamble lines ---------------------------------------------------------
 
 def test_negotiation_lines_round_trip():
     assert wire.parse_hello(wire.hello_line()) == {}
     assert wire.parse_accept(wire.accept_line("/tmp/x")) == {
         "blob_dir": "/tmp/x"
     }
-    assert wire.is_negotiation_line(wire.hello_line())
-    assert not wire.is_negotiation_line(b'{"kind": "get_stats"}\n')
-    assert not wire.is_negotiation_line(b"")
 
 
 @pytest.mark.parametrize(
@@ -441,3 +445,209 @@ def test_read_frame_blocking_round_trip():
 def test_read_frame_blocking_rejects_bad_streams(data, match):
     with pytest.raises(ProtocolError, match=match):
         wire.read_frame_blocking(_Stream(data))
+
+
+# -- the socket boundary ----------------------------------------------------
+# Every socket below carries a read timeout, so a regression that leaves
+# either side waiting fails the test instead of hanging the run.
+
+TIMEOUT_S = 10.0
+PARENTS = (-1, 0, 0, 1, 1, 2, 5)
+
+
+def _server(**overrides):
+    return ServiceThread(TopKService(ServiceConfig(**overrides)))
+
+
+def _client(live):
+    return SocketClient(live.host, live.port, timeout_s=TIMEOUT_S)
+
+
+def _exercise(client):
+    """One full session with a scalar and a batched query."""
+    rng = np.random.default_rng(3)
+    topology_id = client.register_topology(PARENTS)
+    session = client.open_session(topology_id, 2, budget_mj=500.0)
+    rows = [tuple(rng.uniform(0, 100, len(PARENTS))) for __ in range(4)]
+    for row in rows[:3]:
+        session.feed(row)
+    session.query(rows[3])
+    session.query_batch(np.array(rows))
+
+
+def _raw_connection(live):
+    raw = socket.create_connection((live.host, live.port), timeout=TIMEOUT_S)
+    raw.settimeout(TIMEOUT_S)
+    return raw, raw.makefile("rwb")
+
+
+def _raw_after_preamble(live):
+    raw, handle = _raw_connection(live)
+    handle.write(wire.hello_line())
+    handle.flush()
+    wire.parse_accept(handle.readline())
+    return raw, handle
+
+
+def _read_error_frame(handle):
+    reply, __ = wire.decode_frame(wire.read_frame_blocking(handle))
+    assert isinstance(reply, msg.ErrorReply)
+    return reply
+
+
+def _assert_listener_serves(live):
+    with _client(live) as client:
+        assert isinstance(client.request(msg.GetStats()), msg.StatsReply)
+
+
+def _assert_preamble_refused(first_line: bytes) -> None:
+    """One ``ProtocolError`` reply frame, then EOF; the listener keeps
+    serving fresh clients."""
+    with _server() as live:
+        raw, handle = _raw_connection(live)
+        try:
+            handle.write(first_line)
+            handle.flush()
+            reply = _read_error_frame(handle)
+            assert reply.error == "ProtocolError"
+            assert handle.read(1) == b""
+        finally:
+            raw.close()
+        _assert_listener_serves(live)
+
+
+def test_json_line_preamble_gets_error_frame_then_eof():
+    _assert_preamble_refused(msg.encode(msg.GetStats()).encode() + b"\n")
+
+
+def test_unsupported_hello_version_gets_error_frame_then_eof():
+    _assert_preamble_refused(b"\x00repro-wire hello v99 {}\n")
+
+
+def test_client_rejects_a_non_accept_answer():
+    """A peer answering the hello with any other line (and then holding
+    the connection open) raises ``ProtocolError`` at once."""
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        listener.settimeout(TIMEOUT_S)
+        port = listener.getsockname()[1]
+        done = threading.Event()
+
+        def peer():
+            conn, __ = listener.accept()
+            with conn:
+                conn.settimeout(TIMEOUT_S)
+                conn.makefile("rb").readline()
+                conn.sendall(b"not an accept line\n")
+                done.wait(TIMEOUT_S)
+
+        thread = threading.Thread(target=peer, daemon=True)
+        thread.start()
+        try:
+            client = SocketClient("127.0.0.1", port, timeout_s=TIMEOUT_S)
+            with pytest.raises(ProtocolError, match="did not accept"):
+                client.request(msg.GetStats())
+            assert client._sock is None  # torn down before raising
+        finally:
+            done.set()
+            thread.join(TIMEOUT_S)
+        assert not thread.is_alive()
+
+
+@pytest.mark.parametrize(
+    "surface",
+    [SocketClient, connect, ShardedClient, ShardedService.client],
+    ids=lambda surface: surface.__qualname__,
+)
+def test_no_knob_selects_a_protocol(surface):
+    assert "protocol" not in ServiceConfig.__dataclass_fields__
+    assert "protocol" not in inspect.signature(surface).parameters
+
+
+def test_garbage_frame_body_gets_error_reply_and_survives():
+    """A well-framed but undecodable body is a per-request error and
+    the connection keeps serving."""
+    with _server() as live:
+        raw, handle = _raw_after_preamble(live)
+        try:
+            # a plausible length prefix fronting a nonsense body
+            handle.write(struct.pack(">I", 16) + b"\xff" * 16)
+            handle.flush()
+            reply = _read_error_frame(handle)
+            assert reply.error == "ProtocolError"
+            handle.write(wire.encode_frame(msg.GetStats()))
+            handle.flush()
+            body = wire.read_frame_blocking(handle)
+            decoded, __ = wire.decode_frame(body)
+            assert isinstance(decoded, msg.StatsReply)
+        finally:
+            raw.close()
+
+
+def test_bogus_length_prefix_gets_error_then_close():
+    with _server() as live:
+        raw, handle = _raw_after_preamble(live)
+        try:
+            handle.write(struct.pack(">I", msg.MAX_FRAME_BYTES + 1))
+            handle.flush()
+            reply = _read_error_frame(handle)
+            assert reply.error == "ProtocolError"
+            assert "protocol limit" in reply.message
+            assert handle.read(1) == b""
+        finally:
+            raw.close()
+
+
+def test_truncated_length_prefix_is_survived():
+    """A client dying mid-prefix must not wedge or crash the server."""
+    with _server() as live:
+        raw, handle = _raw_after_preamble(live)
+        handle.write(b"\x00\x00")
+        handle.flush()
+        raw.close()
+        _assert_listener_serves(live)
+
+
+def test_truncated_frame_body_is_survived():
+    with _server() as live:
+        raw, handle = _raw_after_preamble(live)
+        handle.write(struct.pack(">I", 64) + b"\x00" * 10)
+        handle.flush()
+        raw.close()
+        _assert_listener_serves(live)
+
+
+def test_oversized_v2_frame_from_server_side_client():
+    """An oversized *encode* is refused client-side before it ships."""
+    with _server() as live:
+        with _client(live) as client:
+            topology_id = client.register_topology(PARENTS)
+            session = client.open_session(topology_id, 2, budget_mj=500.0)
+            with pytest.raises(ProtocolError, match="protocol limit"):
+                session.query_batch(np.zeros((25_000, len(PARENTS))))
+
+
+def test_reconnect_retry_repeats_the_preamble():
+    with _server() as live:
+        with _client(live) as client:
+            assert isinstance(client.request(msg.GetStats()), msg.StatsReply)
+            # sever the transport under the client: the idempotent
+            # retry reconnects and opens the new connection with the
+            # preamble again
+            client._sock.shutdown(socket.SHUT_RDWR)
+            stats = client.request(msg.GetStats())
+    assert stats.counters["wire"]["connections"] == 2
+
+
+def test_wire_stats_expose_bytes_per_request():
+    with _server() as live:
+        with _client(live) as client:
+            _exercise(client)
+            stats = client.request(msg.GetStats())
+    wire_stats = stats.counters["wire"]
+    assert wire_stats["connections"] == 1
+    assert wire_stats["requests"] > 0
+    assert wire_stats["request_bytes"] > 0
+    assert wire_stats["reply_bytes"] > 0
+    assert wire_stats["bytes_per_request"] > 0

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
@@ -123,6 +125,18 @@ class TestStats:
         assert "hottest nodes" in out
         assert "burn-down" in out
         assert "network lifetime" in out
+
+    def test_service_demo_reports_the_wire_phase(self, capsys):
+        assert main(self.DEMO + ["--service"]) == 0
+        out = capsys.readouterr().out
+        table = out.split("wire & blob spool per shard\n", 1)[1]
+        header, __, row = table.splitlines()[:3]
+        cells = dict(zip(header.split(), row.split()))
+        assert int(cells["requests"]) > 0
+        assert int(cells["request_bytes"]) > 0
+        # the wire metrics carry no per-protocol suffix
+        for name in ("connections", "request_bytes", "reply_bytes"):
+            assert re.search(rf"^service\.wire\.{name}\s", out, re.M)
 
 
 class TestTrace:
