@@ -6,9 +6,10 @@ Two measurements, both against the scalar epoch-by-epoch oracle:
   n = 60 — :class:`~repro.simulation.batch.BatchSimulator` versus a
   ``Simulator.run_collection`` loop.  Acceptance bar: >= 8x.
 - ``fig3``: the full Figure 3 experiment end-to-end with
-  ``engine="batch"`` (vectorized replay, batched NAIVE-k, vectorized
-  ORACLE plan sweep) versus ``engine="scalar"``.  Acceptance bar:
-  >= 3x wall time.
+  ``engine="batch"`` (vectorized replay; NAIVE-k built directly from
+  one row-wise sort; ORACLE priced as one ``(k·E, n)`` bandwidth
+  matrix) versus ``engine="scalar"``.  Acceptance bar: >= 3x wall
+  time.
 
 Equivalence is asserted alongside the timings: identical per-epoch
 node sets and energies within 1e-9 relative tolerance.
@@ -17,18 +18,18 @@ node sets and energies within 1e-9 relative tolerance.
 trace sizes for the CI smoke job, which checks equivalence and records
 the numbers without enforcing the full-size speedup bars.  Besides the
 human-readable ``results/batchsim.txt`` table, a machine-readable
-``results/BENCH_batchsim.json`` is written for the CI artifact.
+``results/BENCH_batchsim.json`` (``BENCH_batchsim.quick.json`` for a
+quick run) is written for the CI artifact.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
 
 import numpy as np
-from _helpers import RESULTS_DIR, record
+from _helpers import record, write_payload
 
 from repro.datagen.gaussian import random_gaussian_field
 from repro.experiments import fig3_comparison
@@ -111,6 +112,7 @@ def _archive(rows: list[dict], quick: bool) -> None:
         rows,
         columns=["workload", "scalar_s", "batch_s", "speedup"],
         title="Batched simulation vs scalar oracle",
+        quick=quick,
     )
     payload = {
         "benchmark": "batchsim",
@@ -122,9 +124,7 @@ def _archive(rows: list[dict], quick: bool) -> None:
             "enforced": not quick,
         },
     }
-    (RESULTS_DIR / "BENCH_batchsim.json").write_text(
-        json.dumps(payload, indent=2) + "\n"
-    )
+    write_payload(payload)
 
 
 def _assert_bars(rows: list[dict], quick: bool) -> None:

@@ -18,7 +18,8 @@ identical optimum — is asserted here, against the cold cache.
 size ladder for the CI smoke job, which checks optimum equality and
 records the numbers without enforcing the full-size bar.  Besides the
 human-readable ``results/fastpath.txt`` table, a machine-readable
-``results/BENCH_fastpath.json`` is written for the regression gate.
+``results/BENCH_fastpath.json`` (``BENCH_fastpath.quick.json`` for a
+quick run) is written for the regression gate.
 
 The oracle lives under ``tests/``, so the repository root must be
 importable: ``cd benchmarks; PYTHONPATH=../src:.. python
@@ -27,13 +28,12 @@ bench_fastpath.py --quick`` (under pytest, ``conftest.py`` adds it).
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
 
 import numpy as np
-from _helpers import RESULTS_DIR, record
+from _helpers import record, write_payload
 
 from repro.datagen.gaussian import random_gaussian_field
 from repro.lp import ScipyBackend, compile_model
@@ -113,6 +113,7 @@ def _archive(rows: list[dict], quick: bool) -> None:
             "fast_warm_s", "speedup_cold", "speedup_warm",
         ],
         title="LP compilation: fast path vs algebraic oracle",
+        quick=quick,
     )
     payload = {
         "benchmark": "fastpath",
@@ -129,9 +130,7 @@ def _archive(rows: list[dict], quick: bool) -> None:
             "enforced": not quick,
         },
     }
-    (RESULTS_DIR / "BENCH_fastpath.json").write_text(
-        json.dumps(payload, indent=2) + "\n"
-    )
+    write_payload(payload)
 
 
 def _assert_bars(rows: list[dict], quick: bool) -> None:

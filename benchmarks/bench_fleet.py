@@ -25,18 +25,18 @@ byte-for-byte equality with the serial path is covered by
 grid for the CI smoke job, which checks equivalence and records the
 numbers without enforcing the full-size speedup bar.  Besides the
 human-readable ``results/fleet.txt`` table, a machine-readable
-``results/BENCH_fleet.json`` is written for the CI artifact.
+``results/BENCH_fleet.json`` (``BENCH_fleet.quick.json`` for a quick
+run) is written for the CI artifact.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
 
 import numpy as np
-from _helpers import RESULTS_DIR, record
+from _helpers import record, write_payload
 
 from repro.network.builder import random_topology
 from repro.network.energy import EnergyModel
@@ -125,6 +125,7 @@ def _archive(rows: list[dict], quick: bool) -> None:
             "per_cell_s", "fleet_s", "speedup",
         ],
         title="Fleet grid pass vs per-cell BatchSimulator loops",
+        quick=quick,
     )
     payload = {
         "benchmark": "fleet",
@@ -135,9 +136,7 @@ def _archive(rows: list[dict], quick: bool) -> None:
             "enforced": not quick,
         },
     }
-    (RESULTS_DIR / "BENCH_fleet.json").write_text(
-        json.dumps(payload, indent=2) + "\n"
-    )
+    write_payload(payload)
 
 
 def _assert_bars(rows: list[dict], quick: bool) -> None:

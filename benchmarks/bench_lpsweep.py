@@ -23,12 +23,12 @@ at degenerate alternate optima, so raw vectors are not compared).
 instance for the CI smoke job, which checks equivalence and records
 the numbers without enforcing the full-size speedup bar.  Besides the
 human-readable ``results/lpsweep.txt`` table, a machine-readable
-``results/BENCH_lpsweep.json`` is written for the CI artifact.
+``results/BENCH_lpsweep.json`` (``BENCH_lpsweep.quick.json`` for a
+quick run) is written for the CI artifact.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
@@ -42,7 +42,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_name] = "1"
 
 import numpy as np
-from _helpers import RESULTS_DIR, record
+from _helpers import record, write_payload
 
 from repro.datagen.gaussian import random_gaussian_field
 from repro.lp import ScipyBackend, SimplexBackend, compile_lp_lf
@@ -134,6 +134,7 @@ def _archive(rows: list[dict], quick: bool) -> None:
         rows,
         columns=["backend", "budgets", "warm_hits", "sweep_s", "cold_s", "speedup"],
         title="Parametric budget sweep vs per-budget cold solves (LP+LF)",
+        quick=quick,
     )
     payload = {
         "benchmark": "lpsweep",
@@ -144,9 +145,7 @@ def _archive(rows: list[dict], quick: bool) -> None:
             "enforced": not quick,
         },
     }
-    (RESULTS_DIR / "BENCH_lpsweep.json").write_text(
-        json.dumps(payload, indent=2) + "\n"
-    )
+    write_payload(payload)
 
 
 def _assert_bars(rows: list[dict], quick: bool) -> None:

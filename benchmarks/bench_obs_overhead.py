@@ -19,6 +19,7 @@ share of an uninstrumented planning run spent inside no-op
 observability hooks.  The ISSUE bar, < 2%, is asserted here together
 with the singleton identities that make the disabled path
 allocation-free.  A machine-readable ``results/BENCH_obs_overhead.json``
+(``BENCH_obs_overhead.quick.json`` for a quick run)
 is written for the regression gate, whose acceptance maximum re-checks
 the 2% bar; the fraction is a machine-relative ratio, so it stays
 meaningful across runner hardware.
@@ -36,13 +37,12 @@ well inside the bar.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
 
 import numpy as np
-from _helpers import RESULTS_DIR, record
+from _helpers import record, write_payload
 
 from repro.datagen.gaussian import random_gaussian_field
 from repro.network.builder import random_topology
@@ -216,6 +216,7 @@ def _archive(rows: list[dict], quick: bool) -> None:
             "overhead_fraction",
         ],
         title="Disabled-instrumentation overhead on the planning hot path",
+        quick=quick,
     )
     payload = {
         "benchmark": "obs_overhead",
@@ -227,9 +228,7 @@ def _archive(rows: list[dict], quick: bool) -> None:
             "enforced": True,
         },
     }
-    (RESULTS_DIR / "BENCH_obs_overhead.json").write_text(
-        json.dumps(payload, indent=2) + "\n"
-    )
+    write_payload(payload)
 
 
 def _assert_bars(rows: list[dict], quick: bool) -> None:

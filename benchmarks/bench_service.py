@@ -18,7 +18,8 @@ over the shared compile count (sessions/1 when the cache works).  The
 acceptance bars from the issue — >= 500 queries/sec with p99 < 50 ms
 on the shared n = 60 workload, and a >= 10x compile-count reduction —
 are asserted here at full size and archived into
-``results/BENCH_service.json`` for the regression gate.
+``results/BENCH_service.json``
+(``BENCH_service.quick.json`` for a quick run) for the regression gate.
 
 A third family, ``wire_*``, measures one pipelined socket connection
 over the binary wire protocol: ``wire_v2`` streams
@@ -42,13 +43,12 @@ without enforcing full-size bars.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
 
 import numpy as np
-from _helpers import RESULTS_DIR, record
+from _helpers import record, write_payload
 
 from repro.network.builder import random_topology
 from repro.obs import Instrumentation
@@ -248,6 +248,7 @@ def _archive(rows: list[dict], quick: bool) -> None:
             "compile_speedup", "batch_speedup", "identical",
         ],
         title="Multi-tenant service load: shared vs private plan caches",
+        quick=quick,
     )
     minima = [
         {
@@ -291,9 +292,7 @@ def _archive(rows: list[dict], quick: bool) -> None:
             "enforced": not quick,
         },
     }
-    (RESULTS_DIR / "BENCH_service.json").write_text(
-        json.dumps(payload, indent=2) + "\n"
-    )
+    write_payload(payload)
 
 
 def _assert_bars(rows: list[dict], quick: bool) -> None:

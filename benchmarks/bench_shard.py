@@ -34,13 +34,12 @@ worker counts and request volumes for the CI smoke job.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
 
 import numpy as np
-from _helpers import RESULTS_DIR, record
+from _helpers import record, write_payload
 
 from repro.network.builder import random_topology
 from repro.network.energy import EnergyModel
@@ -319,6 +318,7 @@ def _archive(rows: list[dict], quick: bool) -> None:
             "identical",
         ],
         title="Sharded service scaling and pipelined-client throughput",
+        quick=quick,
     )
     cores = _cores()
     minima = [
@@ -356,9 +356,7 @@ def _archive(rows: list[dict], quick: bool) -> None:
         "rows": rows,
         "acceptance": {"minima": minima, "enforced": True},
     }
-    (RESULTS_DIR / "BENCH_shard.json").write_text(
-        json.dumps(payload, indent=2) + "\n"
-    )
+    write_payload(payload)
 
 
 def _assert_bars(rows: list[dict], quick: bool) -> None:

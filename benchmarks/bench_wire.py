@@ -25,7 +25,8 @@ codec's on the same message; ``bytes_ratio`` is the JSON line size over
 the v2 frame's.  The acceptance bars — v2 >= 4x codec speed on the
 batched request, >= 1.2x on the ragged batched reply, and >= 2x byte
 compaction on the matrix — are asserted at full size and archived
-into ``results/BENCH_wire.json`` for the regression gate.
+into ``results/BENCH_wire.json``
+(``BENCH_wire.quick.json`` for a quick run) for the regression gate.
 
 ``run(quick=True)`` (or ``--quick`` / ``BENCH_QUICK=1``) shrinks the
 iteration counts for the CI smoke job, which still asserts round-trip
@@ -34,14 +35,13 @@ equality on every shape without enforcing the full-size bars.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import tempfile
 import time
 
 import numpy as np
-from _helpers import RESULTS_DIR, record
+from _helpers import record, write_payload
 
 from repro.service import messages as msg
 from repro.service import wire
@@ -156,6 +156,7 @@ def _archive(rows: list[dict], quick: bool) -> None:
             "codec_speedup", "bytes_v1", "bytes_v2", "bytes_ratio",
         ],
         title="Wire codec round-trips: JSON-lines v1 vs binary v2",
+        quick=quick,
     )
     payload = {
         "benchmark": "wire",
@@ -182,9 +183,7 @@ def _archive(rows: list[dict], quick: bool) -> None:
             "enforced": not quick,
         },
     }
-    (RESULTS_DIR / "BENCH_wire.json").write_text(
-        json.dumps(payload, indent=2) + "\n"
-    )
+    write_payload(payload)
 
 
 def _assert_bars(rows: list[dict], quick: bool) -> None:

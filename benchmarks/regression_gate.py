@@ -1,7 +1,9 @@
 """Perf-regression gate: fresh ``BENCH_*.json`` runs vs committed baselines.
 
 Every benchmark in this directory archives a machine-readable payload
-under ``results/`` (``BENCH_<name>.json``)::
+under ``results/`` (``BENCH_<name>.json``, or ``BENCH_<name>.quick.json``
+for a ``--quick`` run, so quick runs never overwrite the committed
+full-size results)::
 
     {"benchmark": "lpsweep", "quick": false, "rows": [...],
      "acceptance": {..., "enforced": true}}
@@ -40,6 +42,7 @@ Usage::
 
     python regression_gate.py                 # gate every fresh payload
     python regression_gate.py lpsweep         # gate one benchmark
+    python regression_gate.py --quick         # only the --quick payloads
     python regression_gate.py --tolerance 0.5 # looser bar for noisy CI
 
 Stdlib-only by design: the gate must run even where numpy/scipy are
@@ -291,11 +294,18 @@ def run_gate(
     baseline_dir: Path | str = DEFAULT_BASELINE_DIR,
     tolerance: float = DEFAULT_TOLERANCE,
     names: list[str] | None = None,
+    quick: bool = False,
 ) -> list[dict]:
-    """Gate every fresh ``BENCH_*.json`` (or just ``names``)."""
+    """Gate every fresh ``BENCH_*.json`` (or just ``names``).
+
+    ``quick`` restricts the gate to the ``BENCH_*.quick.json`` payloads
+    that ``--quick`` runs write, leaving the committed full-size
+    results beside them out.
+    """
     results_dir = Path(results_dir)
     baseline_dir = Path(baseline_dir)
-    fresh_paths = sorted(results_dir.glob("BENCH_*.json"))
+    suffix = ".quick.json" if quick else ".json"
+    fresh_paths = sorted(results_dir.glob(f"BENCH_*{suffix}"))
     if names:
         wanted = set(names)
         fresh_paths = [
@@ -307,7 +317,7 @@ def run_gate(
             for p in fresh_paths
         }
         for name in sorted(missing):
-            fresh_paths.append(results_dir / f"BENCH_{name}.json")
+            fresh_paths.append(results_dir / f"BENCH_{name}{suffix}")
 
     checks: list[dict] = []
     for path in fresh_paths:
@@ -398,12 +408,17 @@ def main(argv=None) -> int:
         "--tolerance", type=float, default=DEFAULT_TOLERANCE,
         help="allowed fractional drop in ratio metrics (default 0.25)",
     )
+    parser.add_argument(
+        "--quick", action="store_true",
+        help="gate only the BENCH_*.quick.json payloads of --quick runs",
+    )
     args = parser.parse_args(argv)
     checks = run_gate(
         results_dir=args.results_dir,
         baseline_dir=args.baseline_dir,
         tolerance=args.tolerance,
         names=args.names or None,
+        quick=args.quick,
     )
     if not checks:
         print("regression gate: nothing to check (no fresh payloads)")

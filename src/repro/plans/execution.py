@@ -165,6 +165,18 @@ def _sort_desc(
     )
 
 
+def sort_readings_desc(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every epoch's readings in the ``(value, node)`` descending order.
+
+    Returns ``(E, n)`` sorted values and their node ids (ties broken by
+    the higher node id, as :func:`~repro.plans.plan.top_k_set` and the
+    tree recursion of :func:`execute_plan_batch` break them), so the
+    first ``j`` columns are each epoch's exact top-``j``.
+    """
+    nodes = np.broadcast_to(np.arange(values.shape[1]), values.shape)
+    return _sort_desc(values, nodes)
+
+
 def _batch_via_scalar(
     plan: QueryPlan, values: np.ndarray, priority
 ) -> BatchCollectionResult:
@@ -188,6 +200,25 @@ def _batch_via_scalar(
     )
 
 
+def validate_readings_matrix(
+    topology: Topology, readings_matrix
+) -> np.ndarray:
+    """An ``(E, n)`` float trace for ``topology``, with ``E >= 1``."""
+    values = np.asarray(readings_matrix, dtype=np.float64)
+    if values.ndim != 2:
+        raise PlanError(
+            f"readings matrix must be 2-D (epochs, nodes), got {values.shape}"
+        )
+    if values.shape[0] == 0:
+        raise PlanError("readings matrix must contain at least one epoch")
+    if values.shape[1] != topology.n:
+        raise PlanError(
+            f"readings matrix covers {values.shape[1]} nodes,"
+            f" topology has {topology.n}"
+        )
+    return values
+
+
 def execute_plan_batch(
     plan: QueryPlan, readings_matrix, priority=None
 ) -> BatchCollectionResult:
@@ -207,18 +238,7 @@ def execute_plan_batch(
     vectorized) while still returning batch-shaped results.
     """
     topology = plan.topology
-    values = np.asarray(readings_matrix, dtype=np.float64)
-    if values.ndim != 2:
-        raise PlanError(
-            f"readings matrix must be 2-D (epochs, nodes), got {values.shape}"
-        )
-    if values.shape[0] == 0:
-        raise PlanError("readings matrix must contain at least one epoch")
-    if values.shape[1] != topology.n:
-        raise PlanError(
-            f"readings matrix covers {values.shape[1]} nodes,"
-            f" topology has {topology.n}"
-        )
+    values = validate_readings_matrix(topology, readings_matrix)
     if priority is not None:
         return _batch_via_scalar(plan, values, priority)
 

@@ -249,9 +249,7 @@ def parse_accept(line: bytes) -> dict:
 def _reject_nan(value: float) -> float:
     value = float(value)
     if not math.isfinite(value):
-        raise ProtocolError(
-            "non-finite float cannot cross the wire (v1 JSON parity)"
-        )
+        raise ProtocolError("non-finite float cannot cross the wire")
     return value
 
 
@@ -285,9 +283,7 @@ def _float_buffer(value) -> np.ndarray:
     same non-finite rejection the JSON codec applies."""
     arr = np.ascontiguousarray(value, dtype="<f8")
     if arr.size and not np.isfinite(arr).all():
-        raise ProtocolError(
-            "non-finite float cannot cross the wire (v1 JSON parity)"
-        )
+        raise ProtocolError("non-finite float cannot cross the wire")
     return arr
 
 
@@ -445,8 +441,8 @@ def _load_blob(view, offset, vectors, spool):
     name, offset = _unpack_str(view, offset, vectors, spool)
     if spool is None:
         raise ProtocolError(
-            "peer sent a blob reference but no spool directory was"
-            " negotiated on this connection"
+            "peer sent a blob reference but this connection has no"
+            " spool directory (the wire preamble advertised no blob_dir)"
         )
     return spool.load(name), offset
 
@@ -676,7 +672,7 @@ def decode_frame_trace(
     if offset != len(view):
         raise ProtocolError(
             f"{len(view) - offset} trailing payload bytes after"
-            f" {kind!r} frame fields (v1 unknown-field parity)"
+            f" {kind!r} frame fields"
         )
     return MESSAGE_KINDS[kind](**payload), cid, trace
 

@@ -39,6 +39,8 @@ from repro.plans.execution import (
     BatchCollectionResult,
     batch_transmitted_counts,
     execute_plan_batch,
+    sort_readings_desc,
+    validate_readings_matrix,
 )
 from repro.plans.plan import Message, QueryPlan
 from repro.query.accuracy import batch_accuracy
@@ -139,7 +141,8 @@ class BatchSimulator:
     The optional ``ledger`` is charged with the same per-node radio
     costs as the scalar simulator's (vectorized over epochs;
     equivalence-tested to 1e-9 rtol).  Not supported by
-    :meth:`run_plan_sweep`, which never builds a message log.
+    :meth:`run_plan_sweep` and :meth:`run_bandwidth_sweep`, which never
+    build a message log.
     """
 
     def __init__(
@@ -354,15 +357,38 @@ class BatchSimulator:
         )
 
     def run_naive_k(self, readings_matrix, k: int) -> BatchSimulationReport:
-        """NAIVE-k over every epoch (exact top-k, full-tree trigger)."""
+        """NAIVE-k over every epoch (exact top-k, full-tree trigger).
+
+        NAIVE-k is exact by construction, so no tree recursion runs:
+        the answer is the top-``k`` prefix of one row-wise ``(value,
+        node)`` sort, and every node ``u`` sends ``min(k, |desc(u)|)``
+        values, in post-order — the message log
+        :func:`~repro.plans.execution.execute_plan_batch` builds for
+        :meth:`QueryPlan.naive_k`, so failure draws and ledger charges
+        come out as they would from that replay.
+        """
+        if k < 1:
+            raise PlanError("k must be >= 1")
         started = time.perf_counter()
-        values = self._as_matrix(readings_matrix)
-        plan = QueryPlan.naive_k(self.topology, k)
-        result = execute_plan_batch(plan, values)
-        result.returned_values = result.returned_values[:, :k]
-        result.returned_nodes = result.returned_nodes[:, :k]
-        extra = trigger_cost(QueryPlan.full(self.topology), self.energy)
-        extra += self._acquisition(self.topology.n)
+        topology = self.topology
+        values = validate_readings_matrix(
+            topology, self._as_matrix(readings_matrix)
+        )
+        top_values, top_nodes = sort_readings_desc(values)
+        subtree = topology.subtree_size_array()
+        messages = [
+            Message(node, min(k, int(subtree[node])))
+            for node in topology.post_order()
+            if node != topology.root
+        ]
+        result = BatchCollectionResult(
+            returned_values=top_values[:, :k],
+            returned_nodes=top_nodes[:, :k],
+            messages=messages,
+            transmitted={m.edge: m.num_values for m in messages},
+        )
+        extra = trigger_cost(QueryPlan.full(topology), self.energy)
+        extra += self._acquisition(topology.n)
         return self._report(result, extra, label="naive-k", started=started)
 
     def run_plan_sweep(
@@ -371,13 +397,34 @@ class BatchSimulator:
         """Measured per-execution energies for ``C`` different plans.
 
         The sweep analogue of calling ``run_collection`` once per plan:
-        because transmitted counts are value-independent, the measured
-        collection energy of a plan needs no readings at all — one
+        packs the plans' bandwidths into one ``(C, n)`` matrix and
+        prices it with :meth:`run_bandwidth_sweep`, which refuses a
+        failure model.
+        """
+        bandwidths = np.zeros((len(plans), self.topology.n), dtype=np.int64)
+        for row, plan in enumerate(plans):
+            if plan.topology is not self.topology:
+                raise PlanError("plan sweep requires plans on this topology")
+            for edge, b in plan.bandwidths.items():
+                bandwidths[row, edge] = b
+        return self.run_bandwidth_sweep(bandwidths, include_trigger)
+
+    def run_bandwidth_sweep(
+        self, bandwidths: np.ndarray, include_trigger: bool = True
+    ) -> np.ndarray:
+        """Measured per-execution energies of ``C`` bandwidth vectors.
+
+        ``bandwidths`` is a ``(C, n)`` int matrix indexed by edge child
+        id, one plan per row.  Because transmitted counts are
+        value-independent, a plan's measured collection energy needs no
+        readings at all — one
         :func:`~repro.plans.execution.batch_transmitted_counts`
-        recursion over all plans yields every message size, and trigger
+        recursion over all rows yields every message size, and trigger
         plus acquisition costs vectorize over the active-node masks.
-        This is what makes per-epoch replanned baselines (ORACLE plans
-        a fresh node set every epoch) cheap to evaluate.
+        Each row is priced on its own, so its energy does not depend on
+        the other rows.  This is what makes per-epoch replanned
+        baselines (ORACLE plans a fresh node set every epoch) cheap to
+        evaluate.
 
         Failure injection is not supported here (each plan would need
         its own draw matrix, breaking the shared-draw discipline);
@@ -386,18 +433,13 @@ class BatchSimulator:
         """
         if self.failures is not None:
             raise PlanError(
-                "run_plan_sweep does not support failure injection;"
+                "plan sweeps do not support failure injection;"
                 " use run_collection per plan instead"
             )
-        if not plans:
+        bandwidths = np.atleast_2d(np.asarray(bandwidths, dtype=np.int64))
+        num_plans = bandwidths.shape[0]
+        if not num_plans:
             return np.zeros(0, dtype=np.float64)
-        n = self.topology.n
-        bandwidths = np.zeros((len(plans), n), dtype=np.int64)
-        for row, plan in enumerate(plans):
-            if plan.topology is not self.topology:
-                raise PlanError("plan sweep requires plans on this topology")
-            for edge, b in plan.bandwidths.items():
-                bandwidths[row, edge] = b
         counts, active = batch_transmitted_counts(self.topology, bandwidths)
         per_message = self.energy.per_message_mj
         per_value = self.energy.per_value_mj
@@ -411,10 +453,12 @@ class BatchSimulator:
                 [self.topology.parent(e) for e in self.topology.edges],
                 dtype=np.int64,
             )
-            active_children = np.zeros((len(plans), n), dtype=np.int64)
+            active_children = np.zeros(
+                (num_plans, self.topology.n), dtype=np.int64
+            )
             np.add.at(
                 active_children,
-                (np.arange(len(plans))[:, None], parents[None, :]),
+                (np.arange(num_plans)[:, None], parents[None, :]),
                 active[:, self.topology.edges].astype(np.int64),
             )
             broadcasters = ((active_children > 0) & active).sum(axis=1)

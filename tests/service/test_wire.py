@@ -250,7 +250,7 @@ def test_non_finite_floats_are_rejected_by_both_codecs(message):
 
 
 def test_trailing_bytes_are_rejected():
-    """The binary analog of v1's unknown-field rejection."""
+    """The binary analog of the JSON codec's unknown-field rejection."""
     frame = wire.encode_frame(msg.GetPlan(session_id="s9"))
     with pytest.raises(ProtocolError, match="trailing"):
         wire.decode_frame(frame[4:] + b"\x00")
@@ -371,6 +371,23 @@ def test_blob_reference_without_spool_is_rejected(tmp_path):
     )
     with pytest.raises(ProtocolError, match="no spool"):
         wire.decode_frame(framed[4:])
+
+
+def test_blob_reference_without_spool_error_reply_text(tmp_path):
+    """The exact ErrorReply a server without a spool sends back."""
+    spool = BlobSpool(tmp_path, threshold=64)
+    framed = wire.encode_frame(
+        msg.SubmitBatch(session_id="s", readings=np.ones((8, 8))),
+        spool=spool,
+    )
+    reply, __ = wire.decode_frame(TopKService().handle_frame(framed[4:])[4:])
+    assert reply == msg.ErrorReply(
+        error="ProtocolError",
+        message=(
+            "peer sent a blob reference but this connection has no spool"
+            " directory (the wire preamble advertised no blob_dir)"
+        ),
+    )
 
 
 @pytest.mark.parametrize(

@@ -16,11 +16,12 @@ from repro.network.builder import random_topology
 from repro.network.energy import EnergyModel
 from repro.network.failures import LinkFailureModel
 from repro.obs import EnergyLedger, Instrumentation
+from repro.plans.execution import bandwidth_vector, execute_plan_batch
 from repro.plans.plan import QueryPlan
 from repro.query.accuracy import accuracy
 from repro.simulation.batch import BatchSimulator
 from repro.simulation.runtime import Simulator
-from tests.conftest import tree_plan_readings
+from tests.conftest import tree_plan_readings, tree_with_readings
 
 MICA2 = EnergyModel.mica2()
 
@@ -148,6 +149,98 @@ def test_naive_k_equivalence(workload):
         )
 
 
+def _naive_k_by_recursion(simulator, trace, k):
+    """NAIVE-k as a replay: the tree recursion over ``QueryPlan.naive_k``,
+    accounted like any installed plan (the reference the direct build in
+    ``run_naive_k`` must reproduce)."""
+    plan = QueryPlan.naive_k(simulator.topology, k)
+    result = execute_plan_batch(plan, trace)
+    result.returned_values = result.returned_values[:, :k]
+    result.returned_nodes = result.returned_nodes[:, :k]
+    return simulator.account_collection(plan, result, label="naive-k")
+
+
+def _assert_same_naive_report(direct, replayed):
+    np.testing.assert_array_equal(
+        direct.returned_values, replayed.returned_values
+    )
+    np.testing.assert_array_equal(
+        direct.returned_nodes, replayed.returned_nodes
+    )
+    np.testing.assert_array_equal(direct.energy_mj, replayed.energy_mj)
+    np.testing.assert_array_equal(direct.num_retries, replayed.num_retries)
+    np.testing.assert_array_equal(
+        direct.failure_edges, replayed.failure_edges
+    )
+    np.testing.assert_array_equal(
+        direct.failure_matrix, replayed.failure_matrix
+    )
+    assert direct.num_messages == replayed.num_messages
+    assert direct.num_values_sent == replayed.num_values_sent
+    assert direct.detail.messages == replayed.detail.messages
+    assert direct.detail.transmitted == replayed.detail.transmitted
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree_with_readings(min_nodes=1), st.integers(min_value=1, max_value=16))
+def test_naive_k_direct_build_property(data, k):
+    """Any tree shape, tied integer readings, ``k`` up to past ``n``."""
+    topology, readings = data
+    trace = np.array([readings, readings[::-1]], dtype=np.float64)
+    simulator = BatchSimulator(topology, MICA2)
+    _assert_same_naive_report(
+        simulator.run_naive_k(trace, k),
+        _naive_k_by_recursion(simulator, trace, k),
+    )
+
+
+@pytest.mark.parametrize("k", [1, 4, 40])
+def test_naive_k_with_failures_and_ledger_matches_the_recursion(
+    workload, k
+):
+    """Same message order, so the shared seed draws the same failures
+    and the ledger is charged the same per-node costs."""
+    topology, __, trace = workload
+    failures = LinkFailureModel.uniform(
+        topology, probability=0.3, reroute_extra_mj=2.0
+    )
+    reports, ledgers = [], []
+    for run in (BatchSimulator.run_naive_k, _naive_k_by_recursion):
+        ledger = EnergyLedger(topology.n, capacity_mj=200.0)
+        simulator = BatchSimulator(
+            topology, MICA2, failures=failures,
+            rng=np.random.default_rng(3), ledger=ledger,
+        )
+        reports.append(run(simulator, trace, k))
+        ledgers.append(ledger)
+    direct, replayed = reports
+    assert int(direct.num_retries.sum()) > 0  # the draw actually bites
+    _assert_same_naive_report(direct, replayed)
+    direct_ledger, replayed_ledger = ledgers
+    np.testing.assert_array_equal(
+        direct_ledger.energy_mj, replayed_ledger.energy_mj
+    )
+    np.testing.assert_array_equal(
+        direct_ledger.messages, replayed_ledger.messages
+    )
+    np.testing.assert_array_equal(direct_ledger.bytes, replayed_ledger.bytes)
+    np.testing.assert_array_equal(
+        np.stack(direct_ledger.epoch_energy),
+        np.stack(replayed_ledger.epoch_energy),
+    )
+
+
+def test_naive_k_rejects_bad_k_and_matrices(workload):
+    topology, __, trace = workload
+    simulator = BatchSimulator(topology, MICA2)
+    with pytest.raises(PlanError, match="k must be"):
+        simulator.run_naive_k(trace, 0)
+    with pytest.raises(PlanError, match="covers"):
+        simulator.run_naive_k(trace[:, :-1], 2)
+    with pytest.raises(PlanError, match="at least one epoch"):
+        simulator.run_naive_k(trace[:0], 2)
+
+
 def test_plan_sweep_matches_per_plan_collections(workload):
     topology, __, trace = workload
     rng = np.random.default_rng(2)
@@ -172,6 +265,41 @@ def test_plan_sweep_rejects_failure_model(workload):
     simulator = BatchSimulator(topology, MICA2, failures=failures)
     with pytest.raises(PlanError, match="failure"):
         simulator.run_plan_sweep([plan])
+
+
+def test_bandwidth_sweep_equals_plan_sweep(workload):
+    topology, __, __trace = workload
+    rng = np.random.default_rng(4)
+    plans = [
+        QueryPlan.from_chosen_nodes(
+            topology,
+            set(rng.choice(topology.n, size=size, replace=False).tolist()),
+        )
+        for size in (1, 5, 12, 30)
+    ] + [QueryPlan.naive_k(topology, 3), QueryPlan.full(topology)]
+    bandwidths = np.array([bandwidth_vector(plan) for plan in plans])
+    simulator = BatchSimulator(topology, MICA2)
+    for include_trigger in (True, False):
+        np.testing.assert_array_equal(
+            simulator.run_bandwidth_sweep(bandwidths, include_trigger),
+            simulator.run_plan_sweep(plans, include_trigger),
+        )
+    # each row is priced on its own: one row alone gives the same energy
+    np.testing.assert_array_equal(
+        simulator.run_bandwidth_sweep(bandwidths[2]),
+        simulator.run_bandwidth_sweep(bandwidths)[2:3],
+    )
+    assert simulator.run_bandwidth_sweep(
+        np.zeros((0, topology.n), dtype=np.int64)
+    ).shape == (0,)
+
+
+def test_bandwidth_sweep_rejects_failure_model(workload):
+    topology, plan, __ = workload
+    failures = LinkFailureModel.uniform(topology, 0.1, 1.0)
+    simulator = BatchSimulator(topology, MICA2, failures=failures)
+    with pytest.raises(PlanError, match="failure"):
+        simulator.run_bandwidth_sweep(bandwidth_vector(plan))
 
 
 def test_accuracies_match_scalar_metric(workload):

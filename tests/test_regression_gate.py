@@ -218,6 +218,37 @@ class TestRunGate:
         checks = gate.run_gate(results_dir=results, baseline_dir=baselines)
         assert checks and all(c["passed"] for c in checks)
 
+    def test_quick_selector_leaves_full_payloads_out(self, tmp_path):
+        # a full payload that would fail sits beside a passing quick one
+        results, baselines = write_pair(
+            tmp_path, payload(simplex_speedup=1.0), payload()
+        )
+        (results / "BENCH_lpsweep.quick.json").write_text(
+            json.dumps(payload(quick=True))
+        )
+        (baselines / "BENCH_lpsweep.quick.json").write_text(
+            json.dumps(payload(quick=True))
+        )
+        assert not all(
+            c["passed"]
+            for c in gate.run_gate(results_dir=results, baseline_dir=baselines)
+        )
+        checks = gate.run_gate(
+            results_dir=results, baseline_dir=baselines, quick=True
+        )
+        assert checks and all(c["passed"] for c in checks)
+        assert gate.main(
+            ["--quick", "--results-dir", str(results),
+             "--baseline-dir", str(baselines), "lpsweep"]
+        ) == 0
+        (results / "BENCH_lpsweep.quick.json").unlink()
+        (check,) = gate.run_gate(
+            results_dir=results, baseline_dir=baselines, names=["lpsweep"],
+            quick=True,
+        )
+        assert check["row"].endswith("BENCH_lpsweep.quick.json")
+        assert "run the benchmark first" in check["detail"]
+
     def test_mode_mismatch_fails(self, tmp_path):
         # a quick baseline cannot vouch for a full-size run
         results = tmp_path / "results"
