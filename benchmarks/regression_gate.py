@@ -298,14 +298,19 @@ def run_gate(
 ) -> list[dict]:
     """Gate every fresh ``BENCH_*.json`` (or just ``names``).
 
-    ``quick`` restricts the gate to the ``BENCH_*.quick.json`` payloads
-    that ``--quick`` runs write, leaving the committed full-size
-    results beside them out.
+    The default mode gates the full-size payloads only: the
+    gitignored ``BENCH_*.quick.json`` files that local ``--quick`` runs
+    leave beside them are skipped.  ``quick`` selects exactly those
+    quick payloads instead, leaving the committed full-size results
+    out.
     """
     results_dir = Path(results_dir)
     baseline_dir = Path(baseline_dir)
     suffix = ".quick.json" if quick else ".json"
-    fresh_paths = sorted(results_dir.glob(f"BENCH_*{suffix}"))
+    fresh_paths = sorted(
+        path for path in results_dir.glob(f"BENCH_*{suffix}")
+        if quick or not path.name.endswith(".quick.json")
+    )
     if names:
         wanted = set(names)
         fresh_paths = [

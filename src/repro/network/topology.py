@@ -340,7 +340,14 @@ class Topology:
 
 def validate_readings(topology: Topology, readings: Iterable[float]) -> list[float]:
     """Check a readings vector against a topology; return it as a list."""
-    values = [float(v) for v in readings]
+    if (
+        isinstance(readings, np.ndarray)
+        and readings.dtype == np.float64
+        and readings.ndim == 1
+    ):
+        values = readings.tolist()  # the same Python floats, in one call
+    else:
+        values = [float(v) for v in readings]
     if len(values) != topology.n:
         raise TopologyError(
             f"readings length {len(values)} != node count {topology.n}"

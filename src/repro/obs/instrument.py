@@ -312,7 +312,8 @@ class _NullTimer:
     def __enter__(self) -> "_NullTimer":
         return self
 
-    def __exit__(self, *exc_info) -> None:
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        # fixed arity: cheaper to call than ``*exc_info`` packing
         return None
 
 

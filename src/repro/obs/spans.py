@@ -304,7 +304,8 @@ class _NullSpan:
     def __enter__(self) -> "_NullSpan":
         return self
 
-    def __exit__(self, *exc_info) -> None:
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        # fixed arity: cheaper to call than ``*exc_info`` packing
         return None
 
 

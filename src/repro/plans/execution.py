@@ -27,18 +27,23 @@ from repro.errors import PlanError
 from repro.network.energy import EnergyModel
 from repro.network.failures import LinkFailureModel
 from repro.network.topology import Topology, validate_readings
-from repro.plans.plan import Message, QueryPlan, Reading, tag_readings
+from repro.plans.plan import Message, QueryPlan, Reading
 
 
 @dataclass
 class CollectionResult:
-    """Outcome of one collection phase for an approximate plan."""
+    """Outcome of one collection phase for an approximate plan.
+
+    ``messages`` and ``transmitted`` are copies of the plan's
+    :class:`CollectionSchedule` (they do not depend on the readings);
+    only ``returned`` is computed per phase.
+    """
 
     returned: list[Reading]
     """Values available at the root after collection, sorted descending."""
 
     messages: list[Message] = field(default_factory=list)
-    """One entry per used edge that actually transmitted."""
+    """One entry per used edge that actually transmitted, in post-order."""
 
     transmitted: dict[int, int] = field(default_factory=dict)
     """Actual number of values sent on each used edge."""
@@ -51,6 +56,51 @@ class CollectionResult:
         return {node for __, node in self.returned[:k]}
 
 
+class CollectionSchedule:
+    """The value-independent part of one plan's collection phase.
+
+    Every active node sends ``min(b_e, supply)`` values whatever the
+    readings are, so a plan fixes which nodes take part, in which
+    order, and the whole message log; only the identities of the
+    returned values change from one phase to the next.  The schedule is
+    compiled once per plan (:attr:`QueryPlan.schedule`) and shared by
+    every :func:`execute_plan` call on it.
+
+    ``pricing`` is a cache slot, keyed by the (frozen, hashable)
+    :class:`~repro.network.energy.EnergyModel`, that the simulator
+    fills with the schedule's per-model energy accounting.
+    """
+
+    def __init__(self, plan: QueryPlan) -> None:
+        topology = plan.topology
+        # Only subtrees reachable through positive bandwidths are
+        # triggered at all (the distribution phase skips the rest), so
+        # nodes cut off by a zero-bandwidth ancestor edge never transmit.
+        active = plan.visited_nodes
+        root = topology.root
+        steps: list[tuple[int, int, int]] = []
+        messages: list[Message] = []
+        transmitted: dict[int, int] = {}
+        for node in topology.post_order():
+            if node == root or node not in active:
+                continue
+            children = [c for c in topology.children(node) if c in active]
+            supply = 1 + sum(transmitted[c] for c in children)
+            bandwidth = plan.bandwidths[node]
+            steps.append((node, len(children), bandwidth))
+            count = min(bandwidth, supply)
+            messages.append(Message(node, count))
+            transmitted[node] = count
+        self.root = root
+        self.steps: tuple[tuple[int, int, int], ...] = tuple(steps)
+        """``(node, active children, bandwidth)`` per active non-root
+        node, in post-order."""
+        self.messages: tuple[Message, ...] = tuple(messages)
+        self.transmitted = transmitted
+        self.num_visited = len(active)
+        self.pricing: dict = {}
+
+
 def execute_plan(plan: QueryPlan, readings, priority=None) -> CollectionResult:
     """Run one collection phase of ``plan`` over a readings vector.
 
@@ -58,44 +108,48 @@ def execute_plan(plan: QueryPlan, readings, priority=None) -> CollectionResult:
     energy accounting.  Nodes below a zero-bandwidth edge neither send
     nor receive anything.
 
+    The walk follows the plan's compiled :class:`CollectionSchedule`:
+    each node merges its own reading with its active children's
+    buffers and sorts only when the merge holds more values than its
+    bandwidth lets it forward.  The message log and transmitted counts
+    come from the schedule.
+
     ``priority`` optionally replaces the forwarding order: each node
     keeps the ``b`` readings with the highest ``priority(reading)``
     instead of the plainly largest.  Top-k and selection queries use
     the default (value order); quantile queries (see
     :mod:`repro.queries`) forward the readings nearest their target
-    value instead.
+    value instead.  The sorts are stable and a merge lists the node's
+    own reading first, then its children's buffers in child order, so
+    readings with equal priority keep the same relative order whether
+    or not a buffer was sorted on the way up.
     """
-    topology = plan.topology
-    values = validate_readings(topology, readings)
-    tagged = tag_readings(values)
-    sort_key = priority if priority is not None else lambda reading: reading
-
-    # Only subtrees reachable through positive bandwidths are triggered
-    # at all (the distribution phase skips the rest), so nodes cut off
-    # by a zero-bandwidth ancestor edge never transmit.
-    active = plan.visited_nodes
-
-    buffers: dict[int, list[Reading]] = {}
-    messages: list[Message] = []
-    transmitted: dict[int, int] = {}
-
-    for node in topology.post_order():
-        if node not in active:
-            continue
-        local: list[Reading] = [tagged[node]]
-        for child in topology.children(node):
-            local.extend(buffers.pop(child, []))
-        local.sort(key=sort_key, reverse=True)
-        if node == topology.root:
-            local.sort(reverse=True)  # the answer is reported by value
-            return CollectionResult(
-                returned=local, messages=messages, transmitted=transmitted
-            )
-        outgoing = local[: plan.bandwidths[node]]
-        buffers[node] = outgoing
-        messages.append(Message(node, len(outgoing)))
-        transmitted[node] = len(outgoing)
-    raise PlanError("post-order walk did not end at the root")  # pragma: no cover
+    schedule = plan.schedule
+    values = validate_readings(plan.topology, readings)
+    # Post-order leaves a node's active children's buffers on top of
+    # the stack, last child on top (the traversal visits children in
+    # reverse), so they are merged in reverse stack order.
+    stack: list[list[Reading]] = []
+    for node, fan_in, bandwidth in schedule.steps:
+        local = [(values[node], node)]
+        if fan_in:
+            for buffer in reversed(stack[-fan_in:]):
+                local += buffer
+            del stack[-fan_in:]
+        if len(local) > bandwidth:
+            local.sort(key=priority, reverse=True)
+            del local[bandwidth:]
+        stack.append(local)
+    root = schedule.root
+    returned = [(values[root], root)]
+    for buffer in reversed(stack):
+        returned += buffer
+    returned.sort(reverse=True)  # the answer is reported by value
+    return CollectionResult(
+        returned=returned,
+        messages=list(schedule.messages),
+        transmitted=dict(schedule.transmitted),
+    )
 
 
 @dataclass
@@ -225,11 +279,13 @@ def execute_plan_batch(
     """Run one collection phase of ``plan`` over an ``(E, n)`` trace.
 
     The batch equivalent of :func:`execute_plan`: one numpy tree
-    recursion replaces ``E`` interpreted walks.  Each node's buffer is a
-    pair of ``(E, width)`` arrays; merging children is a concatenate +
-    row-wise lexsort (descending in the ``(value, node)`` order), and
-    forwarding keeps the first ``b_e`` columns.  Widths are
-    epoch-independent, so no padding is ever needed.
+    recursion replaces ``E`` interpreted walks over the plan's
+    :class:`CollectionSchedule`.  Each node's buffer is a pair of
+    ``(E, width)`` arrays; merging children is a concatenate, and a
+    merge wider than the node's bandwidth is row-wise lexsorted
+    (descending in the ``(value, node)`` order) and cut to its first
+    ``b_e`` columns.  Widths are epoch-independent, so no padding is
+    ever needed.
 
     Results are exactly those of the scalar path (equivalence-tested):
     same returned values/nodes per epoch, same message log, same
@@ -242,39 +298,43 @@ def execute_plan_batch(
     if priority is not None:
         return _batch_via_scalar(plan, values, priority)
 
-    num_epochs = values.shape[0]
-    active = plan.visited_nodes
-    buffers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    messages: list[Message] = []
-    transmitted: dict[int, int] = {}
+    schedule = plan.schedule
+    node_ids = np.broadcast_to(np.arange(topology.n, dtype=np.int64), values.shape)
+    stack: list[tuple[np.ndarray, np.ndarray]] = []
 
-    for node in topology.post_order():
-        if node not in active:
-            continue
-        local_v = [values[:, node : node + 1]]
-        local_n = [np.full((num_epochs, 1), node, dtype=np.int64)]
-        for child in topology.children(node):
-            if child in buffers:
-                child_v, child_n = buffers.pop(child)
-                local_v.append(child_v)
-                local_n.append(child_n)
-        merged_v = np.concatenate(local_v, axis=1) if len(local_v) > 1 else local_v[0]
-        merged_n = np.concatenate(local_n, axis=1) if len(local_n) > 1 else local_n[0]
-        if merged_v.shape[1] > 1:
+    def merge(node: int, fan_in: int) -> tuple[np.ndarray, np.ndarray]:
+        """``node``'s own column beside its active children's buffers,
+        which sit on top of the stack as in :func:`execute_plan`."""
+        own_v = values[:, node : node + 1]
+        own_n = node_ids[:, node : node + 1]
+        if not fan_in:
+            return own_v, own_n
+        children = stack[-fan_in:]
+        del stack[-fan_in:]
+        return (
+            np.concatenate([own_v] + [v for v, __ in children], axis=1),
+            np.concatenate([own_n] + [n for __, n in children], axis=1),
+        )
+
+    # (value, node) is a total order, so a buffer that fits its
+    # bandwidth forwards the same set sorted or not: sort only to cut
+    for node, fan_in, bandwidth in schedule.steps:
+        merged_v, merged_n = merge(node, fan_in)
+        if merged_v.shape[1] > bandwidth:
             merged_v, merged_n = _sort_desc(merged_v, merged_n)
-        if node == topology.root:
-            return BatchCollectionResult(
-                returned_values=merged_v,
-                returned_nodes=merged_n,
-                messages=messages,
-                transmitted=transmitted,
-            )
-        bandwidth = plan.bandwidths[node]
-        buffers[node] = (merged_v[:, :bandwidth], merged_n[:, :bandwidth])
-        count = min(bandwidth, merged_v.shape[1])
-        messages.append(Message(node, count))
-        transmitted[node] = count
-    raise PlanError("post-order walk did not end at the root")  # pragma: no cover
+            merged_v, merged_n = merged_v[:, :bandwidth], merged_n[:, :bandwidth]
+        stack.append((merged_v, merged_n))
+    returned_v, returned_n = merge(schedule.root, len(stack))
+    if returned_v.shape[1] > 1:
+        returned_v, returned_n = _sort_desc(returned_v, returned_n)
+    else:  # a lone root: its ids are still a view of ``node_ids``
+        returned_n = returned_n.copy()
+    return BatchCollectionResult(
+        returned_values=returned_v,
+        returned_nodes=returned_n,
+        messages=list(schedule.messages),
+        transmitted=dict(schedule.transmitted),
+    )
 
 
 def batch_transmitted_counts(

@@ -13,12 +13,15 @@ higher ids, deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.errors import PlanError
 from repro.network.energy import EnergyModel
 from repro.network.failures import LinkFailureModel
 from repro.network.topology import Topology
+
+if TYPE_CHECKING:
+    from repro.plans.execution import CollectionSchedule
 
 Reading = tuple[float, int]  # (value, node_id); tuple order totalizes ties
 
@@ -84,6 +87,7 @@ class QueryPlan:
     ) -> None:
         self.topology = topology
         self.requires_all_edges = requires_all_edges
+        self._schedule = None
         self.bandwidths: dict[int, int] = {}
         for edge in topology.edges:
             b = int(bandwidths.get(edge, 0))
@@ -157,6 +161,30 @@ class QueryPlan:
             if self.bandwidths[node] > 0 and self.topology.parent(node) in visited:
                 visited.add(node)
         return visited
+
+    @property
+    def schedule(self) -> "CollectionSchedule":
+        """The plan's value-independent collection schedule, compiled on
+        first use and kept for the plan's lifetime (see
+        :class:`~repro.plans.execution.CollectionSchedule`).  It lives
+        on the plan, so it is dropped with it, and pickling leaves it
+        out.  A plan's bandwidths must not change once it has run.
+
+        Threads that share a plan may race on its first use; each then
+        compiles an equal schedule and one of them is kept, so no lock
+        is needed."""
+        schedule = self._schedule
+        if schedule is None:
+            # deferred: repro.plans.execution imports this module
+            from repro.plans.execution import CollectionSchedule
+
+            schedule = self._schedule = CollectionSchedule(self)
+        return schedule
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_schedule"] = None  # rebuilt on first use after unpickling
+        return state
 
     def effective_bandwidth(self, edge: int) -> int:
         """Bandwidth clipped to what the subtree can actually supply."""

@@ -45,6 +45,7 @@ from repro.plans.execution import (
 from repro.plans.plan import Message, QueryPlan
 from repro.query.accuracy import batch_accuracy
 from repro.simulation.distribution import trigger_cost
+from repro.simulation.runtime import CollectionPricing
 
 _EMPTY_BOOL = np.zeros((0, 0), dtype=bool)
 
@@ -343,15 +344,18 @@ class BatchSimulator:
         cost/value pair — both depend only on the plan, so the fleet
         simulator computes them once per group instead of once per
         cell; ``include_trigger`` is ignored when ``extra_energy`` is
-        given.
+        given.  Either one left out is read from the plan's cached
+        :class:`~repro.simulation.runtime.CollectionPricing`.
         """
         if started is None:
             started = time.perf_counter()
+        if extra_energy is None or message_totals is None:
+            pricing = CollectionPricing.of(plan, self.energy)
         if extra_energy is None:
-            extra_energy = (
-                trigger_cost(plan, self.energy) if include_trigger else 0.0
-            )
-            extra_energy += self._acquisition(len(plan.visited_nodes))
+            extra_energy = pricing.trigger_mj if include_trigger else 0.0
+            extra_energy += pricing.acquisition_mj
+        if message_totals is None:
+            message_totals = (pricing.energy_mj, pricing.values)
         return self._report(
             result, extra_energy, label, started, message_totals
         )

@@ -6,6 +6,12 @@
 unicast may transiently fail; the reliable protocol then routes around
 the edge, costing the message again plus the model's re-route penalty
 (paper §4.4).
+
+An installed plan's message log is value-independent, so its pricing
+is too: :class:`CollectionPricing` holds it once per plan schedule and
+energy model, and a reliable collection charges it as one precomputed
+vector.  Only a failure model, whose retries are drawn per message,
+still prices a collection message by message.
 """
 
 from __future__ import annotations
@@ -24,6 +30,80 @@ from repro.plans.naive import naive_k_collect, naive_one_collect
 from repro.plans.plan import Message, QueryPlan, Reading
 from repro.plans.proof_execution import ProofResult, execute_proof_plan
 from repro.simulation.distribution import initial_distribution_cost, trigger_cost
+
+
+@dataclass(frozen=True)
+class CollectionPricing:
+    """A plan schedule's energy accounting under one energy model.
+
+    Computed by :meth:`of` with the per-message loop of
+    :meth:`Simulator._charge` (no failures), so every figure is
+    bitwise what that loop yields: ``energy_mj`` sums the message costs
+    in message order, and ``by_depth`` fills its buckets in that order
+    too.  Cached in the schedule's ``pricing`` slot, so it is computed
+    once per plan and model and dropped with the plan.
+    """
+
+    energy_mj: float
+    """Collection radio energy of one phase (no trigger, no retries)."""
+    values: int
+    """Values sent per phase."""
+    node_energy: np.ndarray
+    """``(1, n)`` radio energy per sending node (one ledger epoch)."""
+    node_messages: np.ndarray
+    """``(n,)`` messages per sending node."""
+    node_bytes: np.ndarray
+    """``(n,)`` payload bytes per sending node."""
+    by_depth: dict
+    """Per-edge-depth ``messages``/``bytes``/``energy_mj``, as
+    :meth:`~repro.obs.Instrumentation.record_collection` takes it."""
+    trigger_mj: float
+    """:func:`~repro.simulation.distribution.trigger_cost` of the plan."""
+    acquisition_mj: float
+    """Measurement energy of the plan's visited nodes (§4.4)."""
+
+    @classmethod
+    def of(cls, plan: QueryPlan, energy: EnergyModel) -> "CollectionPricing":
+        """The pricing of ``plan``'s schedule, cached on the schedule."""
+        schedule = plan.schedule
+        pricing = schedule.pricing.get(energy)
+        if pricing is not None:
+            return pricing
+        topology = plan.topology
+        total = 0.0
+        values = 0
+        node_energy = np.zeros((1, topology.n), dtype=np.float64)
+        node_messages = np.zeros(topology.n, dtype=np.int64)
+        node_bytes = np.zeros(topology.n, dtype=np.int64)
+        by_depth: dict[int, dict] = {}
+        for message in schedule.messages:
+            cost = message.cost(energy)
+            total += cost
+            values += message.num_values
+            nbytes = message.num_values * energy.value_bytes + message.extra_bytes
+            node_energy[0, message.edge] += cost
+            node_messages[message.edge] += 1
+            node_bytes[message.edge] += nbytes
+            bucket = by_depth.setdefault(
+                topology.depth(message.edge),
+                {"messages": 0, "bytes": 0, "energy_mj": 0.0},
+            )
+            bucket["messages"] += 1
+            bucket["bytes"] += nbytes
+            bucket["energy_mj"] += cost
+        for shared in (node_energy, node_messages, node_bytes):
+            shared.flags.writeable = False  # every later query reads them
+        pricing = schedule.pricing[energy] = cls(
+            energy_mj=total,
+            values=values,
+            node_energy=node_energy,
+            node_messages=node_messages,
+            node_bytes=node_bytes,
+            by_depth=by_depth,
+            trigger_mj=trigger_cost(plan, energy),
+            acquisition_mj=energy.acquisition_mj * schedule.num_visited,
+        )
+        return pricing
 
 
 @dataclass
@@ -71,6 +151,10 @@ class Simulator:
         to its sending node, and each collection phase closes one
         ledger epoch.  Trigger/acquisition extras are phase-level and
         stay out of the ledger (see the ledger's module docstring).
+
+    The simulator builds :meth:`QueryPlan.full` once for its topology
+    and reuses it for every :meth:`collect_full_sample` and
+    :meth:`run_naive_k` trigger, so those share one compiled schedule.
     """
 
     def __init__(
@@ -89,6 +173,14 @@ class Simulator:
         self.rng = rng if rng is not None else np.random.default_rng()
         self.instrumentation = instrumentation
         self.ledger = ledger
+        self._full: QueryPlan | None = None
+
+    def _full_plan(self) -> QueryPlan:
+        """:meth:`QueryPlan.full` of this simulator's topology, built once."""
+        plan = self._full
+        if plan is None or plan.topology is not self.topology:
+            plan = self._full = QueryPlan.full(self.topology)
+        return plan
 
     # -- message accounting ---------------------------------------------------
     def _charge(
@@ -149,20 +241,39 @@ class Simulator:
         result: CollectionResult | ProofResult,
         extra_energy: float = 0.0,
         label: str = "collection",
+        pricing: CollectionPricing | None = None,
     ) -> SimulationReport:
+        """Charge a collection and report it.  With ``pricing`` and no
+        failure model, the message log is charged from the precomputed
+        pricing (one ledger vector add); otherwise message by message,
+        so failure draws keep their order."""
         with maybe_span(
             self.instrumentation, "collect", label=label
         ) as span:
-            energy, values, retries, outcomes, by_depth = self._charge(
-                result.messages
-            )
+            if pricing is not None and self.failures is None:
+                energy, values, retries = pricing.energy_mj, pricing.values, 0
+                outcomes: list[tuple[int, bool]] = []
+                by_depth = (
+                    pricing.by_depth if self.instrumentation is not None
+                    else None
+                )
+                if self.ledger is not None:  # closes the ledger epoch
+                    self.ledger.charge_epochs(
+                        pricing.node_energy,
+                        messages=pricing.node_messages,
+                        nbytes=pricing.node_bytes,
+                    )
+            else:
+                energy, values, retries, outcomes, by_depth = self._charge(
+                    result.messages
+                )
+                if self.ledger is not None:
+                    self.ledger.end_epoch()
             span.annotate(
                 messages=len(result.messages),
                 retries=retries,
                 energy_mj=energy + extra_energy,
             )
-        if self.ledger is not None:
-            self.ledger.end_epoch()
         if self.instrumentation is not None:
             self.instrumentation.record_collection(
                 label,
@@ -201,11 +312,20 @@ class Simulator:
         ``priority`` overrides the forwarding order (used by subset
         queries that are not up-closed, see :mod:`repro.queries`);
         ``label`` tags the phase in the observability event stream.
+
+        Only the walk over the plan's compiled schedule depends on the
+        readings.  The energy, ledger charges, per-depth breakdown and
+        trigger/acquisition extras come from the plan's cached
+        :class:`CollectionPricing`; under a failure model the message
+        log is still charged message by message, retries interleaved.
         """
         result = execute_plan(plan, readings, priority=priority)
-        extra = trigger_cost(plan, self.energy) if include_trigger else 0.0
-        extra += self._acquisition(len(plan.visited_nodes))
-        return self._report(result, extra_energy=extra, label=label)
+        pricing = CollectionPricing.of(plan, self.energy)
+        extra = pricing.trigger_mj if include_trigger else 0.0
+        extra += pricing.acquisition_mj
+        return self._report(
+            result, extra_energy=extra, label=label, pricing=pricing
+        )
 
     def run_proof_collection(
         self, plan: QueryPlan, readings, include_trigger: bool = True
@@ -220,7 +340,7 @@ class Simulator:
         """The NAIVE-k exact algorithm (needs no installed plan; the
         query is pushed down, charged as a trigger of the full tree)."""
         result = naive_k_collect(self.topology, readings, k)
-        extra = trigger_cost(QueryPlan.full(self.topology), self.energy)
+        extra = CollectionPricing.of(self._full_plan(), self.energy).trigger_mj
         extra += self._acquisition(self.topology.n)
         return self._report(result, extra_energy=extra, label="naive-k")
 
@@ -243,5 +363,5 @@ class Simulator:
         """Gather every node's value (the exploration step of §3),
         executed as a full-bandwidth collection."""
         return self.run_collection(
-            QueryPlan.full(self.topology), readings, label="full-sample"
+            self._full_plan(), readings, label="full-sample"
         )

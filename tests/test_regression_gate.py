@@ -249,6 +249,26 @@ class TestRunGate:
         assert check["row"].endswith("BENCH_lpsweep.quick.json")
         assert "run the benchmark first" in check["detail"]
 
+    def test_full_selector_leaves_quick_payloads_out(self, tmp_path):
+        # a stray local --quick payload that would fail the gate sits
+        # beside a passing full one
+        results, baselines = write_pair(tmp_path, payload(), payload())
+        (results / "BENCH_lpsweep.quick.json").write_text(
+            json.dumps(payload(quick=True, simplex_speedup=1.0))
+        )
+        (baselines / "BENCH_lpsweep.quick.json").write_text(
+            json.dumps(payload(quick=True))
+        )
+        checks = gate.run_gate(results_dir=results, baseline_dir=baselines)
+        assert checks and all(c["passed"] for c in checks)
+        assert gate.main(
+            ["--results-dir", str(results), "--baseline-dir", str(baselines)]
+        ) == 0
+        quick = gate.run_gate(
+            results_dir=results, baseline_dir=baselines, quick=True
+        )
+        assert quick and not all(c["passed"] for c in quick)
+
     def test_mode_mismatch_fails(self, tmp_path):
         # a quick baseline cannot vouch for a full-size run
         results = tmp_path / "results"
