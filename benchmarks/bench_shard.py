@@ -54,8 +54,11 @@ K = 5
 N = 30
 WARMUP_ROWS = 3
 BURST = 128
-"""Pipelined frames per flush/drain cycle (stays under the server's
-read-ahead bound so neither direction of the TCP stream stalls)."""
+"""Pipelined frames per flush/drain cycle.  The server answers every
+frame each ``recv`` brings in and ``sendall``s the joined replies; it
+holds no read-ahead, so an undrained burst is bounded only by the
+kernel socket buffers.  128 small frames and their replies fit in
+those with room to spare, so neither direction of the stream stalls."""
 
 BUDGET = EnergyModel.mica2().message_cost(1) * 2.5 * K
 

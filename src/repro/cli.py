@@ -530,15 +530,24 @@ def _run_one(name: str, chart: bool = False) -> str:
 def _serve_command(args) -> int:
     """Host the binary-wire socket service until interrupted.
 
-    SIGTERM (and Ctrl-C) triggers a graceful shutdown: the listener
-    closes, draining sessions refuse new work, and requests already in
-    flight get their final replies within ``--grace`` seconds.
+    Each accepted connection gets its own thread, which reads, answers
+    and replies to that connection's frames.  SIGTERM (and Ctrl-C)
+    triggers a graceful shutdown: the listener closes, draining
+    sessions refuse new work, and requests already in flight get their
+    final replies within ``--grace`` seconds.
     """
-    import asyncio
     import signal
     import threading
 
     from repro.service.server import ServiceConfig, TopKService, serve
+
+    def wait_for_signal() -> None:
+        stop = threading.Event()
+        signal.signal(signal.SIGTERM, lambda *__: stop.set())
+        try:
+            stop.wait()
+        except KeyboardInterrupt:
+            pass
 
     config = ServiceConfig(
         max_sessions=args.max_sessions,
@@ -567,12 +576,7 @@ def _serve_command(args) -> int:
             )
             if sharded.telemetry is not None:
                 print(f"telemetry endpoint: {sharded.telemetry.url('')}")
-            stop = threading.Event()
-            signal.signal(signal.SIGTERM, lambda *__: stop.set())
-            try:
-                stop.wait()
-            except KeyboardInterrupt:
-                pass
+            wait_for_signal()
         print("service stopped")
         return 0
 
@@ -592,23 +596,13 @@ def _serve_command(args) -> int:
             port=args.telemetry_port,
         ).start()
         print(f"telemetry endpoint: {telemetry.url('')}")
-
-    async def _run() -> None:
-        server = await serve(service, args.host, args.port)
-        bound = server.sockets[0].getsockname()
-        print(f"repro service listening on {bound[0]}:{bound[1]}")
-        loop = asyncio.get_running_loop()
-        shutdown = asyncio.Event()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(signum, shutdown.set)
-        await shutdown.wait()
-        print(f"draining (grace {args.grace:.0f}s)...")
-        await server.shutdown(args.grace)
-
     try:
-        asyncio.run(_run())
-    except KeyboardInterrupt:  # pragma: no cover - signal-handler race
-        pass
+        server = serve(service, args.host, args.port)
+        host, port = server.address
+        print(f"repro service listening on {host}:{port}")
+        wait_for_signal()
+        print(f"draining (grace {args.grace:.0f}s)...")
+        server.shutdown(args.grace)
     finally:
         if telemetry is not None:
             telemetry.stop()

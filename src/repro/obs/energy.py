@@ -15,6 +15,12 @@ two charge paths agree to float round-off; the equivalence suite pins
   capacity),
 - the top-N hottest nodes.
 
+History is bounded, so a long-lived served session (one epoch per
+query) holds constant memory: the running per-node totals cover every
+epoch, while the per-epoch deltas behind the burn-down curve are kept
+for the last :data:`HISTORY_EPOCHS` epochs only, plus the per-node
+energy spent before that window.
+
 Scope: the ledger attributes the *collection* radio costs (including
 failure retries) to the sending node of each message.  Trigger
 broadcasts and acquisition energy are whole-phase extras with no
@@ -23,11 +29,16 @@ single owner and stay in the report-level ``energy_mj`` totals only.
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 from repro.errors import ObservabilityError
 
 __all__ = ["EnergyLedger"]
+
+HISTORY_EPOCHS = 1024
+"""Per-epoch deltas an :class:`EnergyLedger` keeps (the newest ones)."""
 
 
 class EnergyLedger:
@@ -41,6 +52,10 @@ class EnergyLedger:
         Optional battery capacity per node (scalar, or an array of
         per-node capacities).  Required for burn-down curves and
         lifetime projection; without it the ledger only accumulates.
+
+    ``epoch_energy`` holds the per-epoch deltas of the last
+    :data:`HISTORY_EPOCHS` epochs; :attr:`num_epochs`, the running
+    totals and :meth:`lifetime_epoch` still cover every epoch.
     """
 
     def __init__(
@@ -61,7 +76,12 @@ class EnergyLedger:
             if (capacity <= 0).any():
                 raise ObservabilityError("node capacity must be positive")
             self.capacity_mj = capacity
-        self.epoch_energy: list[np.ndarray] = []
+        self.epoch_energy: deque[np.ndarray] = deque(maxlen=HISTORY_EPOCHS)
+        self._epochs = 0
+        self._before_window = np.zeros(self.num_nodes, dtype=np.float64)
+        self._lifetime_epoch: int | None = None
+        # the deltas summed in epoch order, kept until the lifetime latches
+        self._spent = np.zeros(self.num_nodes, dtype=np.float64)
         self._epoch_start = np.zeros(self.num_nodes, dtype=np.float64)
 
     # -- charging (scalar path) -----------------------------------------
@@ -77,12 +97,26 @@ class EnergyLedger:
         """Close the current epoch; returns its index (0-based).
 
         The per-epoch delta since the previous boundary becomes one
-        point of the burn-down curve.
+        point of the burn-down curve; the first epoch that leaves a
+        node at or past its capacity is latched as the lifetime.
         """
-        delta = self.energy_mj - self._epoch_start
-        self.epoch_energy.append(delta)
+        self._record(self.energy_mj - self._epoch_start)
         self._epoch_start = self.energy_mj.copy()
-        return len(self.epoch_energy) - 1
+        return self._epochs - 1
+
+    def _record(self, delta: np.ndarray) -> None:
+        """Append one epoch's delta, folding the one it evicts from the
+        window into the energy spent before the window, and latch the
+        lifetime when this epoch leaves a node at or past capacity."""
+        window = self.epoch_energy
+        if len(window) == window.maxlen:
+            self._before_window += window[0]
+        window.append(delta)
+        self._epochs += 1
+        if self.capacity_mj is not None and self._lifetime_epoch is None:
+            self._spent += delta
+            if (self._spent >= self.capacity_mj).any():
+                self._lifetime_epoch = self._epochs - 1
 
     # -- charging (batch path) ------------------------------------------
     def charge_epochs(
@@ -127,20 +161,26 @@ class EnergyLedger:
     # -- derived views ---------------------------------------------------
     @property
     def num_epochs(self) -> int:
-        return len(self.epoch_energy)
+        """Every epoch ended so far (not just the retained window)."""
+        return self._epochs
 
     @property
     def total_mj(self) -> float:
         return float(self.energy_mj.sum())
 
     def cumulative_energy(self) -> np.ndarray:
-        """``(E, n)`` cumulative per-node spend after each epoch."""
+        """``(E, n)`` cumulative per-node spend after each retained
+        epoch (``E`` is at most :data:`HISTORY_EPOCHS`)."""
         if not self.epoch_energy:
             return np.zeros((0, self.num_nodes), dtype=np.float64)
-        return np.cumsum(np.stack(self.epoch_energy), axis=0)
+        # summed in epoch order from the pre-window spend, so each row
+        # is bitwise what a full-history cumulative sum gives
+        return np.cumsum(
+            np.stack([self._before_window, *self.epoch_energy]), axis=0
+        )[1:]
 
     def remaining_fraction(self) -> np.ndarray:
-        """``(E, n)`` battery fraction left after each epoch."""
+        """``(E, n)`` battery fraction left after each retained epoch."""
         if self.capacity_mj is None:
             raise ObservabilityError(
                 "remaining_fraction needs a ledger capacity_mj"
@@ -149,8 +189,8 @@ class EnergyLedger:
         return np.clip(fraction, 0.0, 1.0)
 
     def burn_down(self) -> np.ndarray:
-        """``(E,)`` worst-node remaining fraction after each epoch —
-        the curve whose zero crossing is the network lifetime."""
+        """``(E,)`` worst-node remaining fraction after each retained
+        epoch — the curve whose zero crossing is the network lifetime."""
         remaining = self.remaining_fraction()
         if remaining.shape[0] == 0:
             return np.zeros(0, dtype=np.float64)
@@ -163,9 +203,7 @@ class EnergyLedger:
             raise ObservabilityError(
                 "lifetime_epoch needs a ledger capacity_mj"
             )
-        dead = (self.cumulative_energy() >= self.capacity_mj).any(axis=1)
-        indices = np.nonzero(dead)[0]
-        return int(indices[0]) if indices.size else None
+        return self._lifetime_epoch
 
     def projected_lifetime(self) -> float | None:
         """Epochs until first node death at the observed average burn
@@ -221,6 +259,9 @@ class EnergyLedger:
             "messages": self.messages.tolist(),
             "bytes": self.bytes.tolist(),
             "epoch_energy": [epoch.tolist() for epoch in self.epoch_energy],
+            "energy_before_window_mj": self._before_window.tolist(),
+            "epochs": self._epochs,
+            "lifetime_epoch": self._lifetime_epoch,
         }
 
     @classmethod
@@ -232,11 +273,22 @@ class EnergyLedger:
             ledger.energy_mj = np.asarray(data["energy_mj"], dtype=np.float64)
             ledger.messages = np.asarray(data["messages"], dtype=np.int64)
             ledger.bytes = np.asarray(data["bytes"], dtype=np.int64)
-            ledger.epoch_energy = [
-                np.asarray(epoch, dtype=np.float64)
-                for epoch in data.get("epoch_energy", [])
-            ]
+            before = data.get("energy_before_window_mj")
+            if before is not None:
+                ledger._before_window = np.asarray(before, dtype=np.float64)
+                ledger._spent = ledger._before_window.copy()
+            rows = data.get("epoch_energy", [])
+            # replayed so a longer dump folds its oldest rows, and the
+            # lifetime of a dump without the latch is found again
+            ledger._epochs = int(data.get("epochs", len(rows))) - len(rows)
+            for epoch in rows:
+                ledger._record(np.asarray(epoch, dtype=np.float64))
             ledger._epoch_start = ledger.energy_mj.copy()
+            if "lifetime_epoch" in data:
+                lifetime = data["lifetime_epoch"]
+                ledger._lifetime_epoch = (
+                    None if lifetime is None else int(lifetime)
+                )
             return ledger
         except (KeyError, TypeError, ValueError) as exc:
             raise ObservabilityError(

@@ -16,7 +16,8 @@ sessions over a registry of shared topologies.  The layer splits into:
 - :mod:`repro.service.session` — one tenant's engine plus its
   lifecycle (open → expired/closed) and per-session backpressure;
 - :mod:`repro.service.server` — :class:`TopKService` (the sync,
-  transport-agnostic core) and the asyncio socket front end;
+  transport-agnostic core) and the thread-per-connection socket
+  front end;
 - :mod:`repro.service.client` — in-process and socket clients behind
   one :class:`SessionHandle` surface, with request pipelining
   (``submit_nowait``/``stream``/``drain``);

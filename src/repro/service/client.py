@@ -353,6 +353,7 @@ class SocketClient(_BaseClient):
 
     # -- connection management -----------------------------------------
     def _connect(self) -> None:
+        self._teardown()  # a reconnect never leaks the previous socket
         try:
             self._sock = socket.create_connection(
                 (self.host, self.port), timeout=self.connect_timeout_s

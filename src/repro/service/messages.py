@@ -42,8 +42,9 @@ MAX_FRAME_BYTES = 1_048_576
 
 Large enough for any realistic readings vector or serialized plan,
 small enough that a misbehaving peer cannot make the server buffer an
-unbounded line.  Both :func:`decode` and the asyncio front end's
-stream limit enforce it.
+unbounded line.  :func:`decode`, the wire frame checks
+(:func:`repro.service.wire.frame_end`) and the socket front end's
+preamble read all enforce it.
 """
 
 

@@ -1,4 +1,4 @@
-"""The multi-tenant service core plus its asyncio socket front end.
+"""The multi-tenant service core plus its socket front end.
 
 :class:`TopKService` is deliberately synchronous and
 transport-agnostic: :meth:`TopKService.handle` maps one typed request
@@ -6,20 +6,23 @@ to one typed reply (raising :mod:`repro.errors` types), and
 :meth:`TopKService.handle_frame` is the same thing over binary wire
 frames with failures serialized as
 :class:`~repro.service.messages.ErrorReply` and correlation ids echoed
-verbatim.  The asyncio layer (:func:`serve`, :class:`ServiceThread`)
-moves frames between sockets and a thread-pool executor — per-session
-serialization and backpressure live in :class:`.session.Session`, so
-the core behaves identically under the in-process client and the
-socket.
+verbatim.  The socket front end (:func:`serve`,
+:class:`ServiceServer`, :class:`ServiceThread`) moves frames between
+sockets and that core — per-session serialization and backpressure
+live in :class:`.session.Session`, so the core behaves identically
+under the in-process client and the socket.
 
-The socket front end is **pipelined**: a per-connection reader task
-keeps pulling frames (bounded read-ahead, oversized frames rejected)
-while a processor task answers them strictly in order, and replies are
-coalesced — many encoded frames are joined into one ``write`` when a
-burst is in flight — so a streaming client pays one syscall per batch
-rather than one round trip per request.  :meth:`ServiceServer.shutdown`
-is the graceful path: stop accepting, stop reading, finish every
-already-read request, flush the final replies, then close.
+The front end is **one blocking thread per connection**: the thread
+that reads a frame answers it.  Each thread runs the hello/accept
+preamble, then reads with ``recv`` into a byte buffer, answers every
+complete frame in it strictly in order, and joins those replies into one
+``sendall`` — so a pipelined burst costs a few syscalls rather than
+one round trip per request, and a slow request (an LP solve) blocks
+only its own connection.  :meth:`ServiceServer.shutdown` is the
+graceful path: close the listener, drain the service, shut each
+connection's read side so its thread answers the frames it already
+holds, flushes and closes, then force-close whatever outlives the
+grace window.
 
 Shared state across tenants:
 
@@ -42,8 +45,7 @@ attribution is a per-tenant question), surfaced through
 
 from __future__ import annotations
 
-import asyncio
-import struct
+import socket
 import threading
 import time
 from dataclasses import dataclass
@@ -618,228 +620,48 @@ def _json_accuracy(value: float) -> float | None:
     return None if np.isnan(value) else value
 
 
-# -- asyncio socket front end ----------------------------------------------
+# -- socket front end: one thread per connection ----------------------------
 
-PIPELINE_DEPTH = 256
-"""Per-connection read-ahead bound: frames decoded but not yet
-answered.  Past this the reader stops pulling from the socket, so a
-client pipelining faster than the service executes sees TCP
-backpressure instead of unbounded server memory."""
+MAX_CONNECTIONS = 256
+"""Live connections one server holds.  An accept past this is closed at
+once, so the client sees the connection drop instead of a hang."""
 
-COALESCE_REPLIES = 64
-"""Replies buffered into one ``write`` before an explicit flush while
-a pipelined burst is still in flight (the ``writev``-style batch)."""
+HELLO_TIMEOUT_S = 10.0
+"""Seconds a new connection has to complete its hello line.  A peer
+that stays silent past it is dropped, so it cannot hold one of the
+:data:`MAX_CONNECTIONS` slots forever."""
 
-
-class _ReaderFailure:
-    """End-of-input marker carrying the wire error to report before
-    closing (bad preamble, malformed or oversized frame)."""
-
-    def __init__(self, error: Exception) -> None:
-        self.error = error
-
-
-class _Connection:
-    """One client connection: a reader task feeding a processor task.
-
-    The reader's first ``readline`` is the connection preamble: a valid
-    hello line is answered with the accept line (which advertises the
-    blob spool), anything else with one
-    :class:`~repro.errors.ProtocolError` reply frame before the
-    connection closes.  From then on the reader pulls length-prefixed
-    frames into a bounded queue; the processor answers them
-    strictly in order (the sync core on the default executor, so a
-    slow LP solve never blocks the event loop) and coalesces reply
-    writes while a burst is in flight.  Fairness *between* sessions
-    comes from the per-session locks, and overload is shed there too.
-
-    ``begin_drain`` stops the reader; the processor then finishes the
-    frames already read, flushes their replies, and closes — the clean
-    half of :meth:`ServiceServer.shutdown`.
-    """
-
-    def __init__(self, service, reader, writer, *, spool=None) -> None:
-        self.service = service
-        self.reader = reader
-        self.writer = writer
-        self.spool = spool
-        self._queue: asyncio.Queue = asyncio.Queue(maxsize=PIPELINE_DEPTH)
-        self._reader_task: asyncio.Task | None = None
-        self.done: asyncio.Task | None = None
-
-    def start(self) -> None:
-        self._reader_task = asyncio.create_task(self._read_loop())
-        self.done = asyncio.create_task(self._process_loop())
-
-    def begin_drain(self) -> None:
-        """Stop reading new frames; queued ones still get replies."""
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-
-    async def _read_loop(self) -> None:
-        failure: Exception | None = None
-        try:
-            try:
-                failure = await self._preamble_and_read()
-            except (ConnectionError, OSError):
-                pass
-        except asyncio.CancelledError:
-            pass  # drain: deliver the end-of-input marker below
-        finally:
-            await self._signal_end(failure)
-
-    async def _preamble_and_read(self) -> Exception | None:
-        """Check the hello, answer with the accept line, read frames.
-
-        Returns the wire error to report before closing, or ``None``
-        for a clean end of input.
-        """
-        try:
-            first = await self.reader.readline()
-        except (asyncio.LimitOverrunError, ValueError):
-            return ProtocolError(
-                "frame exceeds the"
-                f" {msg.MAX_FRAME_BYTES}-byte protocol limit"
-            )
-        if not first:
-            return None  # EOF before a single byte mattered
-        try:
-            wire.parse_hello(first)
-        except ProtocolError as err:
-            return err
-        self.service.record_connection()
-        blob_dir = str(self.spool.root) if self.spool is not None else None
-        self.writer.write(wire.accept_line(blob_dir))
-        await self.writer.drain()
-        return await self._frame_loop()
-
-    async def _frame_loop(self) -> Exception | None:
-        while True:
-            try:
-                prefix = await self.reader.readexactly(4)
-            except asyncio.IncompleteReadError as err:
-                if not err.partial:
-                    return None  # clean EOF between frames
-                return ProtocolError(
-                    "truncated frame length prefix"
-                    f" ({len(err.partial)} of 4 bytes)"
-                )
-            (length,) = struct.unpack(">I", prefix)
-            if length > msg.MAX_FRAME_BYTES:
-                return ProtocolError(
-                    f"frame of {length} bytes exceeds the"
-                    f" {msg.MAX_FRAME_BYTES}-byte protocol limit"
-                )
-            if length < 10:  # the "<BBQ" header
-                return ProtocolError(
-                    f"frame length {length} is below the header size"
-                )
-            try:
-                body = await self.reader.readexactly(length)
-            except asyncio.IncompleteReadError as err:
-                return ProtocolError(
-                    f"truncated frame body ({len(err.partial)} of"
-                    f" {length} bytes)"
-                )
-            await self._queue.put(body)
-
-    async def _signal_end(self, failure: Exception | None) -> None:
-        # the queue may be momentarily full; the processor is draining
-        # it, so yield until the end marker fits
-        marker = (
-            _END_OF_INPUT if failure is None else _ReaderFailure(failure)
-        )
-        while True:
-            try:
-                self._queue.put_nowait(marker)
-                return
-            except asyncio.QueueFull:
-                await asyncio.sleep(0)
-
-    def _handle_batch(self, frames: list[bytes]) -> list[bytes]:
-        """Answer a chunk of frames in one executor hop (in order)."""
-        service = self.service
-        out = []
-        for frame in frames:
-            reply = service.handle_frame(frame, spool=self.spool)
-            service.record_wire(len(frame) + 4, len(reply))
-            out.append(reply)
-        return out
-
-    async def _process_loop(self) -> None:
-        loop = asyncio.get_running_loop()
-        out: list[bytes] = []
-        stop = False
-        failure: _ReaderFailure | None = None
-        try:
-            while not stop:
-                item = await self._queue.get()
-                # chunk whatever the reader has already queued: a
-                # pipelined burst pays one executor dispatch per chunk
-                # instead of one per frame
-                batch: list[bytes] = []
-                while True:
-                    if item is _END_OF_INPUT:
-                        stop = True
-                        break
-                    if isinstance(item, _ReaderFailure):
-                        stop = True
-                        failure = item
-                        break
-                    batch.append(item)
-                    if len(batch) >= COALESCE_REPLIES:
-                        break
-                    try:
-                        item = self._queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        break
-                if batch:
-                    out.extend(
-                        await loop.run_in_executor(
-                            None, self._handle_batch, batch
-                        )
-                    )
-                if stop and failure is not None:
-                    out.append(
-                        wire.encode_frame(msg.error_to_reply(failure.error))
-                    )
-                if out and (
-                    stop
-                    or self._queue.empty()
-                    or len(out) >= COALESCE_REPLIES
-                ):
-                    self.writer.write(b"".join(out))
-                    out.clear()
-                    await self.writer.drain()
-        except (ConnectionError, OSError):  # pragma: no cover - peer gone
-            out.clear()
-        finally:
-            if self._reader_task is not None:
-                self._reader_task.cancel()
-            try:
-                if out:
-                    self.writer.write(b"".join(out))
-                self.writer.close()
-                await self.writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-
-
-_END_OF_INPUT = object()
+RECV_BYTES = 1 << 16
+"""Bytes asked of one ``recv``.  Every complete frame a read brings in
+is answered before the joined replies go out in one ``sendall``, so a
+pipelined burst costs a few syscalls, not one round trip per frame."""
 
 
 class ServiceServer:
-    """The listening socket front end, with a graceful shutdown path.
+    """The listening socket, its accept thread, and one blocking thread
+    per connection.
 
-    Duck-compatible with the ``asyncio.Server`` it wraps for the uses
-    the code base grew around (``sockets``, ``serve_forever``, ``async
-    with``); adds connection tracking and :meth:`shutdown`.
+    A connection's thread does all of that connection's work: the
+    hello/accept preamble, ``recv`` into a byte buffer, answering every
+    complete frame in the buffer in order through
+    :meth:`TopKService.handle_frame`, and one ``sendall`` of the joined
+    replies.  A slow request (an LP solve, say) blocks only its own
+    connection; per-session serialization and overload shedding live
+    in :class:`.session.Session`.  At most :data:`MAX_CONNECTIONS` are
+    live at once, and a peer that sends no hello line within
+    :data:`HELLO_TIMEOUT_S` is dropped to free its slot.
     """
 
     def __init__(self, service: TopKService) -> None:
         self.service = service
-        self._server: asyncio.base_events.Server | None = None
-        self._connections: set[_Connection] = set()
+        self._listener: socket.socket | None = None
+        self.address: tuple | None = None
+        """The bound ``(host, port)``, set by :meth:`start`."""
+        self._accept_thread: threading.Thread | None = None
+        self._lock = threading.Lock()
+        self._connections: dict[socket.socket, threading.Thread] = {}
+        self._accepted = 0
+        self._draining = False
         self._spool = None
         blob_dir = getattr(service.config, "blob_dir", None)
         if blob_dir is not None:
@@ -849,90 +671,194 @@ class ServiceServer:
                 blob_dir, instrumentation=service.instrumentation
             )
 
-    async def start(self, host: str, port: int) -> "ServiceServer":
-        self._server = await asyncio.start_server(
-            self._on_connection, host, port,
-            limit=msg.MAX_FRAME_BYTES + 1024,
+    def start(self, host: str, port: int) -> "ServiceServer":
+        self._listener = socket.create_server((host, port))
+        self.address = self._listener.getsockname()[:2]
+        self._accept_thread = threading.Thread(
+            target=self._accept_loop,
+            name=f"repro-accept-{self.address[1]}",
+            daemon=True,
         )
+        self._accept_thread.start()
         return self
 
-    async def _on_connection(self, reader, writer) -> None:
-        connection = _Connection(
-            self.service, reader, writer, spool=self._spool
-        )
-        self._connections.add(connection)
-        connection.start()
+    def _accept_loop(self) -> None:
+        listener = self._listener
+        while True:
+            try:
+                conn, __ = listener.accept()
+            except OSError:
+                if self._draining:
+                    return  # the listener was shut down
+                time.sleep(0.01)  # transient (EMFILE, say): retry
+                continue
+            with self._lock:
+                refused = (
+                    self._draining
+                    or len(self._connections) >= MAX_CONNECTIONS
+                )
+                if not refused:
+                    self._accepted += 1
+                    thread = threading.Thread(
+                        target=self._serve_connection,
+                        args=(conn,),
+                        name=f"repro-conn-{self._accepted}",
+                        daemon=True,
+                    )
+                    self._connections[conn] = thread
+            if refused:
+                conn.close()
+            else:
+                thread.start()
+
+    def _serve_connection(self, conn: socket.socket) -> None:
         try:
-            await connection.done
+            # replies leave as whole batches, so Nagle only adds delay
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            pending = self._preamble(conn)
+            if pending is not None:
+                self._frame_loop(conn, pending)
+        except OSError:  # peer gone or silent, or force-closed by shutdown
+            pass
         finally:
-            self._connections.discard(connection)
+            # deregister before closing: shutdown() only touches sockets
+            # still registered, so never a closed (or reused) descriptor
+            with self._lock:
+                self._connections.pop(conn, None)
+            conn.close()
 
-    @property
-    def sockets(self):
-        return self._server.sockets
+    def _preamble(self, conn: socket.socket) -> bytes | None:
+        """Check the hello line and answer it with the accept line.
 
-    async def serve_forever(self) -> None:
-        await self._server.serve_forever()
-
-    def close(self) -> None:
-        self._server.close()
-
-    async def wait_closed(self) -> None:
-        await self._server.wait_closed()
-
-    async def shutdown(self, grace_seconds: float = 5.0) -> None:
-        """Drain and stop: the clean SIGTERM path.
-
-        Stops accepting connections, flips the service into draining
-        mode (new work refused with
-        :class:`~repro.errors.ServiceUnavailableError`), stops every
-        connection's reader, and gives in-flight requests
-        ``grace_seconds`` to finish and flush their final replies
-        before force-closing whatever is left.
+        Returns the bytes read past the hello, or ``None`` when the
+        connection is done: EOF before a hello, or a bad or over-long
+        one (answered with one ``ProtocolError`` reply frame).  A hello
+        not complete within :data:`HELLO_TIMEOUT_S` raises
+        ``TimeoutError``, however slowly its bytes trickle in.
         """
+        deadline = time.monotonic() + HELLO_TIMEOUT_S
+        data = b""
+        while b"\n" not in data and len(data) <= msg.MAX_FRAME_BYTES:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise TimeoutError("no hello line in time")
+            conn.settimeout(remaining)
+            chunk = conn.recv(RECV_BYTES)
+            if not chunk:
+                break
+            data += chunk
+        if not data:
+            return None  # EOF before a single byte mattered
+        line, __, rest = data.partition(b"\n")
+        try:
+            if len(line) > msg.MAX_FRAME_BYTES:
+                raise ProtocolError(
+                    "frame exceeds the"
+                    f" {msg.MAX_FRAME_BYTES}-byte protocol limit"
+                )
+            wire.parse_hello(line)
+        except ProtocolError as err:
+            conn.sendall(wire.encode_frame(msg.error_to_reply(err)))
+            conn.shutdown(socket.SHUT_WR)
+            return None
+        conn.settimeout(None)  # past the hello, a connection may idle
+        self.service.record_connection()
+        blob_dir = str(self._spool.root) if self._spool is not None else None
+        conn.sendall(wire.accept_line(blob_dir))
+        return rest
+
+    def _frame_loop(self, conn: socket.socket, data: bytes) -> None:
+        """Answer frames, starting with any that came in with the hello,
+        until EOF (the peer's, or the drain's ``SHUT_RD``) or a framing
+        error, which is answered and then ends the connection."""
+        service, spool = self.service, self._spool
+        eof = False
+        while True:
+            replies = []
+            start = 0
+            try:
+                # a frame cut short by the drain is dropped, not an error
+                while (
+                    end := wire.frame_end(
+                        data, start, eof=eof and not self._draining
+                    )
+                ) is not None:
+                    reply = service.handle_frame(
+                        data[start + 4:end], spool=spool
+                    )
+                    service.record_wire(end - start, len(reply))
+                    replies.append(reply)
+                    start = end
+            except ProtocolError as err:
+                replies.append(wire.encode_frame(msg.error_to_reply(err)))
+                eof = True
+            if replies:
+                conn.sendall(b"".join(replies))
+            if eof:
+                return
+            chunk = conn.recv(RECV_BYTES)
+            eof = not chunk
+            data = data[start:] + chunk if start < len(data) else chunk
+
+    def shutdown(self, grace_seconds: float = 5.0) -> None:
+        """Drain and stop: the clean SIGTERM path (idempotent).
+
+        Closes the listener, flips the service into draining mode (new
+        work refused with :class:`~repro.errors.ServiceUnavailableError`),
+        shuts the read side of every connection so its thread answers
+        the frames it already holds, flushes and closes, and joins those
+        threads within ``grace_seconds`` before force-closing whatever
+        is left.
+        """
+        with self._lock:
+            listener, self._listener = self._listener, None
+            self._draining = True
+        if listener is None:
+            return
+        try:
+            listener.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept
+        except OSError:
+            pass
+        listener.close()
+        self._accept_thread.join(5.0)
         self.service.begin_drain()
-        self._server.close()
-        connections = list(self._connections)
-        for connection in connections:
-            connection.begin_drain()
-        pending = [c.done for c in connections if c.done is not None]
-        if pending:
-            __, unfinished = await asyncio.wait(
-                pending, timeout=grace_seconds
-            )
-            for task in unfinished:  # grace expired: force-close
-                task.cancel()
-            if unfinished:
-                await asyncio.wait(unfinished, timeout=1.0)
-        await self._server.wait_closed()
+        threads = self._shutdown_connections(socket.SHUT_RD)
+        deadline = time.monotonic() + grace_seconds
+        for thread in threads:
+            thread.join(max(0.0, deadline - time.monotonic()))
+        for thread in self._shutdown_connections(socket.SHUT_RDWR):
+            thread.join(1.0)  # a thread stuck in a request stays a daemon
 
-    async def __aenter__(self) -> "ServiceServer":
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        self.close()
-        await self.wait_closed()
+    def _shutdown_connections(self, how: int) -> list[threading.Thread]:
+        # under the lock, so no socket here has been closed by its thread
+        with self._lock:
+            for conn in self._connections:
+                try:
+                    conn.shutdown(how)
+                except OSError:  # the peer already went away
+                    pass
+            return list(self._connections.values())
 
 
-async def serve(
+def serve(
     service: TopKService, host: str = "127.0.0.1", port: int = 0
 ) -> ServiceServer:
     """Start the binary-wire socket server; returns a
-    :class:`ServiceServer` (its bound port is
-    ``server.sockets[0].getsockname()[1]``)."""
-    return await ServiceServer(service).start(host, port)
+    :class:`ServiceServer` (its bound port is ``server.address[1]``)."""
+    return ServiceServer(service).start(host, port)
 
 
 class ServiceThread:
-    """A live socket service on a background thread (context manager).
+    """A live socket service for the length of a ``with`` block.
 
     ::
 
         with ServiceThread(TopKService()) as live:
             client = SocketClient(live.host, live.port)
 
-    The event loop, server, and executor all live on the thread;
-    ``__exit__`` stops the loop and joins it.
+    The server's accept and connection threads serve in the background;
+    ``__exit__`` drains it (:meth:`ServiceServer.shutdown`) and leaves
+    none of them running.
     """
 
     def __init__(
@@ -947,55 +873,24 @@ class ServiceThread:
         self.host = host
         self.port = port
         self.grace_seconds = grace_seconds
-        self._ready = threading.Event()
-        self._startup_error: BaseException | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
         self._server: ServiceServer | None = None
-        self._thread: threading.Thread | None = None
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        try:
-            self._server = await serve(self.service, self.host, self.port)
-        except OSError as err:
-            self._startup_error = err
-            self._ready.set()
-            return
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._ready.set()
-        await self._stop.wait()
-        await self._server.shutdown(self.grace_seconds)
 
     def shutdown(self, grace_seconds: float | None = None) -> None:
-        """Gracefully stop the live server from any thread (idempotent)."""
+        """Gracefully stop the live server (idempotent)."""
         if grace_seconds is not None:
             self.grace_seconds = grace_seconds
-        if self._loop is not None and self._stop is not None:
-            try:
-                self._loop.call_soon_threadsafe(self._stop.set)
-            except RuntimeError:  # loop already finished (second call)
-                pass
+        if self._server is not None:
+            self._server.shutdown(self.grace_seconds)
 
     def __enter__(self) -> "ServiceThread":
-        self._thread = threading.Thread(
-            target=lambda: asyncio.run(self._main()),
-            name="repro-service",
-            daemon=True,
-        )
-        self._thread.start()
-        self._ready.wait(timeout=10)
-        if self._startup_error is not None:
+        try:
+            self._server = serve(self.service, self.host, self.port)
+        except OSError as err:
             raise ServiceError(
-                f"service failed to bind {self.host}:{self.port}:"
-                f" {self._startup_error}"
-            )
-        if not self._ready.is_set():  # pragma: no cover - defensive
-            raise ServiceError("service thread failed to start in time")
+                f"service failed to bind {self.host}:{self.port}: {err}"
+            ) from err
+        self.port = self._server.address[1]
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
-        if self._thread is not None:
-            self._thread.join(timeout=10)

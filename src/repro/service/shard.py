@@ -3,8 +3,8 @@
 The single-process :class:`~repro.service.server.TopKService` tops out
 at one core.  :class:`ShardedService` spawns ``workers`` child
 processes, each hosting a full service (its own
-:class:`~repro.service.cache.SharedPlanCache`, sessions, asyncio
-socket server on its own port), and :class:`ShardedClient` routes
+:class:`~repro.service.cache.SharedPlanCache`, sessions, and socket
+server on its own port), and :class:`ShardedClient` routes
 every session to a worker by **rendezvous (highest-random-weight)
 hash** of the session's content fingerprint — topology id, planner,
 ``k`` — so equal-content tenants always land on the same worker and
@@ -81,10 +81,10 @@ def _worker_main(index: int, host: str, conn, config) -> None:
 
     Reports ``("ready", port)`` on the pipe, then serves until the
     parent sends ``("shutdown", grace_seconds)`` (or the pipe dies),
-    drains gracefully, and replies ``("stopped", cache_stats)``.
+    drains gracefully, and replies ``("stopped", cache_stats)``.  The
+    socket server's own threads answer requests; this main thread
+    serves the pipe.
     """
-    import asyncio
-
     from repro.obs import Instrumentation
     from repro.service.server import TopKService, serve
 
@@ -93,66 +93,42 @@ def _worker_main(index: int, host: str, conn, config) -> None:
     service = TopKService(
         config, instrumentation=Instrumentation(span_mode="ring")
     )
-
-    async def _main() -> None:
+    try:
+        server = serve(service, host, 0)
+    except OSError as err:
+        conn.send(("error", f"worker {index} failed to bind: {err}"))
+        return
+    conn.send(("ready", server.address[1]))
+    grace = 5.0
+    # telemetry polls are answered in-line; anything else stops the worker
+    while True:
         try:
-            server = await serve(service, host, 0)
-        except OSError as err:
-            conn.send(("error", f"worker {index} failed to bind: {err}"))
-            return
-        conn.send(("ready", server.sockets[0].getsockname()[1]))
-        loop = asyncio.get_running_loop()
-        stop = asyncio.Event()
-        grace = [5.0]
-
-        async def _snapshot() -> dict:
-            snapshot = service.telemetry_snapshot()
-            snapshot["shard"] = str(index)
-            return snapshot
-
-        def _watch_pipe() -> None:
-            # served until shutdown: telemetry polls are answered
-            # in-line (snapshotted on the event loop so they never
-            # race request handling), anything else stops the worker
-            while True:
-                try:
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    grace[0] = 0.0  # parent died: fast drain
-                    break
-                if not isinstance(message, tuple) or not message:
-                    continue
-                if message[0] == "telemetry":
-                    try:
-                        future = asyncio.run_coroutine_threadsafe(
-                            _snapshot(), loop
-                        )
-                        payload = future.result(timeout=10.0)
-                    except Exception as err:  # pragma: no cover - defensive
-                        payload = {"shard": str(index), "error": str(err)}
-                    try:
-                        conn.send(("telemetry", payload))
-                    except (BrokenPipeError, OSError):
-                        grace[0] = 0.0
-                        break
-                    continue
-                if message[0] == "shutdown":
-                    grace[0] = float(message[1])
-                break
+            message = conn.recv()
+        except (EOFError, OSError):
+            grace = 0.0  # parent died: fast drain
+            break
+        if not isinstance(message, tuple) or not message:
+            continue
+        if message[0] == "telemetry":
             try:
-                loop.call_soon_threadsafe(stop.set)
-            except RuntimeError:  # loop already torn down (SIGINT)
-                pass
-
-        threading.Thread(target=_watch_pipe, daemon=True).start()
-        await stop.wait()
-        await server.shutdown(grace[0])
-        try:
-            conn.send(("stopped", service.cache.stats()))
-        except (BrokenPipeError, OSError):  # pragma: no cover - parent gone
-            pass
-
-    asyncio.run(_main())
+                payload = service.telemetry_snapshot()
+                payload["shard"] = str(index)
+            except Exception as err:  # pragma: no cover - defensive
+                payload = {"shard": str(index), "error": str(err)}
+            try:
+                conn.send(("telemetry", payload))
+            except (BrokenPipeError, OSError):
+                grace = 0.0
+                break
+            continue
+        if message[0] == "shutdown":
+            grace = float(message[1])
+        break
+    server.shutdown(grace)
+    try:
+        conn.send(("stopped", service.cache.stats()))
+    except (BrokenPipeError, OSError):  # pragma: no cover - parent gone
+        pass
 
 
 class ShardedService:

@@ -76,6 +76,7 @@ FLAG_CID = 0x01
 FLAG_TRACE = 0x02
 _KNOWN_FLAGS = FLAG_CID | FLAG_TRACE
 
+_PREFIX = struct.Struct(">I")
 _HEADER = struct.Struct("<BBQ")
 _TRACE_BLOCK = struct.Struct("<QQ")
 """Fixed-width trace context (trace id u64, parent span id u64),
@@ -614,7 +615,7 @@ def encode_frame(
             f"frame of {body_len} bytes exceeds the"
             f" {MAX_FRAME_BYTES}-byte protocol limit"
         )
-    parts[0] = struct.pack(">I", body_len)
+    parts[0] = _PREFIX.pack(body_len)
     return b"".join(parts)
 
 
@@ -691,12 +692,52 @@ def decode_frame(
     return message, cid
 
 
+def _check_length(length: int) -> None:
+    """Raise :class:`~repro.errors.ProtocolError` on a length prefix
+    over the frame bound or under the header size."""
+    if length > MAX_FRAME_BYTES:
+        raise ProtocolError(
+            f"frame of {length} bytes exceeds the"
+            f" {MAX_FRAME_BYTES}-byte protocol limit"
+        )
+    if length < _HEADER.size:
+        raise ProtocolError(f"frame length {length} is below the header size")
+
+
+def frame_end(data, offset: int = 0, *, eof: bool = False) -> int | None:
+    """Where the length-prefixed frame starting at ``data[offset:]`` ends.
+
+    Returns the offset just past the frame, or ``None`` while the
+    buffer holds only part of it (or nothing at all).  Raises
+    :class:`~repro.errors.ProtocolError` on a length prefix over the
+    frame bound or under the header size, and — when ``eof`` says no
+    more bytes will come — on a frame cut short.  The stream is
+    unrecoverable past any of these (no resync is attempted).
+    """
+    available = len(data) - offset
+    if available < 4:
+        if eof and available:
+            raise ProtocolError(
+                f"truncated frame length prefix ({available} of 4 bytes)"
+            )
+        return None
+    (length,) = _PREFIX.unpack_from(data, offset)
+    _check_length(length)
+    if available - 4 < length:
+        if eof:
+            raise ProtocolError(
+                f"truncated frame body ({available - 4} of {length} bytes)"
+            )
+        return None
+    return offset + 4 + length
+
+
 def read_frame_blocking(sock_file) -> bytes:
     """Read one frame body from a blocking binary file object.
 
     Returns ``b""`` at clean EOF (before any prefix byte); raises
     :class:`~repro.errors.ProtocolError` on a truncated prefix or
-    body, and on a length prefix exceeding the frame bound (the stream
+    body, and on a length prefix outside the frame bounds (the stream
     is unrecoverable past that point — no resync is attempted).
     """
     prefix = sock_file.read(4)
@@ -706,14 +747,8 @@ def read_frame_blocking(sock_file) -> bytes:
         raise ProtocolError(
             f"truncated frame length prefix ({len(prefix)} of 4 bytes)"
         )
-    (length,) = struct.unpack(">I", prefix)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"frame of {length} bytes exceeds the"
-            f" {MAX_FRAME_BYTES}-byte protocol limit"
-        )
-    if length < _HEADER.size:
-        raise ProtocolError(f"frame length {length} is below the header size")
+    (length,) = _PREFIX.unpack(prefix)
+    _check_length(length)
     body = sock_file.read(length)
     if len(body) < length:
         raise ProtocolError(

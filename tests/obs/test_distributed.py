@@ -250,8 +250,12 @@ class TestRenderTop:
 
 
 def _get(url):
-    with urllib.request.urlopen(url, timeout=10) as response:
-        return response.status, response.read()
+    try:
+        with urllib.request.urlopen(url, timeout=10) as response:
+            return response.status, response.read()
+    except urllib.error.HTTPError as err:
+        err.close()  # the error carries the response and its socket
+        raise
 
 
 class TestTelemetryServer:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ObservabilityError
 from repro.obs import EnergyLedger, Instrumentation
+from repro.obs.energy import HISTORY_EPOCHS
 
 
 class TestConstruction:
@@ -193,3 +194,101 @@ class TestSerialization:
     def test_malformed_dump_raises(self):
         with pytest.raises(ObservabilityError, match="malformed"):
             EnergyLedger.from_dict({"num_nodes": 2})
+
+
+class TestBoundedHistory:
+    """The per-epoch window is bounded; totals and lifetime are not."""
+
+    EPOCHS = 5000
+
+    def long_run(self, capacity_mj=None) -> EnergyLedger:
+        ledger = EnergyLedger(2, capacity_mj=capacity_mj)
+        for epoch in range(self.EPOCHS):
+            ledger.charge(0, 1.0, messages=1, nbytes=8)
+            ledger.charge(1, 0.25 * (epoch % 4), messages=1)
+            ledger.end_epoch()
+        return ledger
+
+    def test_window_is_capped_and_counts_every_epoch(self):
+        ledger = self.long_run()
+        assert ledger.num_epochs == self.EPOCHS
+        assert len(ledger.epoch_energy) == HISTORY_EPOCHS
+        np.testing.assert_allclose(ledger.epoch_energy[-1], [1.0, 0.75])
+        # running totals still cover every epoch
+        assert ledger.energy_mj[0] == self.EPOCHS
+        np.testing.assert_array_equal(
+            ledger.messages, [self.EPOCHS, self.EPOCHS]
+        )
+        assert ledger.bytes[0] == 8 * self.EPOCHS
+
+    def test_cumulative_window_starts_from_the_dropped_spend(self):
+        ledger = self.long_run()
+        cumulative = ledger.cumulative_energy()
+        assert cumulative.shape == (HISTORY_EPOCHS, 2)
+        first_kept = self.EPOCHS - HISTORY_EPOCHS
+        assert cumulative[0, 0] == first_kept + 1
+        np.testing.assert_array_equal(cumulative[-1], ledger.energy_mj)
+
+    def test_burn_down_covers_the_window(self):
+        capacity = 2.0 * self.EPOCHS
+        ledger = self.long_run(capacity_mj=capacity)
+        burn = ledger.burn_down()
+        assert burn.shape == (HISTORY_EPOCHS,)
+        assert burn[-1] == pytest.approx(0.5)
+        first_kept = self.EPOCHS - HISTORY_EPOCHS
+        assert burn[0] == pytest.approx(1 - (first_kept + 1) / capacity)
+
+    def test_lifetime_latched_before_the_window(self):
+        # node 0 reaches 100 mJ at epoch 99, long before the window
+        ledger = self.long_run(capacity_mj=100.0)
+        assert ledger.lifetime_epoch() == 99
+        assert EnergyLedger.from_dict(ledger.to_dict()).lifetime_epoch() == 99
+
+    def test_projected_lifetime_uses_every_epoch(self):
+        ledger = self.long_run(capacity_mj=4.0 * self.EPOCHS)
+        # node 0 burns 1 mJ/epoch averaged over all epochs
+        assert ledger.projected_lifetime() == pytest.approx(4.0 * self.EPOCHS)
+
+    def test_dump_stays_bounded_and_round_trips(self):
+        ledger = self.long_run(capacity_mj=100.0)
+        dump = ledger.to_dict()
+        assert len(dump["epoch_energy"]) == HISTORY_EPOCHS
+        assert dump["epochs"] == self.EPOCHS
+        restored = EnergyLedger.from_dict(dump)
+        assert restored.to_dict() == dump
+        np.testing.assert_array_equal(
+            restored.cumulative_energy(), ledger.cumulative_energy()
+        )
+        restored.charge(0, 1.0)
+        assert restored.end_epoch() == self.EPOCHS
+
+    def test_dump_without_offset_reads_as_zero(self):
+        dump = {
+            "num_nodes": 2,
+            "capacity_mj": 3.0,
+            "energy_mj": [4.0, 1.0],
+            "messages": [0, 0],
+            "bytes": [0, 0],
+            "epoch_energy": [[2.0, 0.5], [2.0, 0.5]],
+        }
+        restored = EnergyLedger.from_dict(dump)
+        assert restored.num_epochs == 2
+        np.testing.assert_allclose(
+            restored.cumulative_energy(), [[2.0, 0.5], [4.0, 1.0]]
+        )
+        # the latch is found again from the replayed window
+        assert restored.lifetime_epoch() == 1
+
+    def test_long_unbounded_dump_folds_its_oldest_rows(self):
+        rows = [[1.0, 0.0]] * (HISTORY_EPOCHS + 10)
+        dump = {
+            "num_nodes": 2,
+            "energy_mj": [float(len(rows)), 0.0],
+            "messages": [0, 0],
+            "bytes": [0, 0],
+            "epoch_energy": rows,
+        }
+        restored = EnergyLedger.from_dict(dump)
+        assert restored.num_epochs == len(rows)
+        assert len(restored.epoch_energy) == HISTORY_EPOCHS
+        assert restored.cumulative_energy()[0, 0] == 11.0

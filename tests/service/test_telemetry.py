@@ -57,8 +57,12 @@ def fleet():
 
 
 def _get(url):
-    with urllib.request.urlopen(url, timeout=10) as response:
-        return response.read()
+    try:
+        with urllib.request.urlopen(url, timeout=10) as response:
+            return response.read()
+    except urllib.error.HTTPError as err:
+        err.close()  # the error carries the response and its socket
+        raise
 
 
 # -- the acceptance criterion ------------------------------------------------
