@@ -10,9 +10,10 @@ Three layers, all optional and all built on the in-process toolkit:
   span and inherited by anything nested inside it (:func:`adopt_trace`).
 - :class:`TelemetryAggregator` — merges per-shard snapshots (metrics
   registry dumps, span trees, slow-request exemplars) polled over the
-  shard Pipe channel into fleet-level views: mergeable log-linear
-  histogram quantiles (p50/p95/p99 that survive merging, unlike
-  reservoirs), per-shard qps from successive snapshot deltas, and a
+  shard Pipe channel into fleet-level views: fleet p50/p95/p99 from
+  histograms merged exactly on the shared geometric bucket grid (each
+  within :data:`~repro.obs.metrics.RELATIVE_ERROR` of the exact order
+  statistic), per-shard qps from successive snapshot deltas, and a
   single merged Chrome-trace document with one ``pid`` lane per shard.
 - :class:`TelemetryServer` — an opt-in stdlib ``http.server`` thread
   serving Prometheus exposition (``/metrics``), the merged trace
@@ -232,7 +233,7 @@ class TelemetryAggregator:
     Feed it the dicts produced by
     ``TopKService.telemetry_snapshot()`` (tagged with a ``"shard"``
     key); it keeps the latest snapshot per shard, derives qps from
-    successive snapshot deltas, merges the shards' log-linear
+    successive snapshot deltas, merges the shards' bucket-grid
     histograms into fleet quantiles, and renders the live surfaces
     (Prometheus text, merged Chrome trace, dashboard rows).
     Thread-safe: the HTTP server polls while the owner ingests.
@@ -281,7 +282,7 @@ class TelemetryAggregator:
             return sum(self._rates.values())
 
     def shard_histogram(self, shard: str, name: str) -> Histogram | None:
-        """One shard's histogram, rebuilt mergeable from its dump."""
+        """One shard's histogram, rebuilt from its dump."""
         with self._lock:
             snapshot = self._snapshots.get(str(shard))
         if snapshot is None:
@@ -291,7 +292,7 @@ class TelemetryAggregator:
         )
         if dump is None:
             return None
-        return Histogram.from_merge_dict(name, dump)
+        return Histogram.from_dict(name, dump)
 
     def fleet_histogram(self, name: str) -> Histogram | None:
         """The named histogram merged across every shard."""
@@ -319,7 +320,7 @@ class TelemetryAggregator:
             .get(REQUEST_LATENCY_METRIC)
         )
         latency = (
-            Histogram.from_merge_dict(REQUEST_LATENCY_METRIC, dump)
+            Histogram.from_dict(REQUEST_LATENCY_METRIC, dump)
             if dump
             else None
         )

@@ -122,8 +122,10 @@ def prometheus_text(obs: Instrumentation, prefix: str = "repro") -> str:
     """The metrics registry in Prometheus text exposition format.
 
     Counters gain the conventional ``_total`` suffix; histograms are
-    exposed as summaries (reservoir quantiles plus exact ``_sum`` and
-    ``_count``).  Output is sorted for diff-stable scrapes.
+    exposed as summaries (:meth:`~repro.obs.metrics.Histogram.quantile`
+    on the shared bucket grid, within its stated relative error, plus
+    exact ``_sum`` and ``_count``).  Output is sorted for diff-stable
+    scrapes.
     """
     lines: list[str] = []
     for name, counter in sorted(obs.metrics.counters.items()):
@@ -138,7 +140,7 @@ def prometheus_text(obs: Instrumentation, prefix: str = "repro") -> str:
         metric = _metric_name(name, prefix)
         lines.append(f"# TYPE {metric} summary")
         for quantile in (0.5, 0.95, 0.99):
-            value = hist.percentile(quantile * 100.0)
+            value = hist.quantile(quantile * 100.0)
             lines.append(
                 f'{metric}{{quantile="{quantile}"}} {_format_value(value)}'
             )

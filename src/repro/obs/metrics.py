@@ -5,14 +5,12 @@ plain Python objects keyed by name, created on first touch, with a
 JSON-serializable dump/restore so a run's measurements can be written
 to disk and re-rendered later (``python -m repro stats``).
 
-Histograms keep exact ``count``/``total``/``min``/``max`` plus a
-bounded reservoir of observations for percentile estimates.  Beyond
-the limit the reservoir is maintained with Algorithm R (Vitter 1985):
-every observation — not just the first ``sample_limit`` — has equal
-probability of being retained, so p50/p95 of a long run reflect the
-whole run rather than its warm-up.  The replacement draws come from a
-private generator seeded deterministically from the histogram name, so
-two identical runs produce identical dumps.
+Histograms keep exact ``count``/``total``/``min``/``max`` plus sparse
+counts on one geometric bucket grid shared by every histogram, so
+histograms from different processes merge by adding counts and every
+published p50/p95/p99 comes from :meth:`Histogram.quantile`.  Inside
+the grid's range a quantile is within a relative :data:`RELATIVE_ERROR`
+of the exact order statistic.
 
 Timers read an injectable clock (default ``time.perf_counter``) so
 tests can assert exact durations instead of sleeping.
@@ -21,62 +19,50 @@ tests can assert exact durations instead of sleeping.
 from __future__ import annotations
 
 import math
-import random
 import time
-import zlib
 from typing import Callable
 
 from repro.errors import ObservabilityError
 
-# -- log-linear bucket grid ---------------------------------------------------
-# Histograms additionally count observations into a fixed log-linear
-# grid: 9 linear steps per decade across decades 1e-9 .. 1e9, plus an
-# underflow bucket (values <= 0) and an overflow bucket.  The grid is
-# identical for every histogram, so histograms from different processes
-# merge by elementwise addition and quantiles of the merged distribution
-# come from the bucket counts rather than any one process's reservoir.
-_MIN_DECADE = -9
-_MAX_DECADE = 8
-_STEPS_PER_DECADE = 9
-_UNDERFLOW = 0
-_OVERFLOW = 1 + (_MAX_DECADE - _MIN_DECADE + 1) * _STEPS_PER_DECADE
-BUCKET_COUNT = _OVERFLOW + 1
+# -- geometric bucket grid ----------------------------------------------------
+GAMMA = 1.02
+"""Ratio between successive bucket bounds: bucket ``i`` holds the
+values in ``(GAMMA**(i-1), GAMMA**i]``."""
+
+RELATIVE_ERROR = (GAMMA - 1.0) / (GAMMA + 1.0)
+"""Worst relative error of a bucket's representative value (~0.99%)."""
+
+_LOG_GAMMA = math.log(GAMMA)
+# Values at or below 1e-9 share the lowest bucket and values above 1e9
+# the highest; the error bound holds between the two.
+_GRID_MIN = 1e-9
+_GRID_MAX = 1e9
+_MIN_INDEX = math.ceil(math.log(_GRID_MIN) / _LOG_GAMMA)
+_MAX_INDEX = math.ceil(math.log(_GRID_MAX) / _LOG_GAMMA)
+_ZERO_INDEX = _MIN_INDEX - 1  # zero and negative observations
 
 
 def bucket_index(value: float) -> int:
-    """Index of ``value`` in the shared log-linear grid."""
-    if value <= 0.0 or value != value:  # non-positive or NaN
-        return _UNDERFLOW
-    if math.isinf(value):
-        return _OVERFLOW
-    decade = math.floor(math.log10(value))
-    scaled = value / 10.0 ** decade
-    # guard float drift at decade boundaries (log10(1000) == 2.9999..)
-    if scaled >= 10.0:
-        decade += 1
-        scaled /= 10.0
-    elif scaled < 1.0:
-        decade -= 1
-        scaled *= 10.0
-    if decade < _MIN_DECADE:
-        return _UNDERFLOW + 1  # smallest finite bucket
-    step = max(1, math.ceil(scaled - 1e-12))
-    if step > _STEPS_PER_DECADE:  # (9, 10] rolls into the next decade
-        decade += 1
-        step = 1
-    if decade > _MAX_DECADE:
-        return _OVERFLOW
-    return 1 + (decade - _MIN_DECADE) * _STEPS_PER_DECADE + (step - 1)
+    """Grid index of ``value``: ``ceil(log(value) / log(GAMMA))``,
+    clamped to the grid; zero and negatives share one bucket below it."""
+    if value > _GRID_MAX:
+        return _MAX_INDEX
+    if value > _GRID_MIN:
+        return math.ceil(math.log(value) / _LOG_GAMMA)
+    if value > 0.0:
+        return _MIN_INDEX
+    if value != value:
+        raise ObservabilityError("cannot observe NaN")
+    return _ZERO_INDEX
 
 
-def bucket_upper_bound(index: int) -> float:
-    """Inclusive upper bound of bucket ``index`` (inf for overflow)."""
-    if index <= _UNDERFLOW:
+def bucket_value(index: int) -> float:
+    """Representative of bucket ``index``, ``2 * GAMMA**index / (GAMMA
+    + 1)``: within :data:`RELATIVE_ERROR` of every value in the bucket
+    (0.0 for the zero-and-negative bucket)."""
+    if index == _ZERO_INDEX:
         return 0.0
-    if index >= _OVERFLOW:
-        return float("inf")
-    decade, step = divmod(index - 1, _STEPS_PER_DECADE)
-    return (step + 1) * 10.0 ** (decade + _MIN_DECADE)
+    return 2.0 * GAMMA ** index / (GAMMA + 1.0)
 
 
 class Counter:
@@ -122,93 +108,63 @@ class Gauge:
 
 
 class Histogram:
-    """A distribution summary with a bounded uniform sample reservoir.
+    """A mergeable distribution summary on the shared geometric grid.
 
-    The reservoir is filled with Algorithm R: the first ``sample_limit``
-    observations are kept verbatim; afterwards observation ``i`` (from
-    1) replaces a uniformly chosen slot with probability
-    ``sample_limit / i``, leaving every observation equally likely to
-    be in the reservoir.  ``seed`` defaults to a CRC of the name, so
-    reservoirs — and therefore dumps — are reproducible run to run.
+    ``count``/``total``/``min``/``max`` are exact; ``buckets`` maps a
+    grid index (:func:`bucket_index`) to its observation count.  Every
+    quantile comes from :meth:`quantile`, and two histograms
+    :meth:`merge` exactly, so a merged fleet histogram reads the same
+    quantiles as one histogram that saw every observation.
     """
 
-    __slots__ = ("name", "count", "total", "min", "max", "sample",
-                 "sample_limit", "seed", "buckets", "_rng")
+    __slots__ = ("name", "count", "total", "min", "max", "buckets")
 
-    def __init__(
-        self, name: str, sample_limit: int = 4096, seed: int | None = None
-    ) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
         self.count = 0
         self.total = 0.0
         self.min = float("inf")
         self.max = float("-inf")
-        self.sample: list[float] = []
-        self.sample_limit = sample_limit
-        self.seed = zlib.crc32(name.encode()) if seed is None else seed
         self.buckets: dict[int, int] = {}
-        self._rng = random.Random(self.seed)
 
     def observe(self, value: float) -> None:
+        """Record one observation; NaN raises :class:`ObservabilityError`."""
         value = float(value)
+        index = bucket_index(value)
+        self.buckets[index] = self.buckets.get(index, 0) + 1
         self.count += 1
         self.total += value
         if value < self.min:
             self.min = value
         if value > self.max:
             self.max = value
-        index = bucket_index(value)
-        self.buckets[index] = self.buckets.get(index, 0) + 1
-        if len(self.sample) < self.sample_limit:
-            self.sample.append(value)
-        else:
-            slot = self._rng.randrange(self.count)
-            if slot < self.sample_limit:
-                self.sample[slot] = value
 
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def percentile(self, q: float) -> float:
-        """Estimate the q-th percentile (0..100) from the reservoir."""
-        if not self.sample:
-            return 0.0
-        ordered = sorted(self.sample)
-        index = min(len(ordered) - 1, int(round(q / 100.0 * (len(ordered) - 1))))
-        return ordered[index]
-
     def quantile(self, q: float) -> float:
-        """Estimate the q-th percentile (0..100) from the bucket counts.
+        """Estimate the q-th percentile (0..100).
 
-        Unlike :meth:`percentile` this works on the shared log-linear
-        grid, so it stays meaningful after :meth:`merge` combines
-        histograms from several processes.  The answer is the upper
-        bound of the bucket holding the target rank, clamped to the
-        exact observed ``[min, max]`` range.  Falls back to the
-        reservoir when no bucket counts exist (legacy dumps).
+        The target is the order statistic of rank ``floor(q/100 *
+        (count - 1))`` (0-based); the answer is the representative of
+        the bucket holding it, clamped to the exact ``[min, max]``, so
+        inside the grid's range it is within :data:`RELATIVE_ERROR` of
+        that order statistic.
         """
         if not self.count:
             return 0.0
-        if not self.buckets:
-            return self.percentile(q)
         rank = q / 100.0 * (self.count - 1)
         cumulative = 0
-        bound = 0.0
         for index in sorted(self.buckets):
             cumulative += self.buckets[index]
             if cumulative > rank:
-                bound = bucket_upper_bound(index)
                 break
-        return min(max(bound, self.min), self.max)
+        return min(max(bucket_value(index), self.min), self.max)
 
     def merge(self, other: "Histogram") -> None:
-        """Fold another histogram's observations into this one.
-
-        Counts, totals, extrema, and bucket grids combine exactly; the
-        reservoirs concatenate and, past ``sample_limit``, are thinned
-        by a deterministic draw so merged dumps are reproducible.
-        """
+        """Fold another histogram's observations into this one; counts,
+        totals, extrema and buckets all combine exactly."""
         if not other.count:
             return
         self.count += other.count
@@ -218,44 +174,24 @@ class Histogram:
         if other.max > self.max:
             self.max = other.max
         for index, n in other.buckets.items():
-            self.buckets[index] = self.buckets.get(index, 0) + int(n)
-        combined = self.sample + list(other.sample)
-        if len(combined) > self.sample_limit:
-            rng = random.Random((self.seed * 1000003) ^ other.seed)
-            combined = rng.sample(combined, self.sample_limit)
-        self.sample = combined
+            self.buckets[index] = self.buckets.get(index, 0) + n
 
     def summary(self) -> dict:
         """The row rendered by the ASCII reporter."""
         return {
             "count": self.count,
             "mean": self.mean,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
+            "p50": self.quantile(50),
+            "p95": self.quantile(95),
             "max": self.max if self.count else 0.0,
             "total": self.total,
         }
 
     def to_dict(self) -> dict:
+        """The JSON-safe dump that registry dumps, stats replies and
+        telemetry snapshots carry; :meth:`from_dict` restores it."""
         return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.min if self.count else None,
-            "max": self.max if self.count else None,
-            "sample": list(self.sample),
-            "sample_limit": self.sample_limit,
-            "seed": self.seed,
-            "buckets": {str(i): n for i, n in sorted(self.buckets.items())},
-        }
-
-    def to_merge_dict(self) -> dict:
-        """A compact wire form: exact stats + buckets, no reservoir.
-
-        Small enough to ride a JSON stats reply per shard, yet enough
-        to rebuild fleet-level p50/p95/p99 via :meth:`from_merge_dict`
-        and :meth:`merge`.
-        """
-        return {
+            "gamma": GAMMA,
             "count": self.count,
             "total": self.total,
             "min": self.min if self.count else None,
@@ -264,21 +200,35 @@ class Histogram:
         }
 
     @classmethod
-    def from_merge_dict(cls, name: str, dump: dict) -> "Histogram":
-        """Rebuild a (reservoir-less) histogram from a merge dict."""
+    def from_dict(cls, name: str, dump: dict) -> "Histogram":
+        """Rebuild a histogram from :meth:`to_dict` output.
+
+        A dump built on another bucket grid raises
+        :class:`ObservabilityError` rather than being misread.
+        """
         try:
+            if dump.get("gamma") != GAMMA:
+                raise ValueError(
+                    f"bucket grid gamma {dump.get('gamma')!r} is not"
+                    f" this build's {GAMMA!r}"
+                )
             hist = cls(name)
             hist.count = int(dump["count"])
             hist.total = float(dump["total"])
-            hist.min = float("inf") if dump.get("min") is None else float(dump["min"])
-            hist.max = float("-inf") if dump.get("max") is None else float(dump["max"])
+            if hist.count:
+                hist.min = float(dump["min"])
+                hist.max = float(dump["max"])
             hist.buckets = {
-                int(i): int(n) for i, n in (dump.get("buckets") or {}).items()
+                int(i): int(n) for i, n in dump["buckets"].items()
             }
+            if sum(hist.buckets.values()) != hist.count:
+                raise ValueError(
+                    f"bucket counts do not sum to count {hist.count}"
+                )
             return hist
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ObservabilityError(
-                f"malformed histogram merge dump for {name!r}: {exc}"
+                f"malformed histogram dump for {name!r}: {exc}"
             ) from exc
 
     def __repr__(self) -> str:
@@ -367,24 +317,7 @@ class MetricsRegistry:
             for name, dump in data.get("gauges", {}).items():
                 registry.gauge(name).set(dump["value"])
             for name, dump in data.get("histograms", {}).items():
-                hist = registry.histogram(name)
-                hist.count = int(dump["count"])
-                hist.total = float(dump["total"])
-                hist.min = float("inf") if dump["min"] is None else float(dump["min"])
-                hist.max = float("-inf") if dump["max"] is None else float(dump["max"])
-                hist.sample = [float(v) for v in dump.get("sample", [])]
-                hist.sample_limit = int(dump.get("sample_limit", 4096))
-                hist.buckets = {
-                    int(i): int(n)
-                    for i, n in (dump.get("buckets") or {}).items()
-                }
-                if dump.get("seed") is not None:
-                    hist.seed = int(dump["seed"])
-                # replay determinism: a restored histogram draws its
-                # reservoir replacements from the same seeded stream a
-                # fresh one would (dumps are for offline rendering, not
-                # for resuming a half-finished stream)
-                hist._rng = random.Random(hist.seed)
+                registry.histograms[name] = Histogram.from_dict(name, dump)
             return registry
         except (KeyError, TypeError, ValueError) as exc:
             raise ObservabilityError(f"malformed metrics dump: {exc}") from exc

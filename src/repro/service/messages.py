@@ -108,6 +108,19 @@ class Message:
         return cls(**payload)
 
 
+def with_session_id(message: Message, session_id: str) -> Message:
+    """A copy of ``message`` addressed to ``session_id``.
+
+    Copies the instance's fields as they are, so ``__post_init__``
+    (the tuple normalization of every reading) does not run again the
+    way it would under :func:`dataclasses.replace`.
+    """
+    clone = object.__new__(type(message))
+    clone.__dict__.update(message.__dict__)
+    clone.__dict__["session_id"] = session_id
+    return clone
+
+
 # -- requests ---------------------------------------------------------------
 
 

@@ -434,14 +434,13 @@ class TopKService:
         }
 
     def _histogram_merge_dumps(self) -> dict:
-        """Mergeable dumps of every ``service.*`` histogram (request
-        latency, wire bytes): the stats-reply form shard
-        aggregation merges with exact min/max and bucket quantiles."""
+        """Dumps of every ``service.*`` histogram (request latency, wire
+        bytes), which shard aggregation merges into fleet quantiles."""
         obs = self.instrumentation
         if obs is None:
             return {}
         return {
-            name: hist.to_merge_dict()
+            name: hist.to_dict()
             for name, hist in obs.metrics.histograms.items()
             if name.startswith("service.")
         }

@@ -38,7 +38,11 @@ import tempfile
 import threading
 from dataclasses import replace as dataclass_replace
 
-from repro.errors import ServiceError, ServiceUnavailableError
+from repro.errors import (
+    ObservabilityError,
+    ServiceError,
+    ServiceUnavailableError,
+)
 from repro.obs.distributed import (
     TelemetryAggregator,
     TelemetryServer,
@@ -431,13 +435,13 @@ class ShardedClient(_BaseClient):
                 " broadcast/aggregated by the sharded client"
             )
         shard, inner = self._split_session_id(session_id)
-        return shard, dataclass_replace(request, session_id=inner)
+        return shard, msg.with_session_id(request, inner)
 
     def _namespace_reply(self, shard: int, reply: msg.Message) -> msg.Message:
         inner = getattr(reply, "session_id", None)
         if inner:
-            return dataclass_replace(
-                reply, session_id=self._join_session_id(shard, inner)
+            return msg.with_session_id(
+                reply, self._join_session_id(shard, inner)
             )
         return reply
 
@@ -510,9 +514,9 @@ class ShardedClient(_BaseClient):
         for counters in per_shard.values():
             for name, dump in (counters.get("histograms") or {}).items():
                 try:
-                    hist = Histogram.from_merge_dict(name, dump)
-                except Exception:
-                    continue  # an old worker without mergeable dumps
+                    hist = Histogram.from_dict(name, dump)
+                except ObservabilityError:
+                    continue  # a malformed dump stays out of the fleet merge
                 if name in merged:
                     merged[name].merge(hist)
                 else:

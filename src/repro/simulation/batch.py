@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -253,20 +254,24 @@ class BatchSimulator:
 
     def _report(
         self,
-        result: BatchCollectionResult,
+        collect: Callable[[], BatchCollectionResult],
         extra_energy: float,
         label: str,
         started: float,
         totals: tuple[float, int] | None = None,
     ) -> BatchSimulationReport:
-        num_epochs = result.num_epochs
-        with maybe_span(
-            self.instrumentation, "collect", label=label, epochs=num_epochs
-        ) as span:
+        """Run ``collect`` (the batch walk), charge and report it; the
+        ``collect`` span times both."""
+        with maybe_span(self.instrumentation, "collect", label=label) as span:
+            result = collect()
+            num_epochs = result.num_epochs
             base, values, retry_mj, edges, fails = self._charge_batch(
                 result.messages, num_epochs, totals
             )
-            span.annotate(messages=len(result.messages) * num_epochs)
+            span.annotate(
+                epochs=num_epochs,
+                messages=len(result.messages) * num_epochs,
+            )
         retries = (
             fails.sum(axis=1).astype(np.int64)
             if edges.size
@@ -312,10 +317,15 @@ class BatchSimulator:
         """Replay an installed plan over every epoch of a trace."""
         started = time.perf_counter()
         values = self._as_matrix(readings_matrix)
-        result = execute_plan_batch(plan, values, priority=priority)
-        return self.account_collection(
-            plan, result,
-            include_trigger=include_trigger, label=label, started=started,
+        pricing = CollectionPricing.of(plan, self.energy)
+        extra = pricing.trigger_mj if include_trigger else 0.0
+        extra += pricing.acquisition_mj
+        return self._report(
+            lambda: execute_plan_batch(plan, values, priority=priority),
+            extra,
+            label,
+            started,
+            (pricing.energy_mj, pricing.values),
         )
 
     def account_collection(
@@ -357,7 +367,7 @@ class BatchSimulator:
         if message_totals is None:
             message_totals = (pricing.energy_mj, pricing.values)
         return self._report(
-            result, extra_energy, label, started, message_totals
+            lambda: result, extra_energy, label, started, message_totals
         )
 
     def run_naive_k(self, readings_matrix, k: int) -> BatchSimulationReport:
@@ -378,22 +388,25 @@ class BatchSimulator:
         values = validate_readings_matrix(
             topology, self._as_matrix(readings_matrix)
         )
-        top_values, top_nodes = sort_readings_desc(values)
-        subtree = topology.subtree_size_array()
-        messages = [
-            Message(node, min(k, int(subtree[node])))
-            for node in topology.post_order()
-            if node != topology.root
-        ]
-        result = BatchCollectionResult(
-            returned_values=top_values[:, :k],
-            returned_nodes=top_nodes[:, :k],
-            messages=messages,
-            transmitted={m.edge: m.num_values for m in messages},
-        )
+
+        def collect() -> BatchCollectionResult:
+            top_values, top_nodes = sort_readings_desc(values)
+            subtree = topology.subtree_size_array()
+            messages = [
+                Message(node, min(k, int(subtree[node])))
+                for node in topology.post_order()
+                if node != topology.root
+            ]
+            return BatchCollectionResult(
+                returned_values=top_values[:, :k],
+                returned_nodes=top_nodes[:, :k],
+                messages=messages,
+                transmitted={m.edge: m.num_values for m in messages},
+            )
+
         extra = trigger_cost(QueryPlan.full(topology), self.energy)
         extra += self._acquisition(topology.n)
-        return self._report(result, extra, label="naive-k", started=started)
+        return self._report(collect, extra, "naive-k", started)
 
     def run_plan_sweep(
         self, plans: list[QueryPlan], include_trigger: bool = True

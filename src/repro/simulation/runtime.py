@@ -17,6 +17,7 @@ still prices a collection message by message.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -238,18 +239,21 @@ class Simulator:
 
     def _report(
         self,
-        result: CollectionResult | ProofResult,
-        extra_energy: float = 0.0,
-        label: str = "collection",
+        collect: Callable[[], tuple[CollectionResult | ProofResult, float]],
+        label: str,
         pricing: CollectionPricing | None = None,
     ) -> SimulationReport:
-        """Charge a collection and report it.  With ``pricing`` and no
-        failure model, the message log is charged from the precomputed
-        pricing (one ledger vector add); otherwise message by message,
-        so failure draws keep their order."""
+        """Run ``collect`` — the walk over the tree, returning its result
+        and the trigger/acquisition energy on top of its messages —
+        then charge and report it; the ``collect`` span times both.
+        With ``pricing`` and no failure model, the message log is
+        charged from the precomputed pricing (one ledger vector add);
+        otherwise message by message, so failure draws keep their
+        order."""
         with maybe_span(
             self.instrumentation, "collect", label=label
         ) as span:
+            result, extra_energy = collect()
             if pricing is not None and self.failures is None:
                 energy, values, retries = pricing.energy_mj, pricing.values, 0
                 outcomes: list[tuple[int, bool]] = []
@@ -319,41 +323,45 @@ class Simulator:
         :class:`CollectionPricing`; under a failure model the message
         log is still charged message by message, retries interleaved.
         """
-        result = execute_plan(plan, readings, priority=priority)
         pricing = CollectionPricing.of(plan, self.energy)
         extra = pricing.trigger_mj if include_trigger else 0.0
         extra += pricing.acquisition_mj
         return self._report(
-            result, extra_energy=extra, label=label, pricing=pricing
+            lambda: (execute_plan(plan, readings, priority=priority), extra),
+            label,
+            pricing,
         )
 
     def run_proof_collection(
         self, plan: QueryPlan, readings, include_trigger: bool = True
     ) -> SimulationReport:
         """One triggered execution of a proof-carrying plan."""
-        result = execute_proof_plan(plan, readings)
         extra = trigger_cost(plan, self.energy) if include_trigger else 0.0
         extra += self._acquisition(self.topology.n)  # every node measures
-        return self._report(result, extra_energy=extra, label="proof")
+        return self._report(
+            lambda: (execute_proof_plan(plan, readings), extra), "proof"
+        )
 
     def run_naive_k(self, readings, k: int) -> SimulationReport:
         """The NAIVE-k exact algorithm (needs no installed plan; the
         query is pushed down, charged as a trigger of the full tree)."""
-        result = naive_k_collect(self.topology, readings, k)
         extra = CollectionPricing.of(self._full_plan(), self.energy).trigger_mj
         extra += self._acquisition(self.topology.n)
-        return self._report(result, extra_energy=extra, label="naive-k")
+        return self._report(
+            lambda: (naive_k_collect(self.topology, readings, k), extra),
+            "naive-k",
+        )
 
     def run_naive_one(self, readings, k: int) -> SimulationReport:
         """The NAIVE-1 pipelined exact algorithm."""
-        result = naive_one_collect(self.topology, readings, k)
-        # only nodes that were actually asked take a measurement
-        asked = {m.edge for m in result.messages} | {self.topology.root}
-        return self._report(
-            result,
-            extra_energy=self._acquisition(len(asked)),
-            label="naive-1",
-        )
+
+        def collect() -> tuple[CollectionResult, float]:
+            result = naive_one_collect(self.topology, readings, k)
+            # only nodes that were actually asked take a measurement
+            asked = {m.edge for m in result.messages} | {self.topology.root}
+            return result, self._acquisition(len(asked))
+
+        return self._report(collect, "naive-1")
 
     def install_cost(self, plan: QueryPlan) -> float:
         """Energy of the initial distribution phase for ``plan``."""

@@ -103,7 +103,10 @@ class TestPrometheusText:
         assert "repro_plan_static_cost_mj_lp_lf 12.5" in text
         metric = "repro_lp_solve_seconds_prospector_lp_lf"
         assert f"# TYPE {metric} summary" in text
-        assert f'{metric}{{quantile="0.5"}} 0.25' in text
+        # quantiles are order statistics of rank floor(q * (count - 1)),
+        # here all the 0.25 observation (exact after the [min, max] clamp)
+        for quantile in ("0.5", "0.95", "0.99"):
+            assert f'{metric}{{quantile="{quantile}"}} 0.25\n' in text
         assert f"{metric}_sum 1.0" in text
         assert f"{metric}_count 3" in text
         assert text.endswith("\n")

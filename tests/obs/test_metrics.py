@@ -1,12 +1,24 @@
 """Unit tests for the metrics registry: counters, gauges, histograms,
 timers, and the JSON-able dump/restore."""
 
+import math
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ObservabilityError
 from repro.obs import Instrumentation, MetricsRegistry
+from repro.obs.metrics import (
+    GAMMA,
+    RELATIVE_ERROR,
+    Histogram,
+    bucket_index,
+    bucket_value,
+)
+
+BOUND = RELATIVE_ERROR * (1 + 1e-9)
 
 
 class TestCounter:
@@ -47,7 +59,8 @@ class TestHistogram:
         assert hist.max == 4.0
         summary = hist.summary()
         assert summary["count"] == 4
-        assert summary["p50"] == pytest.approx(3.0)
+        # order statistic of rank floor(0.5 * 3) = 1, within the bound
+        assert summary["p50"] == pytest.approx(2.0, rel=BOUND)
         assert summary["max"] == 4.0
 
     def test_empty_summary_is_zeroed(self):
@@ -56,16 +69,6 @@ class TestHistogram:
             "count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0,
             "max": 0.0, "total": 0.0,
         }
-
-    def test_reservoir_is_bounded_but_count_exact(self):
-        from repro.obs.metrics import Histogram
-
-        hist = Histogram("bounded", sample_limit=10)
-        for value in range(100):
-            hist.observe(float(value))
-        assert hist.count == 100
-        assert len(hist.sample) == 10
-        assert hist.max == 99.0
 
 
 class TestTimer:
@@ -134,35 +137,76 @@ class TestRoundTrip:
 
 
 class TestMergeableBuckets:
-    """The fixed log-linear bucket grid behind fleet-level quantiles."""
+    """The geometric bucket grid behind every published quantile."""
 
     def _hist(self, name="h"):
-        from repro.obs.metrics import Histogram
-
         return Histogram(name)
 
     def test_bucket_bounds_cover_each_observation(self):
-        from repro.obs.metrics import bucket_index, bucket_upper_bound
-
         for value in (1e-9, 3.7e-4, 0.009999, 0.5, 1.0, 9.999, 42.0, 8.8e7):
             index = bucket_index(value)
-            assert value <= bucket_upper_bound(index) * (1 + 1e-9)
-            # and the bound is tight: one linear step wide, so at
-            # worst 2x the value (the step-1 -> step-2 edge)
-            assert bucket_upper_bound(index) <= value * 2.0 * (1 + 1e-9)
+            assert GAMMA ** (index - 1) < value * (1 + 1e-9)
+            assert value <= GAMMA ** index * (1 + 1e-9)
+            assert bucket_value(index) == pytest.approx(value, rel=BOUND)
 
     def test_degenerate_values_land_in_sentinel_buckets(self):
-        from repro.obs.metrics import (
-            bucket_index,
-            bucket_upper_bound,
-        )
-
-        assert bucket_index(0.0) == 0
-        assert bucket_index(-1.0) == 0
-        assert bucket_index(float("nan")) == 0
-        assert bucket_upper_bound(0) == 0.0
-        assert bucket_upper_bound(bucket_index(float("inf"))) == float("inf")
+        # below the grid: the smallest subnormal shares the lowest bucket
+        tiny = Histogram("tiny")
+        tiny.observe(5e-324)
+        assert bucket_index(5e-324) == bucket_index(1e-9)
+        assert tiny.quantile(50) == 5e-324  # clamped to the exact min
+        # zero and negatives share the bucket below the grid
+        assert bucket_index(0.0) == bucket_index(-1.0) < bucket_index(5e-324)
+        assert bucket_index(float("-inf")) == bucket_index(0.0)
+        assert bucket_value(bucket_index(0.0)) == 0.0
+        signed = Histogram("signed")
+        for value in (-3.0, -1.0, 0.0, 2.0):
+            signed.observe(value)
+        assert signed.min == -3.0 and signed.total == -2.0
+        assert signed.quantile(0) == 0.0  # the bucket reads as zero
+        assert signed.quantile(100) == pytest.approx(2.0, rel=BOUND)
+        negative = Histogram("negative")
+        negative.observe(-2.0)
+        assert negative.quantile(50) == -2.0  # clamped to [min, max]
+        # above the grid: 1e300 and +inf share the top bucket
         assert bucket_index(1e300) == bucket_index(float("inf"))
+        infinite = Histogram("inf")
+        infinite.observe(float("inf"))
+        assert infinite.quantile(50) == float("inf")
+        # NaN would poison total and mean: rejected, nothing recorded
+        with pytest.raises(ObservabilityError, match="NaN"):
+            infinite.observe(float("nan"))
+        assert infinite.count == 1
+        assert sum(infinite.buckets.values()) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.floats(min_value=1e-9, max_value=1e9),
+            min_size=1,
+            max_size=200,
+        ),
+        st.floats(min_value=0.0, max_value=100.0),
+        st.integers(min_value=1, max_value=4),
+    )
+    def test_quantile_is_within_the_bound_and_merges_exactly(
+        self, values, q, parts
+    ):
+        whole = Histogram("whole")
+        shards = [Histogram(f"part{i}") for i in range(parts)]
+        for i, value in enumerate(values):
+            whole.observe(value)
+            shards[i % parts].observe(value)
+        ordered = sorted(values)
+        exact = ordered[math.floor(q / 100.0 * (len(values) - 1))]
+        assert abs(whole.quantile(q) - exact) <= BOUND * exact
+        merged = shards[0]
+        for shard in shards[1:]:
+            merged.merge(shard)
+        assert merged.count == whole.count
+        assert (merged.min, merged.max) == (whole.min, whole.max)
+        assert merged.buckets == whole.buckets
+        assert merged.quantile(q) == whole.quantile(q)
 
     def test_quantile_reads_buckets_and_clamps_to_extrema(self):
         hist = self._hist()
@@ -195,9 +239,9 @@ class TestMergeableBuckets:
     def test_merge_with_empty_is_identity(self):
         a, b = self._hist("a"), self._hist("b")
         a.observe(1.0)
-        before = a.to_merge_dict()
+        before = a.to_dict()
         a.merge(b)
-        assert a.to_merge_dict() == before
+        assert a.to_dict() == before
 
     def test_merged_quantiles_match_a_single_big_histogram(self):
         whole = self._hist("whole")
@@ -213,29 +257,36 @@ class TestMergeableBuckets:
             assert merged.quantile(q) == whole.quantile(q)
 
     def test_merge_dict_round_trip(self):
-        from repro.obs.metrics import Histogram
+        import json
 
         hist = self._hist()
         for value in (0.003, 0.3, 33.0):
             hist.observe(value)
-        restored = Histogram.from_merge_dict("h", hist.to_merge_dict())
+        # the one dump form is JSON-safe (string bucket keys)
+        dump = json.loads(json.dumps(hist.to_dict()))
+        restored = Histogram.from_dict("h", dump)
         assert restored.count == hist.count
         assert restored.buckets == hist.buckets
         assert restored.quantile(50) == hist.quantile(50)
-        # merge dicts are JSON-safe (string bucket keys)
-        import json
-
-        assert json.loads(json.dumps(hist.to_merge_dict()))
+        assert restored.to_dict() == hist.to_dict()
 
     def test_malformed_merge_dict_raises(self):
-        from repro.obs.metrics import Histogram
-
-        with pytest.raises(ObservabilityError):
-            Histogram.from_merge_dict("h", {"total": 1.0})
-        with pytest.raises(ObservabilityError):
-            Histogram.from_merge_dict(
-                "h", {"count": 1, "total": 1.0, "buckets": {"x": "y"}}
-            )
+        good = {"gamma": GAMMA, "count": 1, "total": 1.0, "min": 1.0,
+                "max": 1.0, "buckets": {"0": 1}}
+        Histogram.from_dict("h", good)
+        for bad in (
+            {"total": 1.0},
+            {**good, "buckets": {"x": "y"}},
+            {**good, "buckets": {"0": 2}},  # counts disagree with count
+            {**good, "min": None},
+            "not a dict",
+        ):
+            with pytest.raises(ObservabilityError, match="malformed"):
+                Histogram.from_dict("h", bad)
+        # a dump built on another grid is refused, not misread
+        for gamma in (None, 1.1):
+            with pytest.raises(ObservabilityError, match="gamma"):
+                Histogram.from_dict("h", {**good, "gamma": gamma})
 
     def test_registry_dump_restores_buckets(self):
         registry = MetricsRegistry()
@@ -247,3 +298,26 @@ class TestMergeableBuckets:
         assert restored.histogram("lat").quantile(50) == pytest.approx(
             registry.histogram("lat").quantile(50)
         )
+
+    def test_prometheus_and_fleet_aggregator_print_the_same_quantiles(self):
+        from repro.obs.distributed import (
+            REQUEST_LATENCY_METRIC,
+            TelemetryAggregator,
+        )
+        from repro.obs.export import prometheus_text
+
+        obs = Instrumentation()
+        hist = obs.histogram(REQUEST_LATENCY_METRIC)
+        for i in range(500):
+            hist.observe(1e-4 * (1 + i * 37 % 101))
+        aggregator = TelemetryAggregator()
+        aggregator.ingest(
+            {"shard": "0", "ts": 1.0, "metrics": obs.metrics.to_dict()}
+        )
+
+        def quantile_lines(text):
+            return [line for line in text.splitlines() if "quantile=" in line]
+
+        process = quantile_lines(prometheus_text(obs))
+        assert len(process) == 3
+        assert quantile_lines(aggregator.prometheus()) == process

@@ -1,5 +1,6 @@
 """Protocol round-trips: decode(encode(m)) == m, exactly."""
 
+import dataclasses
 import json
 
 import pytest
@@ -63,6 +64,18 @@ def test_exact_round_trip(message):
     assert type(rehydrated) is type(message)
     # stable under a second pass too (no lossy normalization)
     assert msg.encode(rehydrated) == line
+
+
+@pytest.mark.parametrize(
+    "message",
+    [m for m in EXAMPLES if hasattr(m, "session_id")],
+    ids=lambda m: type(m).__name__,
+)
+def test_with_session_id_matches_replace(message):
+    readdressed = msg.with_session_id(message, "w3/s0009")
+    assert readdressed == dataclasses.replace(message, session_id="w3/s0009")
+    assert type(readdressed) is type(message)
+    assert message.session_id != "w3/s0009"  # the original is untouched
 
 
 def test_encoded_form_is_plain_json_with_kind():

@@ -1,5 +1,6 @@
 """Service core: lifecycle, admission, expiry, overload, shared caches."""
 
+import pickle
 import threading
 import time
 
@@ -13,6 +14,7 @@ from repro.errors import (
     SessionError,
 )
 from repro.obs import Instrumentation
+from repro.obs.distributed import REQUEST_LATENCY_METRIC
 from repro.plans.serialize import plan_from_dict
 from repro.service import messages as msg
 from repro.service import wire
@@ -290,6 +292,26 @@ def test_error_counters_track_typed_failures(clock):
     with pytest.raises(SessionError):
         service.handle(msg.GetPlan(session_id="sX"))
     assert obs.counter("service.errors.SessionError").value == 1
+
+
+def test_telemetry_metrics_hold_buckets_not_observations():
+    """Histogram dumps carry bucket counts, so a long-running service's
+    telemetry snapshot stays small however many requests it answered."""
+    obs = Instrumentation()
+    service = TopKService(instrumentation=obs)
+    session_id = _open(service).session_id
+    for seed in range(3):
+        service.handle(
+            msg.FeedSample(session_id=session_id, readings=_readings(seed))
+        )
+    query = msg.SubmitQuery(session_id=session_id, readings=_readings(9))
+    for __ in range(6000):
+        service.handle(query)
+    metrics = service.telemetry_snapshot()["metrics"]
+    latency = metrics["histograms"][REQUEST_LATENCY_METRIC]
+    assert latency["count"] == 6000 + 3 + 1
+    assert set(latency) == {"gamma", "count", "total", "min", "max", "buckets"}
+    assert len(pickle.dumps(metrics)) < 20_000
 
 
 # -- frame transport --------------------------------------------------------

@@ -5,6 +5,8 @@ numpy/scipy), so every live test shares one module-scoped two-worker
 deployment; pure routing logic is tested without any processes.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,23 @@ def test_session_id_namespacing_round_trips():
     client = ShardedClient([("h", 1), ("h", 2)])
     assert client._split_session_id("w1/s0042") == (1, "s0042")
     assert client._join_session_id(1, "s0042") == "w1/s0042"
+
+
+def test_routing_swaps_session_ids_without_rebuilding(monkeypatch):
+    """Routing a request and namespacing its reply match
+    ``dataclasses.replace`` but skip the readings' re-normalization."""
+    client = ShardedClient([("h", 1), ("h", 2)])
+    request = msg.SubmitQuery(session_id="w1/s0003", readings=(0.5, 0.25))
+    reply = msg.QueryReply(session_id="s0003", nodes=(1,), values=(0.5,))
+    expected_request = dataclasses.replace(request, session_id="s0003")
+    expected_reply = dataclasses.replace(reply, session_id="w1/s0003")
+    post_inits = []
+    for cls in (msg.SubmitQuery, msg.QueryReply):
+        monkeypatch.setattr(cls, "__post_init__", post_inits.append)
+    assert client._route(request) == (1, expected_request)
+    assert client._namespace_reply(1, reply) == expected_reply
+    assert post_inits == []
+    assert request.session_id == "w1/s0003"  # the original is untouched
 
 
 def test_sharded_service_validates_workers():

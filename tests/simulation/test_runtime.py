@@ -1,5 +1,6 @@
 """Unit tests for the simulator's energy accounting."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from repro.network.builder import line_topology
 from repro.network.energy import EnergyModel
 from repro.network.failures import LinkFailureModel
+from repro.obs import Instrumentation
 from repro.plans.plan import QueryPlan, top_k_set
+from repro.simulation import batch, runtime
 from repro.simulation.batch import BatchSimulator
 from repro.simulation.runtime import Simulator
 
@@ -134,3 +137,38 @@ class TestConstruction:
     def test_simulator_rejects_positional_tail(self, simulator_cls):
         with pytest.raises(TypeError):
             simulator_cls(line_topology(4), EnergyModel.mica2(), None)
+
+
+class TestCollectSpan:
+    """The ``collect`` span times the walk over the tree, not just the
+    charge that follows it."""
+
+    @pytest.mark.parametrize(
+        "module, walk, simulator_cls",
+        [
+            (runtime, "execute_plan", Simulator),
+            (batch, "execute_plan_batch", BatchSimulator),
+        ],
+        ids=["scalar", "batch"],
+    )
+    def test_walk_runs_inside_the_span(
+        self, medium_random, rng, monkeypatch, module, walk, simulator_cls
+    ):
+        ticks = itertools.count()
+        obs = Instrumentation(clock=lambda: float(next(ticks)))
+        walked = []
+        real_walk = getattr(module, walk)
+
+        def timed_walk(*args, **kwargs):
+            walked.append(obs.clock())
+            return real_walk(*args, **kwargs)
+
+        monkeypatch.setattr(module, walk, timed_walk)
+        simulator = simulator_cls(medium_random, UNIFORM, instrumentation=obs)
+        readings = rng.normal(size=(2, medium_random.n))
+        if simulator_cls is Simulator:
+            readings = readings[0]
+        simulator.run_collection(QueryPlan.full(medium_random), readings)
+        (span,) = obs.spans.find("collect")
+        (walked_at,) = walked
+        assert span.start_s < walked_at < span.end_s
