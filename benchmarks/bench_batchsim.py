@@ -5,14 +5,19 @@ Two measurements, both against the scalar epoch-by-epoch oracle:
 - ``replay``: one installed plan evaluated over a 500-epoch trace at
   n = 60 — :class:`~repro.simulation.batch.BatchSimulator` versus a
   ``Simulator.run_collection`` loop.  Acceptance bar: >= 8x.
-- ``fig3``: the full Figure 3 experiment end-to-end with
-  ``engine="batch"`` (vectorized replay; NAIVE-k built directly from
-  one row-wise sort; ORACLE priced as one ``(k·E, n)`` bandwidth
-  matrix) versus ``engine="scalar"``.  Acceptance bar: >= 3x wall
+- ``fig3``: the full Figure 3 experiment end-to-end:
+  ``fig3_comparison.run`` (vectorized replay; NAIVE-k built directly
+  from one row-wise sort; ORACLE priced as one ``(k·E, n)`` bandwidth
+  matrix) versus the epoch-by-epoch composition ``fig3_rows`` of
+  ``tests/experiments/_scalar_oracle.py``.  Acceptance bar: >= 3x wall
   time.
 
 Equivalence is asserted alongside the timings: identical per-epoch
 node sets and energies within 1e-9 relative tolerance.
+
+The oracle lives under ``tests/``, so the repository root must be
+importable: ``cd benchmarks; PYTHONPATH=../src:.. python
+bench_batchsim.py``.
 
 ``run(quick=True)`` (or ``--quick`` / ``BENCH_QUICK=1``) shrinks the
 trace sizes for the CI smoke job, which checks equivalence and records
@@ -38,6 +43,7 @@ from repro.network.energy import EnergyModel
 from repro.plans.plan import QueryPlan
 from repro.simulation.batch import BatchSimulator
 from repro.simulation.runtime import Simulator
+from tests.experiments._scalar_oracle import fig3_rows
 
 N = 60
 K = 10
@@ -80,14 +86,14 @@ def _replay_row(quick: bool) -> dict:
 def _fig3_row(quick: bool) -> dict:
     epochs = 40 if quick else 300
     start = time.perf_counter()
-    scalar_rows = fig3_comparison.run(eval_epochs=epochs, engine="scalar")
+    scalar_rows = fig3_rows(eval_epochs=epochs)
     scalar_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    batch_rows = fig3_comparison.run(eval_epochs=epochs, engine="batch")
+    batch_rows = fig3_comparison.run(eval_epochs=epochs)
     batch_s = time.perf_counter() - start
 
-    # the two engines must produce the same point cloud
+    # the batch path and the scalar oracle produce the same point cloud
     assert len(batch_rows) == len(scalar_rows)
     for got, want in zip(batch_rows, scalar_rows):
         assert got["algorithm"] == want["algorithm"]

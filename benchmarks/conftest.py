@@ -12,5 +12,5 @@ paper's.  Run with::
 import sys
 from pathlib import Path
 
-# bench_fastpath times the algebraic oracle kept in tests/lp/
+# bench_fastpath and bench_batchsim time the oracles kept in tests/
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))

@@ -6,16 +6,11 @@ average per-query energy (trigger + collection) and the average
 accuracy against ground truth.  :func:`evaluate_plan` implements that
 loop; :func:`evaluate_planner` plans first from a training trace.
 
-Two execution engines are available (see DESIGN.md):
-
-- ``engine="batch"`` (default) replays the whole evaluation trace in
-  one vectorized pass through
-  :class:`~repro.simulation.batch.BatchSimulator`;
-- ``engine="scalar"`` is the epoch-by-epoch reference oracle through
-  :class:`~repro.simulation.runtime.Simulator`.
-
-Both produce identical node sets and energies to float round-off
-(equivalence-tested), including failure retries under a shared seed.
+The replay is one vectorized pass over the whole evaluation trace
+through :class:`~repro.simulation.batch.BatchSimulator`.  Its rows equal
+the epoch-by-epoch :class:`~repro.simulation.runtime.Simulator` loop to
+float round-off, failure retries under a shared seed included; that
+loop is the test oracle in ``tests/experiments/_scalar_oracle.py``.
 """
 
 from __future__ import annotations
@@ -32,9 +27,8 @@ from repro.network.topology import Topology
 from repro.obs import Instrumentation
 from repro.plans.plan import QueryPlan
 from repro.planners.base import Planner, PlanningContext
-from repro.query.accuracy import accuracy, batch_accuracy
+from repro.query.accuracy import batch_accuracy
 from repro.simulation.batch import BatchSimulator
-from repro.simulation.runtime import Simulator
 
 
 @dataclass
@@ -84,37 +78,18 @@ def evaluate_plan(
     failures: LinkFailureModel | None = None,
     rng: np.random.Generator | None = None,
     seed: int | None = None,
-    engine: str = "batch",
 ) -> Evaluation:
     """Run an installed plan over every epoch of the evaluation trace."""
-    if engine not in ("batch", "scalar"):
-        raise PlanError(f"unknown evaluation engine {engine!r}")
-    generator = _resolve_rng(rng, seed)
-    if engine == "batch":
-        simulator = BatchSimulator(
-            topology, energy, failures=failures, rng=generator,
-            instrumentation=instrumentation,
-        )
-        report = simulator.run_collection(plan, eval_trace.values)
-        accuracies = batch_accuracy(
-            report.top_k_nodes(k), eval_trace.values, k
-        )
-        energies = report.energy_mj
-    else:
-        simulator = Simulator(
-            topology, energy, failures=failures, rng=generator,
-            instrumentation=instrumentation,
-        )
-        accuracies = []
-        energies = []
-        for readings in eval_trace:
-            report = simulator.run_collection(plan, readings)
-            accuracies.append(accuracy(report.top_k_nodes(k), readings, k))
-            energies.append(report.energy_mj)
+    simulator = BatchSimulator(
+        topology, energy, failures=failures, rng=_resolve_rng(rng, seed),
+        instrumentation=instrumentation,
+    )
+    report = simulator.run_collection(plan, eval_trace.values)
+    accuracies = batch_accuracy(report.top_k_nodes(k), eval_trace.values, k)
     return Evaluation(
         algorithm=name,
         mean_accuracy=float(np.mean(accuracies)),
-        mean_energy_mj=float(np.mean(energies)),
+        mean_energy_mj=float(np.mean(report.energy_mj)),
         static_cost_mj=plan.static_cost(energy),
         plan=plan,
     )
@@ -133,7 +108,6 @@ def evaluate_planner(
     failures: LinkFailureModel | None = None,
     rng: np.random.Generator | None = None,
     seed: int | None = None,
-    engine: str = "batch",
 ) -> Evaluation:
     """Plan from the training trace, then evaluate the plan."""
     context = PlanningContext(
@@ -149,7 +123,7 @@ def evaluate_planner(
     return evaluate_plan(
         planner.name, plan, topology, energy, eval_trace, k,
         instrumentation=instrumentation,
-        failures=failures, rng=rng, seed=seed, engine=engine,
+        failures=failures, rng=rng, seed=seed,
     )
 
 

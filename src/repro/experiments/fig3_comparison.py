@@ -13,13 +13,14 @@ frontier; NAIVE-1's cost at k=1 already matches NAIVE-k at k=50.
 
 The (planner, budget) sweep is a bag of independent trials routed
 through :class:`~repro.experiments.runner.ExperimentRunner`
-(deterministic per-trial seeds, cached, optionally parallel), and the
-replay loops use the batched simulation engine.  The exact baselines
+(deterministic per-trial seeds, cached, optionally parallel), and each
+trial replays its plan over the whole trace on
+:class:`~repro.simulation.batch.BatchSimulator`.  The exact baselines
 build no plans: ORACLE's energies for every ``j`` come from one
 row-wise sort and one ``(k·E, n)`` bandwidth matrix, and NAIVE-k's
 answer and message log are built directly (it is exact by
-construction).  ``engine="scalar"`` reruns the original epoch-by-epoch
-loops for reference timing.
+construction).  The epoch-by-epoch composition of the same figure is
+the test oracle in ``tests/experiments/_scalar_oracle.py``.
 """
 
 from __future__ import annotations
@@ -36,12 +37,9 @@ from repro.planners.base import PlanningContext
 from repro.planners.greedy import GreedyPlanner
 from repro.planners.lp_lf import LPLFPlanner
 from repro.planners.lp_no_lf import LPNoLFPlanner
-from repro.planners.oracle import OraclePlanner
 from repro.plans.execution import path_incidence, sort_readings_desc
-from repro.query.accuracy import accuracy as accuracy_metric
 from repro.query.accuracy import batch_accuracy
 from repro.simulation.batch import BatchSimulator
-from repro.simulation.fleet import FleetCell, FleetSimulator
 from repro.simulation.runtime import Simulator
 
 
@@ -64,7 +62,6 @@ def _planner_trial(params: dict, rng: np.random.Generator) -> dict:
             params["k"],
             instrumentation=params.get("instrumentation"),
             rng=rng,
-            engine=params["engine"],
         )
     else:
         evaluation = evaluate_planner(
@@ -77,7 +74,6 @@ def _planner_trial(params: dict, rng: np.random.Generator) -> dict:
             params["budget"],
             instrumentation=params.get("instrumentation"),
             rng=rng,
-            engine=params["engine"],
         )
     return evaluation.row(budget_mj=round(params["budget"], 2))
 
@@ -92,7 +88,6 @@ def run(
     variance_scale: float = 9.0,
     include_naive_one: bool = False,
     instrumentation=None,
-    engine: str = "batch",
     processes: int | None = None,
     runner: ExperimentRunner | None = None,
 ) -> list[dict]:
@@ -102,15 +97,9 @@ def run(
     collects per-planner LP solve-time histograms and per-collection
     energy counters across the whole sweep (inline trials only — it
     cannot cross process boundaries, so it is dropped when
-    ``processes > 1``).  ``engine`` selects the batched replay path
-    (default), the scalar reference, or ``"fleet"`` — which evaluates
-    every precomputed LP plan replay as one
-    :class:`~repro.simulation.fleet.FleetSimulator` grid (identical
-    rows to ``"batch"``); ``processes``/``runner`` control trial
+    ``processes > 1``).  ``processes``/``runner`` control trial
     parallelism and result caching.
     """
-    fleet = engine == "fleet"
-    trial_engine = "batch" if fleet else engine
     rng = np.random.default_rng(seed)
     energy = EnergyModel.mica2()
     topology = random_topology(n, rng=rng)
@@ -138,7 +127,6 @@ def run(
             "eval_trace": eval_trace,
             "k": k,
             "budget": budget,
-            "engine": trial_engine,
             **obs_extra,
         }
         for budget in budgets
@@ -147,7 +135,6 @@ def run(
     # sweep (compile once, one HiGHS session re-solving each member
     # cold); the trials then just replay the precomputed plans
     samples = train.sample_matrix(k)
-    replays: list[tuple[str, object, float]] = []
     for planner in (LPNoLFPlanner(), LPLFPlanner()):
         context = PlanningContext(
             topology=topology,
@@ -158,12 +145,6 @@ def run(
             instrumentation=None if parallel else instrumentation,
         )
         plans = planner.plan_for_budgets(context, budgets)
-        if fleet:
-            replays.extend(
-                (planner.name, plan, budget)
-                for budget, plan in zip(budgets, plans)
-            )
-            continue
         trial_params.extend(
             {
                 "name": planner.name,
@@ -173,71 +154,19 @@ def run(
                 "eval_trace": eval_trace,
                 "k": k,
                 "budget": budget,
-                "engine": trial_engine,
                 **obs_extra,
             }
             for budget, plan in zip(budgets, plans)
         )
     rows: list[dict] = list(runner.map(_planner_trial, trial_params, seed=seed))
-    if replays:
-        rows.extend(
-            _replay_fleet(
-                replays, topology, energy, eval_trace, k,
-                None if parallel else instrumentation,
-                runner.processes,
-            )
-        )
 
     # exact algorithms: sweep j and report accuracy j / k
-    if engine in ("batch", "fleet"):
-        rows.extend(
-            _exact_sweep_batch(
-                topology, energy, eval_trace, k, include_naive_one,
-                instrumentation,
-            )
+    rows.extend(
+        _exact_sweep_batch(
+            topology, energy, eval_trace, k, include_naive_one,
+            instrumentation,
         )
-    else:
-        rows.extend(
-            _exact_sweep_scalar(
-                topology, energy, eval_trace, k, include_naive_one,
-                instrumentation,
-            )
-        )
-    return rows
-
-
-def _replay_fleet(
-    replays, topology, energy, eval_trace, k, instrumentation, processes
-) -> list[dict]:
-    """All precomputed LP plan replays as one fleet grid.
-
-    One :class:`~repro.simulation.fleet.FleetSimulator` pass evaluates
-    every (planner, budget) replay cell — plans sharing bandwidths run
-    through one blocked tree recursion.  No failure models are attached,
-    so the rows are *identical* to the per-trial batched path.
-    """
-    cells = [
-        FleetCell(topology, plan, eval_trace.values, label=name)
-        for name, plan, _ in replays
-    ]
-    simulator = FleetSimulator(
-        energy, processes=processes, instrumentation=instrumentation
     )
-    rows = []
-    for (name, __, budget), report in zip(
-        replays, simulator.run(cells, seed=0)
-    ):
-        accuracies = batch_accuracy(
-            report.top_k_nodes(k), eval_trace.values, k
-        )
-        rows.append(
-            {
-                "algorithm": name,
-                "accuracy": float(np.mean(accuracies)),
-                "energy_mj": float(np.mean(report.energy_mj)),
-                "budget_mj": round(budget, 2),
-            }
-        )
     return rows
 
 
@@ -296,62 +225,6 @@ def _exact_sweep_batch(
             one_costs = [
                 scalar.run_naive_one(readings, j).energy_mj
                 for readings in values
-            ]
-            rows.append(
-                {
-                    "algorithm": "naive-1",
-                    "accuracy": j / k,
-                    "energy_mj": float(np.mean(one_costs)),
-                    "budget_mj": "",
-                }
-            )
-    return rows
-
-
-def _exact_sweep_scalar(
-    topology, energy, eval_trace, k, include_naive_one, instrumentation
-) -> list[dict]:
-    """The original per-epoch ORACLE / NAIVE loops (reference path)."""
-    simulator = Simulator(topology, energy, instrumentation=instrumentation)
-    oracle = OraclePlanner()
-    rows: list[dict] = []
-    for j in range(1, k + 1):
-        oracle_costs = []
-        for readings in eval_trace:
-            plan = oracle.plan_for_readings(topology, readings, j)
-            oracle_costs.append(
-                simulator.run_collection(plan, readings).energy_mj
-            )
-        rows.append(
-            {
-                "algorithm": "oracle",
-                "accuracy": j / k,
-                "energy_mj": float(np.mean(oracle_costs)),
-                "budget_mj": "",
-            }
-        )
-
-        naive_costs = []
-        naive_acc = []
-        for readings in eval_trace:
-            report = simulator.run_naive_k(readings, j)
-            naive_costs.append(report.energy_mj)
-            naive_acc.append(
-                accuracy_metric(report.top_k_nodes(j), readings, j) * j / k
-            )
-        rows.append(
-            {
-                "algorithm": "naive-k",
-                "accuracy": float(np.mean(naive_acc)),
-                "energy_mj": float(np.mean(naive_costs)),
-                "budget_mj": "",
-            }
-        )
-
-        if include_naive_one:
-            one_costs = [
-                simulator.run_naive_one(readings, j).energy_mj
-                for readings in eval_trace
             ]
             rows.append(
                 {

@@ -39,7 +39,6 @@ def _variance_trial(params: dict, rng: np.random.Generator) -> dict:
         params["k"],
         params["budget"],
         rng=rng,
-        engine=params["engine"],
     )
     return evaluation.row(variance=params["variance"])
 
@@ -52,7 +51,6 @@ def run(
     eval_epochs: int = 20,
     variances: tuple[float, ...] = DEFAULT_VARIANCES,
     budget: float | None = None,
-    engine: str = "batch",
     processes: int | None = None,
     runner: ExperimentRunner | None = None,
 ) -> list[dict]:
@@ -88,7 +86,6 @@ def run(
                     "k": k,
                     "budget": budget,
                     "variance": variance,
-                    "engine": engine,
                 }
             )
     return list(runner.map(_variance_trial, trial_params, seed=seed))

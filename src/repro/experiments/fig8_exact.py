@@ -24,9 +24,8 @@ from repro.planners.base import PlanningContext
 from repro.planners.exact import ExactTopK
 from repro.planners.oracle import OracleProofPlanner
 from repro.planners.proof import ProofPlanner
-from repro.plans.plan import QueryPlan, top_k_set
+from repro.plans.plan import top_k_set
 from repro.simulation.batch import BatchSimulator
-from repro.simulation.fleet import FleetCell, FleetSimulator
 from repro.simulation.runtime import Simulator
 
 
@@ -64,7 +63,6 @@ def run(
     eval_epochs: int = 8,
     budget_factors: tuple[float, ...] = (1.0, 1.1, 1.2, 1.3, 1.45, 1.6, 1.8),
     variance_scale: float = 1.0,
-    engine: str = "batch",
     processes: int | None = None,
     runner: ExperimentRunner | None = None,
 ) -> list[dict]:
@@ -78,34 +76,13 @@ def run(
     samples = train.sample_matrix(k)
     simulator = Simulator(topology, energy)
 
-    # horizontal baselines: NAIVE-k replays one installed plan, so the
-    # batch engine measures it in one pass (or as a fleet cell, whose
-    # accounting is energy-identical since NAIVE-k visits every node);
-    # the proof-carrying oracle baseline stays on the scalar
-    # proof-execution path
-    if engine == "fleet":
-        fleet = FleetSimulator(energy, processes=processes)
-        report = fleet.run(
-            [
-                FleetCell(
-                    topology, QueryPlan.naive_k(topology, k),
-                    eval_trace.values, label="naive-k",
-                )
-            ],
-            seed=seed,
-        )[0]
-        naive_line = float(np.mean(report.energy_mj))
-    elif engine == "batch":
-        batch = BatchSimulator(topology, energy)
-        naive_line = float(
-            np.mean(batch.run_naive_k(eval_trace.values, k).energy_mj)
-        )
-    else:
-        naive_costs = [
-            simulator.run_naive_k(readings, k).energy_mj
-            for readings in eval_trace
-        ]
-        naive_line = float(np.mean(naive_costs))
+    # horizontal baselines: NAIVE-k is exact, so the batch simulator
+    # builds its whole trace in one pass; the proof-carrying oracle
+    # baseline stays on the scalar proof-execution path
+    batch = BatchSimulator(topology, energy)
+    naive_line = float(
+        np.mean(batch.run_naive_k(eval_trace.values, k).energy_mj)
+    )
 
     oracle_proof = OracleProofPlanner()
     oracle_costs = []

@@ -23,10 +23,8 @@ from repro.network.energy import EnergyModel
 from repro.planners.greedy import GreedyPlanner
 from repro.planners.lp_lf import LPLFPlanner
 from repro.planners.lp_no_lf import LPNoLFPlanner
-from repro.query.accuracy import accuracy as accuracy_metric
 from repro.query.accuracy import batch_accuracy
 from repro.simulation.batch import BatchSimulator
-from repro.simulation.runtime import Simulator
 
 
 def _budget_trial(params: dict, rng: np.random.Generator) -> dict:
@@ -40,7 +38,6 @@ def _budget_trial(params: dict, rng: np.random.Generator) -> dict:
         params["k"],
         params["budget"],
         rng=rng,
-        engine=params["engine"],
     )
     return evaluation.row(budget_mj=round(params["budget"], 2))
 
@@ -52,7 +49,6 @@ def run(
     eval_epochs: int = 25,
     budget_steps: int = 6,
     include_lp_lf: bool = True,
-    engine: str = "batch",
     processes: int | None = None,
     runner: ExperimentRunner | None = None,
 ) -> list[dict]:
@@ -83,7 +79,6 @@ def run(
             "eval_trace": eval_trace,
             "k": k,
             "budget": budget,
-            "engine": engine,
         }
         for budget in budget_sweep(base, budget_steps, factor=1.5)
         for planner in planners
@@ -91,26 +86,13 @@ def run(
     rows: list[dict] = list(runner.map(_budget_trial, trial_params, seed=seed))
 
     # the NAIVE-k reference point the paper quotes in prose
-    if engine == "batch":
-        simulator = BatchSimulator(topology, energy)
-        report = simulator.run_naive_k(eval_trace.values, k)
-        naive_accs = batch_accuracy(report.top_k_nodes(k), eval_trace.values, k)
-        naive_costs = report.energy_mj
-    else:
-        simulator = Simulator(topology, energy)
-        naive_costs = []
-        naive_accs = []
-        for readings in eval_trace:
-            report = simulator.run_naive_k(readings, k)
-            naive_costs.append(report.energy_mj)
-            naive_accs.append(
-                accuracy_metric(report.top_k_nodes(k), readings, k)
-            )
+    report = BatchSimulator(topology, energy).run_naive_k(eval_trace.values, k)
+    naive_accs = batch_accuracy(report.top_k_nodes(k), eval_trace.values, k)
     rows.append(
         {
             "algorithm": "naive-k",
             "accuracy": float(np.mean(naive_accs)),
-            "energy_mj": float(np.mean(naive_costs)),
+            "energy_mj": float(np.mean(report.energy_mj)),
             "budget_mj": "",
         }
     )

@@ -198,53 +198,6 @@ class ExperimentRunner:
                 self._cache[keys[index]] = results[index]
         return results
 
-    def run_fleet(self, simulator, cells, *, seed=None) -> list:
-        """Run a fleet grid through the runner's content-keyed cache.
-
-        The fleet analogue of :meth:`map`: ``simulator`` is a
-        :class:`~repro.simulation.fleet.FleetSimulator` and ``cells``
-        its grid.  Cells whose content (topology token, plan, trace,
-        failure model) and spawned seed match a previous run are served
-        from cache; only the missed cells go through one
-        ``simulator.run`` — seeded with their original spawn children,
-        so results are independent of the hit/miss split.  The fleet's
-        own ``processes`` setting governs parallelism; the runner's
-        pool is not involved.
-        """
-        cell_seq = list(cells)
-        if not cell_seq:
-            return []
-        root = self.seed if seed is None else seed
-        seeds = self._spawn(root, len(cell_seq))
-        keys = []
-        for cell, child in zip(cell_seq, seeds):
-            digest = hashlib.sha256()
-            digest.update(b"fleet-cell")
-            _fingerprint(cell, digest)
-            digest.update(str(child.entropy).encode())
-            digest.update(str(child.spawn_key).encode())
-            keys.append(digest.hexdigest())
-        results: list = [None] * len(cell_seq)
-        misses: list[int] = []
-        for index, key in enumerate(keys):
-            if key in self._cache:
-                results[index] = self._cache[key]
-                if self.instrumentation is not None:
-                    self.instrumentation.record_runner_trial(cached=True)
-            else:
-                misses.append(index)
-        if misses:
-            started = time.perf_counter()
-            reports = simulator.run_cells_seeded(
-                [cell_seq[i] for i in misses], [seeds[i] for i in misses]
-            )
-            seconds = (time.perf_counter() - started) / len(misses)
-            for index, report in zip(misses, reports):
-                results[index] = report
-                self._cache[keys[index]] = report
-                self._record_miss(seconds)
-        return results
-
     def _record_miss(self, seconds: float) -> None:
         if self.instrumentation is not None:
             self.instrumentation.record_runner_trial(

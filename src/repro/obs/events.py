@@ -21,7 +21,6 @@ EVENT_KINDS = (
     "lp_solve",
     "lp_sweep",
     "lp_batch",
-    "fleet_run",
     "plan_built",
     "plan_installed",
     "collection_run",

@@ -162,34 +162,6 @@ class Instrumentation:
             "lp_batch", model=model_name, members=members, seconds=seconds
         )
 
-    def record_fleet_run(
-        self, *, cells: int, groups: int, blocks: int, epochs: int,
-        shards: int, seconds: float,
-    ) -> None:
-        """One fleet-simulator run: a topology × plan × trace grid
-        evaluated in blocked vectorized passes.
-
-        ``groups`` counts distinct (topology, plan) execution groups,
-        ``blocks`` the vectorized tree recursions actually run, and
-        ``shards`` the process-pool partitions (1 for a serial run).
-        """
-        self.metrics.counter("fleet.runs").inc()
-        self.metrics.counter("fleet.cells").inc(cells)
-        self.metrics.counter("fleet.groups").inc(groups)
-        self.metrics.counter("fleet.blocks").inc(blocks)
-        self.metrics.counter("fleet.epochs").inc(epochs)
-        self.metrics.counter("fleet.shards").inc(shards)
-        self.metrics.histogram("fleet.run_seconds").observe(seconds)
-        self.event(
-            "fleet_run",
-            cells=cells,
-            groups=groups,
-            blocks=blocks,
-            epochs=epochs,
-            shards=shards,
-            seconds=seconds,
-        )
-
     def record_plan_built(
         self, planner: str, *, edges_used: int, static_cost_mj: float,
         budget_mj: float, seconds: float,

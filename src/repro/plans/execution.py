@@ -231,29 +231,6 @@ def sort_readings_desc(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _sort_desc(values, nodes)
 
 
-def _batch_via_scalar(
-    plan: QueryPlan, values: np.ndarray, priority
-) -> BatchCollectionResult:
-    """Scalar fallback for a ``priority`` override (an arbitrary Python
-    key function cannot be vectorized); the per-epoch results are packed
-    into batch shape.  Message counts are still value-independent, so
-    the first epoch's log stands for all of them."""
-    results = [execute_plan(plan, row, priority=priority) for row in values]
-    returned_values = np.array(
-        [[v for v, __ in r.returned] for r in results], dtype=np.float64
-    )
-    returned_nodes = np.array(
-        [[u for __, u in r.returned] for r in results], dtype=np.int64
-    )
-    first = results[0]
-    return BatchCollectionResult(
-        returned_values=returned_values,
-        returned_nodes=returned_nodes,
-        messages=list(first.messages),
-        transmitted=dict(first.transmitted),
-    )
-
-
 def validate_readings_matrix(
     topology: Topology, readings_matrix
 ) -> np.ndarray:
@@ -274,7 +251,7 @@ def validate_readings_matrix(
 
 
 def execute_plan_batch(
-    plan: QueryPlan, readings_matrix, priority=None
+    plan: QueryPlan, readings_matrix
 ) -> BatchCollectionResult:
     """Run one collection phase of ``plan`` over an ``(E, n)`` trace.
 
@@ -289,14 +266,11 @@ def execute_plan_batch(
 
     Results are exactly those of the scalar path (equivalence-tested):
     same returned values/nodes per epoch, same message log, same
-    transmitted counts.  A non-``None`` ``priority`` falls back to the
-    scalar path per epoch (an arbitrary key function cannot be
-    vectorized) while still returning batch-shaped results.
+    transmitted counts.  A ``priority`` forwarding order cannot be
+    vectorized, so it runs epoch by epoch through :func:`execute_plan`.
     """
     topology = plan.topology
     values = validate_readings_matrix(topology, readings_matrix)
-    if priority is not None:
-        return _batch_via_scalar(plan, values, priority)
 
     schedule = plan.schedule
     node_ids = np.broadcast_to(np.arange(topology.n, dtype=np.int64), values.shape)

@@ -5,6 +5,11 @@ MICA2 motes ... We model only communication costs" (§5).  This
 subpackage is that simulator: it executes plans produced elsewhere in
 the library, charges the energy model for every message (including the
 distribution phases and failure retries), and reports measured costs.
+
+Two simulators, chosen by the shape of the input: :class:`Simulator`
+replays one epoch (the served path, and the proof, NAIVE-1 and
+``priority`` protocols, which have no batch form), and
+:class:`BatchSimulator` replays a whole ``(E, n)`` trace at once.
 """
 
 from repro.simulation.distribution import (
@@ -24,27 +29,15 @@ from repro.simulation.batch import (  # noqa: E402  (see comment above)
     BatchSimulationReport,
     BatchSimulator,
 )
-from repro.simulation.fleet import (  # noqa: E402  (imports batch)
-    FleetCell,
-    FleetSimulator,
-    TraceStore,
-    load_traces,
-    save_traces,
-)
 
 __all__ = [
     "BatchSimulationReport",
     "BatchSimulator",
-    "FleetCell",
-    "FleetSimulator",
     "LossyCollectionResult",
     "SimulationReport",
     "Simulator",
-    "TraceStore",
     "execute_plan_lossy",
     "initial_distribution_cost",
-    "load_traces",
     "redundancy_plan",
-    "save_traces",
     "trigger_cost",
 ]

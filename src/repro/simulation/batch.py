@@ -2,9 +2,9 @@
 
 The paper's evaluation installs a plan once and replays it over every
 epoch of a trace (§5).  :class:`~repro.simulation.runtime.Simulator`
-does that epoch-by-epoch in pure Python and stays as the reference
-oracle; :class:`BatchSimulator` evaluates the whole ``(E, n)`` readings
-matrix in one vectorized pass:
+replays one epoch at a time (the served path, and the reference the
+batch path is tested against); :class:`BatchSimulator` evaluates the
+whole ``(E, n)`` readings matrix in one vectorized pass:
 
 - plan execution is one numpy tree recursion
   (:func:`~repro.plans.execution.execute_plan_batch`) instead of ``E``
@@ -17,9 +17,10 @@ matrix in one vectorized pass:
   loop's per-message ``sample_failure`` calls would, so a shared seed
   yields *identical* retry patterns (equivalence-tested).
 
-Both engines agree exactly on returned node sets and retry counts, and
-on energies to float round-off (the equivalence suite pins 1e-9
-relative tolerance).
+Both simulators agree exactly on returned node sets and retry counts,
+and on energies to float round-off (the equivalence suite pins 1e-9
+relative tolerance).  Protocols with no batch form (proof collection,
+NAIVE-1, a ``priority`` forwarding order) run only on ``Simulator``.
 """
 
 from __future__ import annotations
@@ -183,9 +184,9 @@ class BatchSimulator:
         value count, the ``(E,)`` retry energies, and the unicast edge
         ids with their ``(E, M)`` failure outcomes.  ``totals``
         optionally supplies a precomputed ``(base_mj, values)`` pair —
-        both depend only on the message list, so the fleet simulator
-        sums them once per block; the per-node ledger breakdown still
-        needs the full scan, so the shortcut only applies without one.
+        both depend only on the message list, so a plan's cached
+        pricing holds them; the per-node ledger breakdown still needs
+        the full scan, so the shortcut only applies without one.
         """
         base = 0.0
         values = 0
@@ -311,7 +312,6 @@ class BatchSimulator:
         plan: QueryPlan,
         readings_matrix,
         include_trigger: bool = True,
-        priority=None,
         label: str = "collection",
     ) -> BatchSimulationReport:
         """Replay an installed plan over every epoch of a trace."""
@@ -321,7 +321,7 @@ class BatchSimulator:
         extra = pricing.trigger_mj if include_trigger else 0.0
         extra += pricing.acquisition_mj
         return self._report(
-            lambda: execute_plan_batch(plan, values, priority=priority),
+            lambda: execute_plan_batch(plan, values),
             extra,
             label,
             started,
@@ -335,39 +335,23 @@ class BatchSimulator:
         *,
         include_trigger: bool = True,
         label: str = "collection",
-        started: float | None = None,
-        extra_energy: float | None = None,
-        message_totals: tuple[float, int] | None = None,
     ) -> BatchSimulationReport:
         """Energy-account an already-executed batch collection.
 
-        The second half of :meth:`run_collection`, split out so callers
-        that run :func:`~repro.plans.execution.execute_plan_batch` over
-        a concatenation of several traces (the fleet simulator) can
-        account each slice with its own failure model and rng while the
-        tree recursion is shared.  ``result`` must come from this
-        plan's execution; the report is identical to what
+        The second half of :meth:`run_collection`: ``result`` must come
+        from this plan's execution, and the report is identical to what
         :meth:`run_collection` would have produced on the same rows.
-
-        ``extra_energy`` pre-empts the per-epoch trigger + acquisition
-        overhead and ``message_totals`` the summed per-epoch message
-        cost/value pair — both depend only on the plan, so the fleet
-        simulator computes them once per group instead of once per
-        cell; ``include_trigger`` is ignored when ``extra_energy`` is
-        given.  Either one left out is read from the plan's cached
-        :class:`~repro.simulation.runtime.CollectionPricing`.
         """
-        if started is None:
-            started = time.perf_counter()
-        if extra_energy is None or message_totals is None:
-            pricing = CollectionPricing.of(plan, self.energy)
-        if extra_energy is None:
-            extra_energy = pricing.trigger_mj if include_trigger else 0.0
-            extra_energy += pricing.acquisition_mj
-        if message_totals is None:
-            message_totals = (pricing.energy_mj, pricing.values)
+        started = time.perf_counter()
+        pricing = CollectionPricing.of(plan, self.energy)
+        extra = pricing.trigger_mj if include_trigger else 0.0
+        extra += pricing.acquisition_mj
         return self._report(
-            lambda: result, extra_energy, label, started, message_totals
+            lambda: result,
+            extra,
+            label,
+            started,
+            (pricing.energy_mj, pricing.values),
         )
 
     def run_naive_k(self, readings_matrix, k: int) -> BatchSimulationReport:

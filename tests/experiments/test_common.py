@@ -12,6 +12,7 @@ from repro.network.energy import EnergyModel
 from repro.network.failures import LinkFailureModel
 from repro.planners.greedy import GreedyPlanner
 from repro.plans.plan import QueryPlan
+from tests.experiments import _scalar_oracle as oracle
 
 UNIFORM = EnergyModel.uniform(per_message_mj=1.0, per_value_mj=0.2)
 
@@ -62,11 +63,9 @@ class TestEngines:
     def test_batch_matches_scalar(self, setting):
         topology, __, eval_trace = setting
         plan = QueryPlan.from_chosen_nodes(topology, {1, 2})
-        batch = evaluate_plan(
-            "p", plan, topology, UNIFORM, eval_trace, k=2, engine="batch"
-        )
-        scalar = evaluate_plan(
-            "p", plan, topology, UNIFORM, eval_trace, k=2, engine="scalar"
+        batch = evaluate_plan("p", plan, topology, UNIFORM, eval_trace, k=2)
+        scalar = oracle.evaluate_plan(
+            "p", plan, topology, UNIFORM, eval_trace, k=2
         )
         assert batch.mean_accuracy == scalar.mean_accuracy
         assert batch.mean_energy_mj == pytest.approx(
@@ -79,16 +78,21 @@ class TestEngines:
         failures = LinkFailureModel.uniform(
             topology, probability=0.3, reroute_extra_mj=1.0
         )
-        results = [
-            evaluate_plan(
-                "p", plan, topology, UNIFORM, eval_trace, k=2,
-                failures=failures, seed=12, engine=engine,
-            )
-            for engine in ("batch", "scalar")
-        ]
-        assert results[0].mean_energy_mj == pytest.approx(
-            results[1].mean_energy_mj, rel=1e-9
+        batch = evaluate_plan(
+            "p", plan, topology, UNIFORM, eval_trace, k=2,
+            failures=failures, seed=12,
         )
+        scalar = oracle.evaluate_plan(
+            "p", plan, topology, UNIFORM, eval_trace, k=2,
+            failures=failures, seed=12,
+        )
+        assert batch.mean_energy_mj == pytest.approx(
+            scalar.mean_energy_mj, rel=1e-9
+        )
+        # the failures bite: retries cost more than the failure-free run
+        assert batch.mean_energy_mj > evaluate_plan(
+            "p", plan, topology, UNIFORM, eval_trace, k=2
+        ).mean_energy_mj
 
     def test_seed_makes_failure_runs_reproducible(self, setting):
         topology, __, eval_trace = setting
@@ -127,14 +131,6 @@ class TestEngines:
             evaluate_plan(
                 "p", QueryPlan.full(topology), topology, UNIFORM,
                 eval_trace, k=2, rng=np.random.default_rng(0), seed=1,
-            )
-
-    def test_rejects_unknown_engine(self, setting):
-        topology, __, eval_trace = setting
-        with pytest.raises(PlanError, match="engine"):
-            evaluate_plan(
-                "p", QueryPlan.full(topology), topology, UNIFORM,
-                eval_trace, k=2, engine="quantum",
             )
 
 

@@ -5,17 +5,14 @@
 rows must equal, bitwise, the rows built plan by plan: per-epoch
 ``OraclePlanner.plan_for_readings`` plans priced by ``run_plan_sweep``,
 and the NAIVE-k tree recursion accounted as an installed plan.  The
-epoch-by-epoch scalar loops agree to float round-off.
+epoch-by-epoch loops of ``_scalar_oracle.py`` agree to float round-off.
 """
 
 import numpy as np
 import pytest
 
 from repro.datagen.gaussian import random_gaussian_field
-from repro.experiments.fig3_comparison import (
-    _exact_sweep_batch,
-    _exact_sweep_scalar,
-)
+from repro.experiments.fig3_comparison import _exact_sweep_batch
 from repro.network.builder import random_topology
 from repro.network.energy import EnergyModel
 from repro.planners.oracle import OraclePlanner
@@ -23,6 +20,7 @@ from repro.plans.execution import execute_plan_batch
 from repro.plans.plan import QueryPlan
 from repro.query.accuracy import batch_accuracy
 from repro.simulation.batch import BatchSimulator
+from tests.experiments import _scalar_oracle as oracle
 
 MICA2 = EnergyModel.mica2()
 
@@ -107,7 +105,7 @@ def test_rows_equal_the_plan_by_plan_sweep(make, seed, k):
 def test_rows_match_the_scalar_loops(make, seed, k):
     topology, trace = make(seed)
     batch = _exact_sweep_batch(topology, MICA2, trace, k, True, None)
-    scalar = _exact_sweep_scalar(topology, MICA2, trace, k, True, None)
+    scalar = oracle.exact_sweep(topology, MICA2, trace, k, True)
     assert [r["algorithm"] for r in batch] == [
         r["algorithm"] for r in scalar
     ]

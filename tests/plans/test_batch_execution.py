@@ -74,22 +74,6 @@ def test_transmitted_counts_match_execution(data):
     } == plan.visited_nodes
 
 
-def test_priority_override_falls_back_to_scalar(small_tree):
-    plan = QueryPlan.full(small_tree)
-    rng = np.random.default_rng(0)
-    matrix = rng.normal(size=(4, small_tree.n))
-    target = 0.25
-
-    def priority(reading):
-        value, node = reading
-        return (-abs(value - target), node)
-
-    batch = execute_plan_batch(plan, matrix, priority=priority)
-    for epoch, readings in enumerate(matrix):
-        scalar = execute_plan(plan, readings, priority=priority)
-        assert batch.epoch_result(epoch).returned == scalar.returned
-
-
 def test_epoch_result_round_trip(small_tree):
     plan = QueryPlan.full(small_tree)
     matrix = np.arange(2 * small_tree.n, dtype=float).reshape(2, -1)

@@ -8,6 +8,7 @@ slowdown is injected into a fresh payload.
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -317,9 +318,41 @@ class TestCommittedBaselines:
         assert not bad, bad
 
     def test_every_benchmark_has_full_and_quick_baselines(self):
-        names = {"batchsim", "lpsweep", "fastpath", "obs_overhead"}
+        names = _gated_benchmarks()
+        assert "batchsim" in names and "fleet" not in names
         for name in names:
             assert (gate.DEFAULT_BASELINE_DIR / f"BENCH_{name}.json").exists()
             assert (
                 gate.DEFAULT_BASELINE_DIR / f"BENCH_{name}.quick.json"
             ).exists()
+            assert (gate.DEFAULT_RESULTS_DIR / f"BENCH_{name}.json").exists()
+
+    def test_every_committed_payload_belongs_to_a_gated_benchmark(self):
+        # quick results are local runs (gitignored); everything else
+        # under baselines/ and results/ is committed and gets gated
+        payloads = list(gate.DEFAULT_BASELINE_DIR.glob("BENCH_*.json")) + [
+            path
+            for path in gate.DEFAULT_RESULTS_DIR.glob("BENCH_*.json")
+            if not path.name.endswith(".quick.json")
+        ]
+        assert payloads
+        names = _gated_benchmarks()
+        stray = [
+            path for path in payloads
+            if path.name.removeprefix("BENCH_").split(".")[0] not in names
+        ]
+        assert not stray, stray
+
+
+def _gated_benchmarks() -> set[str]:
+    """The ``bench_<name>.py`` steps of CI's regression-gate job."""
+    workflow = (
+        GATE_PATH.parents[1] / ".github" / "workflows" / "ci.yml"
+    ).read_text()
+    job = re.search(
+        r"^  regression-gate:\n(.*?)(?=^  \S|\Z)", workflow, re.M | re.S
+    )
+    assert job, "ci.yml has no regression-gate job"
+    names = set(re.findall(r"python bench_(\w+)\.py", job.group(1)))
+    assert names
+    return names
