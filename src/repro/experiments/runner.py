@@ -41,11 +41,12 @@ def _fingerprint(value, digest) -> None:
     """Feed a stable content digest of ``value`` into ``digest``.
 
     Primitives, sequences and mappings are walked structurally; numpy
-    arrays hash their raw bytes; dataclasses hash their fields; objects
-    exposing ``cache_token()`` delegate to it.  Everything else falls
-    back to its pickle (stable for identical content within and across
-    processes of the same build, which is all an experiment cache
-    needs).
+    arrays hash their raw bytes; an :class:`~repro.obs.Instrumentation`
+    sink hashes as its type alone; dataclasses hash their fields;
+    objects exposing ``cache_token()`` delegate to it.  Everything else
+    falls back to its pickle (stable for identical content within and
+    across processes of the same build, which is all an experiment
+    cache needs).
     """
     if value is None or isinstance(value, (bool, int, float, str, bytes)):
         digest.update(repr(value).encode())
@@ -67,6 +68,10 @@ def _fingerprint(value, digest) -> None:
         for key in sorted(value, key=repr):
             _fingerprint(key, digest)
             _fingerprint(value[key], digest)
+    elif isinstance(value, Instrumentation):
+        # a telemetry sink never changes a trial's result, and its
+        # history grows with every trial: fingerprint the type alone
+        digest.update(b"Instrumentation")
     elif hasattr(value, "cache_token"):
         digest.update(type(value).__qualname__.encode())
         _fingerprint(value.cache_token(), digest)

@@ -3,11 +3,12 @@
 The library's cross-cutting layers (LP backends, planners, simulator,
 query engine) all accept one optional :class:`Instrumentation` object.
 When present, every LP solve records variables/constraints/iterations/
-wall-time, every collection records messages/bytes/mJ per edge depth,
-every engine epoch records its explore/exploit/replan decision path,
-and the whole pipeline builds a hierarchical span tree (plan → compile
-→ solve → round; epoch → collect → replan); when absent (the default),
-the hot paths do no observability work at all.
+wall-time, every collection is one ``collect`` span (its messages/
+values/retries/mJ) plus bound counters of messages/bytes/mJ per edge
+depth, every engine epoch records its explore/exploit/replan decision
+path, and the whole pipeline builds a hierarchical span tree (plan →
+compile → solve → round; epoch → collect → replan); when absent (the
+default), the hot paths do no observability work at all.
 
 Quick tour::
 
@@ -51,7 +52,6 @@ from repro.obs.instrument import (
     Instrumentation,
     maybe_timer,
     record_event,
-    timed,
 )
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.report import (
@@ -103,6 +103,5 @@ __all__ = [
     "render_report",
     "render_top",
     "span_rows",
-    "timed",
     "to_json",
 ]

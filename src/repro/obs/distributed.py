@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.errors import ObservabilityError
-from repro.obs.export import _format_value, _metric_name
-from repro.obs.instrument import Instrumentation
+from repro.obs.export import _format_value, _metric_name, _summary_lines
+from repro.obs.instrument import REQUEST_LATENCY_METRIC, Instrumentation
 from repro.obs.metrics import Histogram
 from repro.obs.spans import NULL_SPAN
 
@@ -53,10 +53,6 @@ __all__ = [
 ]
 
 MAX_TRACE_ID = (1 << 64) - 1
-
-REQUEST_LATENCY_METRIC = "service.request_seconds"
-"""Histogram name every service feeds its request wall time into; the
-aggregator's per-shard and fleet p50/p95/p99 read this metric."""
 
 
 # -- trace context -----------------------------------------------------------
@@ -221,10 +217,12 @@ def _span_dump_events(
         _span_dump_events(child, origin_s, pid, trace_id, out)
 
 
-def _walk_dump_starts(dump: dict, out: list[float]) -> None:
-    out.append(float(dump.get("start_s", 0.0)))
-    for child in dump.get("children", []):
-        _walk_dump_starts(child, out)
+def _latency_columns(latency: Histogram | None) -> dict:
+    """A dashboard row's ``p50_ms``/``p99_ms`` (None without data)."""
+    if latency is None:
+        return {"p50_ms": None, "p99_ms": None}
+    p50, p99 = latency.quantiles(50, 99)
+    return {"p50_ms": round(p50 * 1e3, 3), "p99_ms": round(p99 * 1e3, 3)}
 
 
 class TelemetryAggregator:
@@ -281,94 +279,80 @@ class TelemetryAggregator:
         with self._lock:
             return sum(self._rates.values())
 
-    def shard_histogram(self, shard: str, name: str) -> Histogram | None:
-        """One shard's histogram, rebuilt from its dump."""
-        with self._lock:
-            snapshot = self._snapshots.get(str(shard))
-        if snapshot is None:
-            return None
-        dump = (
-            snapshot.get("metrics", {}).get("histograms", {}).get(name)
-        )
-        if dump is None:
-            return None
-        return Histogram.from_dict(name, dump)
+    def _shard_histograms_locked(
+        self, shards: list[str], name: str
+    ) -> list[Histogram | None]:
+        """Each shard's ``name`` histogram, rebuilt once from its dump."""
+        dumps = [
+            self._snapshots[shard].get("metrics", {})
+            .get("histograms", {}).get(name)
+            for shard in shards
+        ]
+        return [Histogram.from_dict(name, d) if d else None for d in dumps]
 
-    def fleet_histogram(self, name: str) -> Histogram | None:
-        """The named histogram merged across every shard."""
+    @staticmethod
+    def _merged(name: str, hists: list[Histogram | None]) -> Histogram | None:
         merged: Histogram | None = None
-        for shard in self.shards:
-            hist = self.shard_histogram(shard, name)
-            if hist is None:
-                continue
-            if merged is None:
-                merged = hist
-            else:
+        for hist in hists:
+            if hist is not None:
+                merged = merged or Histogram(name)
                 merged.merge(hist)
         return merged
 
-    # -- dashboard rows -------------------------------------------------
-    def _shard_row_locked(self, shard: str) -> dict:
-        snapshot = self._snapshots[shard]
-        cache = snapshot.get("cache", {})
-        hits = float(cache.get("hits", 0))
-        misses = float(cache.get("misses", 0))
-        lookups = hits + misses
-        dump = (
-            snapshot.get("metrics", {})
-            .get("histograms", {})
-            .get(REQUEST_LATENCY_METRIC)
-        )
-        latency = (
-            Histogram.from_dict(REQUEST_LATENCY_METRIC, dump)
-            if dump
-            else None
-        )
-        return {
-            "shard": shard,
-            "qps": round(self._rates.get(shard, 0.0), 2),
-            "p50_ms": round(latency.quantile(50) * 1e3, 3) if latency else None,
-            "p99_ms": round(latency.quantile(99) * 1e3, 3) if latency else None,
-            "requests": int(snapshot.get("requests_handled", 0)),
-            "sessions": int(snapshot.get("sessions_open", 0)),
-            "cache_hit_pct": (
-                round(100.0 * hits / lookups, 1) if lookups else None
-            ),
-            "energy_mj": round(float(snapshot.get("energy_mj", 0.0)), 3),
-            "dropped_spans": int(
-                snapshot.get("spans", {}).get("dropped", 0)
-            ),
-            "uptime_s": round(float(snapshot.get("uptime_s", 0.0)), 1),
-        }
-
-    def top_rows(self) -> list[dict]:
-        """One dashboard row per shard plus a trailing fleet row."""
+    def fleet_histogram(self, name: str) -> Histogram | None:
+        """The named histogram merged across every shard."""
         with self._lock:
             shards = sorted(self._snapshots, key=lambda s: (len(s), s))
-            rows = [self._shard_row_locked(shard) for shard in shards]
-        fleet_latency = self.fleet_histogram(REQUEST_LATENCY_METRIC)
+            hists = self._shard_histograms_locked(shards, name)
+        return self._merged(name, hists)
+
+    # -- dashboard rows -------------------------------------------------
+    def _rows_and_latency(self) -> tuple[list[dict], Histogram | None]:
+        """One dashboard row per shard plus a trailing fleet row, and
+        the fleet request-latency histogram behind the fleet row."""
+        rows = []
         cache_hits = cache_lookups = 0.0
         with self._lock:
-            for shard in shards:
-                cache = self._snapshots[shard].get("cache", {})
-                cache_hits += float(cache.get("hits", 0))
-                cache_lookups += float(cache.get("hits", 0)) + float(
-                    cache.get("misses", 0)
+            shards = sorted(self._snapshots, key=lambda s: (len(s), s))
+            latencies = self._shard_histograms_locked(
+                shards, REQUEST_LATENCY_METRIC
+            )
+            for shard, latency in zip(shards, latencies):
+                snapshot = self._snapshots[shard]
+                cache = snapshot.get("cache", {})
+                hits = float(cache.get("hits", 0))
+                lookups = hits + float(cache.get("misses", 0))
+                cache_hits += hits
+                cache_lookups += lookups
+                rows.append(
+                    {
+                        "shard": shard,
+                        "qps": round(self._rates.get(shard, 0.0), 2),
+                        **_latency_columns(latency),
+                        "requests": int(snapshot.get("requests_handled", 0)),
+                        "sessions": int(snapshot.get("sessions_open", 0)),
+                        "cache_hit_pct": (
+                            round(100.0 * hits / lookups, 1)
+                            if lookups
+                            else None
+                        ),
+                        "energy_mj": round(
+                            float(snapshot.get("energy_mj", 0.0)), 3
+                        ),
+                        "dropped_spans": int(
+                            snapshot.get("spans", {}).get("dropped", 0)
+                        ),
+                        "uptime_s": round(
+                            float(snapshot.get("uptime_s", 0.0)), 1
+                        ),
+                    }
                 )
+        fleet_latency = self._merged(REQUEST_LATENCY_METRIC, latencies)
         rows.append(
             {
                 "shard": "fleet",
                 "qps": round(self.fleet_qps(), 2),
-                "p50_ms": (
-                    round(fleet_latency.quantile(50) * 1e3, 3)
-                    if fleet_latency
-                    else None
-                ),
-                "p99_ms": (
-                    round(fleet_latency.quantile(99) * 1e3, 3)
-                    if fleet_latency
-                    else None
-                ),
+                **_latency_columns(fleet_latency),
                 "requests": sum(r["requests"] for r in rows),
                 "sessions": sum(r["sessions"] for r in rows),
                 "cache_hit_pct": (
@@ -383,7 +367,11 @@ class TelemetryAggregator:
                 ),
             }
         )
-        return rows
+        return rows, fleet_latency
+
+    def top_rows(self) -> list[dict]:
+        """One dashboard row per shard plus a trailing fleet row."""
+        return self._rows_and_latency()[0]
 
     def to_json_dict(self) -> dict:
         """The ``/json`` payload ``repro top`` renders."""
@@ -405,61 +393,29 @@ class TelemetryAggregator:
         """Per-shard qps/p99/requests/cache/energy gauges plus fleet
         request-latency quantiles, in text exposition format."""
         lines: list[str] = []
-
-        def gauge(metric: str, samples: list[tuple[str, float]]) -> None:
+        rows, latency = self._rows_and_latency()
+        *shard_rows, fleet = rows
+        for metric, column, divisor in (
+            ("shard_qps", "qps", 1.0),
+            ("shard_p99_seconds", "p99_ms", 1e3),
+            ("shard_requests", "requests", 1.0),
+            ("shard_sessions_open", "sessions", 1.0),
+            ("shard_energy_mj", "energy_mj", 1.0),
+        ):
             name = _metric_name(metric, prefix)
             lines.append(f"# TYPE {name} gauge")
-            for labels, value in samples:
-                lines.append(f"{name}{labels} {_format_value(value)}")
-
-        rows = self.top_rows()
-        shard_rows = [r for r in rows if r["shard"] != "fleet"]
-        gauge(
-            "shard_qps",
-            [(f'{{shard="{r["shard"]}"}}', r["qps"]) for r in shard_rows],
-        )
-        gauge(
-            "shard_p99_seconds",
-            [
-                (f'{{shard="{r["shard"]}"}}', (r["p99_ms"] or 0.0) / 1e3)
-                for r in shard_rows
-            ],
-        )
-        gauge(
-            "shard_requests",
-            [
-                (f'{{shard="{r["shard"]}"}}', float(r["requests"]))
-                for r in shard_rows
-            ],
-        )
-        gauge(
-            "shard_sessions_open",
-            [
-                (f'{{shard="{r["shard"]}"}}', float(r["sessions"]))
-                for r in shard_rows
-            ],
-        )
-        gauge(
-            "shard_energy_mj",
-            [
-                (f'{{shard="{r["shard"]}"}}', r["energy_mj"])
-                for r in shard_rows
-            ],
-        )
-        fleet = rows[-1]
-        gauge("fleet_qps", [("", fleet["qps"])])
-        latency = self.fleet_histogram(REQUEST_LATENCY_METRIC)
-        if latency is not None and latency.count:
-            metric = _metric_name(REQUEST_LATENCY_METRIC, prefix)
-            lines.append(f"# TYPE {metric} summary")
-            for quantile in (0.5, 0.95, 0.99):
-                value = latency.quantile(quantile * 100.0)
+            for row in shard_rows:
+                value = float(row[column] or 0.0) / divisor
                 lines.append(
-                    f'{metric}{{quantile="{quantile}"}}'
-                    f" {_format_value(value)}"
+                    f'{name}{{shard="{row["shard"]}"}} {_format_value(value)}'
                 )
-            lines.append(f"{metric}_sum {_format_value(latency.total)}")
-            lines.append(f"{metric}_count {latency.count}")
+        name = _metric_name("fleet_qps", prefix)
+        lines.append(f"# TYPE {name} gauge")
+        lines.append(f"{name} {_format_value(fleet['qps'])}")
+        if latency is not None and latency.count:
+            lines += _summary_lines(
+                _metric_name(REQUEST_LATENCY_METRIC, prefix), latency
+            )
         return "\n".join(lines) + ("\n" if lines else "")
 
     # -- merged Chrome trace --------------------------------------------
@@ -486,10 +442,11 @@ class TelemetryAggregator:
                     "roots", []
                 )
                 lanes.append((f"shard {shard}", list(roots)))
-        starts: list[float] = []
-        for __, roots in lanes:
-            for root in roots:
-                _walk_dump_starts(root, starts)
+        # a child starts inside its parent: the roots hold the origin
+        starts = [
+            float(root.get("start_s", 0.0))
+            for __, roots in lanes for root in roots
+        ]
         origin = min(starts) if starts else 0.0
         events: list[dict] = []
         for pid, (name, roots) in enumerate(lanes, start=1):

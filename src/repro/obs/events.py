@@ -1,8 +1,8 @@
 """The structured event trace: a ring buffer of typed events.
 
 Every cross-cutting layer appends events of a known kind (an LP was
-solved, a plan was built/installed, a collection ran, ...) with a flat
-payload of numbers and strings.  The trace is a bounded deque: old
+solved, a plan was built/installed, a replan was skipped, ...) with a
+flat payload of numbers and strings.  The trace is a bounded deque: old
 events are evicted once ``capacity`` is exceeded, while ``dropped``
 reports how many were lost, so a long engine run never grows without
 bound but the reporter can still say so.
@@ -23,13 +23,12 @@ EVENT_KINDS = (
     "lp_batch",
     "plan_built",
     "plan_installed",
-    "collection_run",
-    "batch_collection_run",
     "sample_collected",
     "replan_skipped",
     "failure_observed",
     "audit_run",
     "shard_lifecycle",
+    "session_expired",
 )
 """The typed event vocabulary; ``record`` rejects anything else."""
 

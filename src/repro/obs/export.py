@@ -137,16 +137,23 @@ def prometheus_text(obs: Instrumentation, prefix: str = "repro") -> str:
         lines.append(f"# TYPE {metric} gauge")
         lines.append(f"{metric} {_format_value(gauge.value)}")
     for name, hist in sorted(obs.metrics.histograms.items()):
-        metric = _metric_name(name, prefix)
-        lines.append(f"# TYPE {metric} summary")
-        for quantile in (0.5, 0.95, 0.99):
-            value = hist.quantile(quantile * 100.0)
-            lines.append(
-                f'{metric}{{quantile="{quantile}"}} {_format_value(value)}'
-            )
-        lines.append(f"{metric}_sum {_format_value(hist.total)}")
-        lines.append(f"{metric}_count {hist.count}")
+        lines += _summary_lines(_metric_name(name, prefix), hist)
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _summary_lines(metric: str, hist) -> list[str]:
+    """One histogram as a Prometheus summary: p50/p95/p99 from one
+    pass over its buckets, plus exact ``_sum`` and ``_count``."""
+    lines = [f"# TYPE {metric} summary"]
+    for quantile, value in zip(
+        (0.5, 0.95, 0.99), hist.quantiles(50.0, 95.0, 99.0)
+    ):
+        lines.append(
+            f'{metric}{{quantile="{quantile}"}} {_format_value(value)}'
+        )
+    lines.append(f"{metric}_sum {_format_value(hist.total)}")
+    lines.append(f"{metric}_count {hist.count}")
+    return lines
 
 
 # -- flame-style ASCII tree --------------------------------------------------

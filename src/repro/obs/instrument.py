@@ -12,12 +12,33 @@ sites never branch on feature flags; they either hold an
 
 from __future__ import annotations
 
-import functools
 import time
 
 from repro.obs.events import EventTrace
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import SpanTracer
+from repro.obs.spans import NULL_SPAN, SpanTracer
+
+REQUEST_LATENCY_METRIC = "service.request_seconds"
+"""Histogram name every service feeds its request wall time into; the
+aggregator's per-shard and fleet p50/p95/p99 read this metric."""
+
+# metric name templates of the records, formatted with their label
+_COLLECTION = (
+    "sim.collections", "sim.collections.{}", "sim.messages",
+    "sim.values_sent", "sim.retries", "sim.energy_mj",
+)
+_DEPTH = ("sim.messages.depth{}", "sim.bytes.depth{}", "sim.energy_mj.depth{}")
+_BATCH_COLLECTION = (
+    "sim.batch.collections", "sim.batch.collections.{}", "sim.batch.epochs",
+    "sim.batch.messages", "sim.batch.values_sent", "sim.batch.retries",
+    "sim.batch.energy_mj",
+)
+_BATCH_HISTOGRAMS = ("sim.batch.size", "sim.batch.seconds.{}")
+_ENERGY = ("engine.energy_mj", "engine.energy_mj.{}")
+_EVENT = ("events.{}",)
+_REQUEST = ("service.requests", "service.requests.{}")
+_LATENCY = (REQUEST_LATENCY_METRIC,)
+_WIRE = ("service.wire.request_bytes", "service.wire.reply_bytes")
 
 
 class Instrumentation:
@@ -54,6 +75,20 @@ class Instrumentation:
         self.spans = SpanTracer(
             clock=self.clock, capacity=span_capacity, mode=span_mode
         )
+        # (templates, label) -> the metrics a record adds to directly
+        self._bound: dict = {}
+
+    def _metrics(self, templates: tuple, label="", kind="counter") -> tuple:
+        """The ``kind`` metrics named by ``templates`` formatted with
+        ``label``, resolved (and the names formatted) on first use only."""
+        try:
+            return self._bound[templates, label]
+        except KeyError:
+            resolve = getattr(self.metrics, kind)
+            bound = self._bound[templates, label] = tuple(
+                resolve(template.format(label)) for template in templates
+            )
+            return bound
 
     # -- primitive API --------------------------------------------------
     def counter(self, name: str):
@@ -75,7 +110,7 @@ class Instrumentation:
 
     def event(self, kind: str, **data):
         """Record a typed event and bump its ``events.<kind>`` counter."""
-        self.metrics.counter(f"events.{kind}").inc()
+        self._metrics(_EVENT, kind)[0].value += 1
         return self.trace.record(kind, **data)
 
     # -- domain helpers (one per cross-cutting record shape) -----------
@@ -184,67 +219,76 @@ class Instrumentation:
         )
 
     def record_collection(
-        self, label: str, *, messages: int, values: int, retries: int,
-        energy_mj: float, by_depth: dict | None = None,
+        self, span, label: str, *, messages: int, values: int,
+        retries: int, energy_mj: float, by_depth: dict | None = None,
     ) -> None:
-        """One simulated collection phase, with per-edge-depth detail."""
-        self.metrics.counter("sim.collections").inc()
-        self.metrics.counter(f"sim.collections.{label}").inc()
-        self.metrics.counter("sim.messages").inc(messages)
-        self.metrics.counter("sim.values_sent").inc(values)
-        self.metrics.counter("sim.retries").inc(retries)
-        self.metrics.counter("sim.energy_mj").inc(energy_mj)
-        if by_depth:
-            for depth, detail in by_depth.items():
-                self.metrics.counter(f"sim.messages.depth{depth}").inc(
-                    detail["messages"]
-                )
-                self.metrics.counter(f"sim.bytes.depth{depth}").inc(
-                    detail["bytes"]
-                )
-                self.metrics.counter(f"sim.energy_mj.depth{depth}").inc(
-                    detail["energy_mj"]
-                )
-        self.event(
-            "collection_run",
-            label=label,
-            messages=messages,
-            values=values,
-            retries=retries,
+        """One simulated collection phase: its figures as attributes of
+        its ``collect`` span (the phase's record), plus the ``sim.*``
+        counters with per-edge-depth detail."""
+        span.annotate(
+            messages=messages, values=values, retries=retries,
             energy_mj=energy_mj,
-            by_depth={str(d): dict(v) for d, v in (by_depth or {}).items()},
         )
+        for counter, amount in zip(
+            self._metrics(_COLLECTION, label),
+            (1, 1, messages, values, retries, energy_mj),
+        ):
+            counter.value += amount
+        for depth, detail in (by_depth or {}).items():
+            sent, nbytes, energy = self._metrics(_DEPTH, depth)
+            sent.value += detail["messages"]
+            nbytes.value += detail["bytes"]
+            energy.value += detail["energy_mj"]
 
     def record_batch_collection(
-        self, label: str, *, epochs: int, messages: int, values: int,
-        retries: int, energy_mj: float, seconds: float,
+        self, span, label: str, *, epochs: int, messages: int,
+        values: int, retries: int, energy_mj: float, seconds: float,
     ) -> None:
         """One batched collection phase: an entire trace evaluated in a
         single vectorized tree recursion.
 
         ``messages``/``values``/``retries``/``energy_mj`` are totals
-        over the whole batch; the batch-size histogram plus the
-        per-label timer are what the speedup benchmarks read back.
+        over the whole batch, annotated on its ``collect`` span and
+        added to the ``sim.batch.*`` counters; the batch-size histogram
+        plus the per-label timer are what the speedup benchmarks read
+        back.
         """
-        self.metrics.counter("sim.batch.collections").inc()
-        self.metrics.counter(f"sim.batch.collections.{label}").inc()
-        self.metrics.counter("sim.batch.epochs").inc(epochs)
-        self.metrics.counter("sim.batch.messages").inc(messages)
-        self.metrics.counter("sim.batch.values_sent").inc(values)
-        self.metrics.counter("sim.batch.retries").inc(retries)
-        self.metrics.counter("sim.batch.energy_mj").inc(energy_mj)
-        self.metrics.histogram("sim.batch.size").observe(epochs)
-        self.metrics.histogram(f"sim.batch.seconds.{label}").observe(seconds)
-        self.event(
-            "batch_collection_run",
-            label=label,
-            epochs=epochs,
-            messages=messages,
-            values=values,
-            retries=retries,
-            energy_mj=energy_mj,
-            seconds=seconds,
+        span.annotate(
+            epochs=epochs, messages=messages, values=values,
+            retries=retries, energy_mj=energy_mj,
         )
+        for counter, amount in zip(
+            self._metrics(_BATCH_COLLECTION, label),
+            (1, 1, epochs, messages, values, retries, energy_mj),
+        ):
+            counter.value += amount
+        size, timer = self._metrics(_BATCH_HISTOGRAMS, label, "histogram")
+        size.observe(epochs)
+        timer.observe(seconds)
+
+    def record_energy(self, category: str, energy_mj: float) -> None:
+        """Engine energy spent on ``category`` (``engine.energy_mj``
+        plus its per-category counter)."""
+        total, per_category = self._metrics(_ENERGY, category)
+        total.value += energy_mj
+        per_category.value += energy_mj
+
+    def record_request(self, kind: str) -> None:
+        """One service request of ``kind`` (``service.requests`` plus
+        its per-kind counter)."""
+        total, per_kind = self._metrics(_REQUEST, kind)
+        total.value += 1
+        per_kind.value += 1
+
+    def record_request_seconds(self, seconds: float) -> None:
+        """One request's wall time, into :data:`REQUEST_LATENCY_METRIC`."""
+        self._metrics(_LATENCY, kind="histogram")[0].observe(seconds)
+
+    def record_wire(self, request_bytes: int, reply_bytes: int) -> None:
+        """One request/reply exchange's sizes on the wire."""
+        request, reply = self._metrics(_WIRE, kind="histogram")
+        request.observe(request_bytes)
+        reply.observe(reply_bytes)
 
     def record_runner_trial(self, *, cached: bool, seconds: float = 0.0) -> None:
         """One experiment-runner trial: either served from the
@@ -275,23 +319,10 @@ class Instrumentation:
         return obs
 
 
-class _NullTimer:
-    """Shared do-nothing context for the disabled-instrumentation path."""
-
-    __slots__ = ()
-    elapsed = 0.0
-
-    def __enter__(self) -> "_NullTimer":
-        return self
-
-    def __exit__(self, exc_type, exc, traceback) -> None:
-        # fixed arity: cheaper to call than ``*exc_info`` packing
-        return None
-
-
-NULL_TIMER = _NullTimer()
-"""The singleton no-op timer; proof that the disabled path allocates
-nothing (tests assert identity against this object)."""
+NULL_TIMER = NULL_SPAN
+"""The no-op timer is the no-op span (a context manager whose
+``elapsed`` is 0.0); proof that the disabled path allocates nothing
+(tests assert identity against this object)."""
 
 
 def maybe_timer(instrumentation: Instrumentation | None, name: str):
@@ -306,24 +337,3 @@ def record_event(instrumentation: Instrumentation | None, kind: str, **data):
     if instrumentation is None:
         return None
     return instrumentation.event(kind, **data)
-
-
-def timed(name: str, attr: str = "instrumentation"):
-    """Decorate a method so its wall time lands in ``histogram(name)``.
-
-    The owning object's ``attr`` attribute supplies the
-    :class:`Instrumentation`; when it is ``None`` the method runs bare.
-    """
-
-    def decorate(method):
-        @functools.wraps(method)
-        def wrapper(self, *args, **kwargs):
-            instrumentation = getattr(self, attr, None)
-            if instrumentation is None:
-                return method(self, *args, **kwargs)
-            with instrumentation.timer(name):
-                return method(self, *args, **kwargs)
-
-        return wrapper
-
-    return decorate

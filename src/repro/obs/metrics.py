@@ -152,15 +152,28 @@ class Histogram:
         inside the grid's range it is within :data:`RELATIVE_ERROR` of
         that order statistic.
         """
+        return self.quantiles(q)[0]
+
+    def quantiles(self, *qs: float) -> tuple[float, ...]:
+        """:meth:`quantile` of each of ``qs``, in the order given, from
+        one sort of the bucket grid and one pass over it."""
         if not self.count:
-            return 0.0
-        rank = q / 100.0 * (self.count - 1)
-        cumulative = 0
-        for index in sorted(self.buckets):
-            cumulative += self.buckets[index]
-            if cumulative > rank:
-                break
-        return min(max(bucket_value(index), self.min), self.max)
+            return (0.0,) * len(qs)
+        buckets = self.buckets
+        keys = sorted(buckets)
+        position = 0
+        cumulative = buckets[keys[0]]
+        answers = [0.0] * len(qs)
+        for rank, slot in sorted(
+            (q / 100.0 * (self.count - 1), slot) for slot, q in enumerate(qs)
+        ):
+            while cumulative <= rank and position + 1 < len(keys):
+                position += 1
+                cumulative += buckets[keys[position]]
+            answers[slot] = min(
+                max(bucket_value(keys[position]), self.min), self.max
+            )
+        return tuple(answers)
 
     def merge(self, other: "Histogram") -> None:
         """Fold another histogram's observations into this one; counts,
@@ -178,11 +191,12 @@ class Histogram:
 
     def summary(self) -> dict:
         """The row rendered by the ASCII reporter."""
+        p50, p95 = self.quantiles(50, 95)
         return {
             "count": self.count,
             "mean": self.mean,
-            "p50": self.quantile(50),
-            "p95": self.quantile(95),
+            "p50": p50,
+            "p95": p95,
             "max": self.max if self.count else 0.0,
             "total": self.total,
         }

@@ -32,22 +32,24 @@ class Span:
     Spans are context managers; entering starts the clock and attaches
     the span to the tracer's currently open span (or the root list),
     exiting stops it.  ``duration_s`` is valid once exited (and is the
-    elapsed-so-far for a still-open span).
+    elapsed-so-far for a still-open span).  The span adopts the
+    ``attributes`` dict it is given rather than copying it.
     """
 
     __slots__ = ("name", "attributes", "start_s", "end_s", "children",
-                 "span_id", "_tracer")
+                 "span_id", "_tracer", "_tree_size")
 
     def __init__(
         self, name: str, attributes: dict | None = None, tracer=None
     ) -> None:
         self.name = name
-        self.attributes: dict = dict(attributes or {})
+        self.attributes: dict = {} if attributes is None else attributes
         self.start_s = 0.0
         self.end_s: float | None = None
         self.children: list[Span] = []
         self.span_id = 0  # assigned by the tracer on first enter
         self._tracer = tracer
+        self._tree_size = 0  # retained spans in a root's tree; 0: dropped
 
     # -- timing ---------------------------------------------------------
     @property
@@ -191,44 +193,54 @@ class SpanTracer:
         if span.span_id == 0:
             span.span_id = self._next_span_id
             self._next_span_id += 1
+        stack = self._stack
         if self.retained >= self.capacity and self.mode == "ring":
-            self._evict(1)
-        if self.retained < self.capacity:
+            self._evict()
+        if self.retained >= self.capacity or (
+            stack and not stack[-1]._tree_size
+        ):
+            # full, or the parent was dropped: a child of a dropped span
+            # could never be reached from a root, so it is dropped too
+            self.dropped += 1
+        else:
             self.retained += 1
-            if self._stack:
-                self._stack[-1].children.append(span)
+            span._tree_size = 1
+            if stack:
+                stack[-1].children.append(span)
+                stack[0]._tree_size += 1
             else:
                 self.roots.append(span)
-        else:
-            self.dropped += 1
-        self._stack.append(span)
+        stack.append(span)
 
-    def _evict(self, needed: int) -> None:
-        """Drop the oldest finished root trees until ``needed`` fit.
+    def _evict(self) -> None:
+        """Drop the oldest finished root trees until one span fits.
 
         Open trees (anything still on the stack, or simply unfinished)
         are never evicted — if only open trees remain, the new span is
-        dropped instead, same as block mode.
+        dropped instead, same as block mode.  A root's tree size is
+        counted as its spans attach, so eviction never walks a tree.
         """
+        roots = self.roots
         index = 0
-        while self.retained + needed > self.capacity and index < len(self.roots):
-            root = self.roots[index]
-            if not root.finished or root in self._stack:
+        while self.retained >= self.capacity and index < len(roots):
+            root = roots[index]
+            if root.end_s is None or root in self._stack:
                 index += 1
                 continue
-            size = sum(1 for __ in root.walk())
-            del self.roots[index]
-            self.retained -= size
-            self.dropped += size
+            del roots[index]
+            self.retained -= root._tree_size
+            self.dropped += root._tree_size
 
     def _exit(self, span: Span) -> None:
         span.end_s = self.clock()
-        # tolerate out-of-order exits (generators, manual use): pop
-        # through to the span if it is on the stack at all
-        if span in self._stack:
-            while self._stack:
-                if self._stack.pop() is span:
-                    break
+        stack = self._stack
+        if stack and stack[-1] is span:
+            stack.pop()
+        elif span in stack:
+            # tolerate out-of-order exits (generators, manual use): pop
+            # through to the span
+            while stack.pop() is not span:
+                pass
 
     # -- inspection -----------------------------------------------------
     @property
@@ -266,9 +278,9 @@ class SpanTracer:
             tracer.roots = [
                 Span.from_dict(root) for root in data.get("roots", [])
             ]
-            tracer.retained = sum(
-                1 for root in tracer.roots for __ in root.walk()
-            )
+            for root in tracer.roots:
+                root._tree_size = sum(1 for __ in root.walk())
+            tracer.retained = sum(root._tree_size for root in tracer.roots)
             tracer.dropped = int(data.get("dropped", 0))
             tracer._next_span_id = 1 + max(
                 (span.span_id for root in tracer.roots
@@ -283,7 +295,7 @@ class SpanTracer:
 
 
 class _NullSpan:
-    """Shared do-nothing span for the disabled-instrumentation path."""
+    """Shared do-nothing span (and timer) for the disabled path."""
 
     __slots__ = ()
     name = ""
@@ -292,6 +304,7 @@ class _NullSpan:
     start_s = 0.0
     end_s = 0.0
     duration_s = 0.0
+    elapsed = 0.0  # doubles as the no-op timer (``NULL_TIMER``)
     finished = True
     span_id = 0
 
@@ -318,4 +331,4 @@ def maybe_span(instrumentation, name: str, **attributes):
     """``instrumentation.span(name, ...)``, or the shared no-op span."""
     if instrumentation is None:
         return NULL_SPAN
-    return instrumentation.span(name, **attributes)
+    return Span(name, attributes, instrumentation.spans)

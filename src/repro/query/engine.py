@@ -111,10 +111,7 @@ class TopKEngine:
         """Accumulate energy and mirror it into the per-category counters."""
         self.total_energy_mj += energy_mj
         if self.instrumentation is not None:
-            self.instrumentation.counter("engine.energy_mj").inc(energy_mj)
-            self.instrumentation.counter(
-                f"engine.energy_mj.{category}"
-            ).inc(energy_mj)
+            self.instrumentation.record_energy(category, energy_mj)
 
     # -- topology maintenance (paper §4.4) -----------------------------
     def handle_permanent_failure(

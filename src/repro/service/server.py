@@ -48,6 +48,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +63,7 @@ from repro.errors import (
 from repro.network.energy import EnergyModel
 from repro.network.topology import Topology
 from repro.obs import EnergyLedger
-from repro.obs.distributed import REQUEST_LATENCY_METRIC, SlowRequestLog
+from repro.obs.distributed import SlowRequestLog
 from repro.obs.spans import NULL_SPAN, maybe_span
 from repro.plans.serialize import plan_to_dict, topology_fingerprint
 from repro.planners.base import PlannerConfig
@@ -162,6 +163,11 @@ class TopKService:
         )
         self._topologies: dict[str, Topology] = {}
         self._sessions: dict[str, Session] = {}
+        # the open sessions, least recently used first: every stamp of a
+        # session's last_used moves it to the end (see _mark_used), so
+        # expiry pops idle sessions off the front and stops at the first
+        # live one, and admission reads the open count as len()
+        self._open: OrderedDict[str, Session] = OrderedDict()
         self._lock = threading.Lock()
         self._session_seq = 0
         self._draining = False
@@ -212,18 +218,29 @@ class TopKService:
 
     # -- session lifecycle ---------------------------------------------
     def _expire_idle(self) -> None:
+        """Expire the open sessions idle past the TTL (caller holds the
+        lock); costs one check plus one per expired session."""
         now = self.clock()
-        for session in self._sessions.values():
-            if session.expire_if_idle(now, self.config.session_ttl_s):
-                if self.instrumentation is not None:
-                    self.instrumentation.counter(
-                        "service.sessions_expired"
-                    ).inc()
-                    self.instrumentation.event(
-                        "session_expired",
-                        session_id=session.session_id,
-                        idle_s=session.idle_seconds(now),
-                    )
+        while self._open:
+            session = next(iter(self._open.values()))
+            if not session.expire_if_idle(now, self.config.session_ttl_s):
+                return
+            del self._open[session.session_id]
+            if self.instrumentation is not None:
+                self.instrumentation.counter("service.sessions_expired").inc()
+                self.instrumentation.event(
+                    "session_expired",
+                    session_id=session.session_id,
+                    idle_s=session.idle_seconds(now),
+                )
+
+    def _mark_used(self, session: Session) -> None:
+        """Stamp ``session.last_used`` and move it to the back of the
+        open order, atomically, so the order stays by last use."""
+        with self._lock:
+            session.last_used = self.clock()
+            if session.session_id in self._open:
+                self._open.move_to_end(session.session_id)
 
     def begin_drain(self) -> None:
         """Flip the service into graceful-shutdown mode.
@@ -248,9 +265,7 @@ class TopKService:
                     "service is draining for shutdown; no new sessions"
                 )
             self._expire_idle()
-            open_now = sum(
-                1 for s in self._sessions.values() if s.is_open
-            )
+            open_now = len(self._open)
             if open_now >= self.config.max_sessions:
                 raise AdmissionError(
                     f"service at capacity ({open_now} open sessions,"
@@ -284,8 +299,10 @@ class TopKService:
                 engine,
                 queue_limit=self.config.queue_limit,
                 clock=self.clock,
+                on_use=self._mark_used,
             )
             self._sessions[session_id] = session
+            self._open[session_id] = session
         if self.instrumentation is not None:
             self.instrumentation.counter("service.sessions_opened").inc()
         return session
@@ -310,7 +327,7 @@ class TopKService:
     @property
     def open_sessions(self) -> int:
         with self._lock:
-            return sum(1 for s in self._sessions.values() if s.is_open)
+            return len(self._open)
 
     # -- request handling ----------------------------------------------
     def handle(self, request: msg.Message, *, trace=None) -> msg.Message:
@@ -328,8 +345,7 @@ class TopKService:
             )
         obs = self.instrumentation
         if obs is not None:
-            obs.counter("service.requests").inc()
-            obs.counter(f"service.requests.{request.kind}").inc()
+            obs.record_request(request.kind)
         span = maybe_span(
             obs, "service.request", kind=request.kind,
             session=getattr(request, "session_id", None),
@@ -351,9 +367,7 @@ class TopKService:
                     raise
         finally:
             if obs is not None:
-                obs.histogram(REQUEST_LATENCY_METRIC).observe(
-                    span.duration_s
-                )
+                obs.record_request_seconds(span.duration_s)
                 self.slow_requests.offer(span)
 
     def handle_frame(self, body: bytes, spool=None) -> bytes:
@@ -396,12 +410,8 @@ class TopKService:
             self._wire["requests"] += 1
             self._wire["request_bytes"] += request_bytes
             self._wire["reply_bytes"] += reply_bytes
-        obs = self.instrumentation
-        if obs is not None:
-            obs.histogram("service.wire.request_bytes").observe(
-                request_bytes
-            )
-            obs.histogram("service.wire.reply_bytes").observe(reply_bytes)
+        if self.instrumentation is not None:
+            self.instrumentation.record_wire(request_bytes, reply_bytes)
 
     def wire_stats(self) -> dict:
         """Connection count, byte totals and bytes-per-request summary
@@ -460,7 +470,7 @@ class TopKService:
         obs = self.instrumentation
         with self._lock:
             self._expire_idle()
-            open_now = sum(1 for s in self._sessions.values() if s.is_open)
+            open_now = len(self._open)
             handled = sum(
                 s.requests_handled for s in self._sessions.values()
             )
@@ -520,6 +530,8 @@ class TopKService:
         if isinstance(request, msg.CloseSession):
             with session.slot(final=True) as engine:
                 session.close()
+                with self._lock:
+                    self._open.pop(session.session_id, None)
                 return msg.SessionClosed(
                     session_id=session.session_id,
                     epochs=engine.epoch,
@@ -588,7 +600,7 @@ class TopKService:
     def _stats_reply(self) -> msg.StatsReply:
         with self._lock:
             self._expire_idle()
-            open_now = sum(1 for s in self._sessions.values() if s.is_open)
+            open_now = len(self._open)
             per_state: dict[str, int] = {}
             shed = 0
             handled = 0

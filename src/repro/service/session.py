@@ -4,7 +4,8 @@ A :class:`Session` wraps one :class:`~repro.query.engine.TopKEngine`
 with the three concerns the engine itself does not have:
 
 - **lifecycle** — ``open`` → ``closed`` (client) or ``expired``
-  (idle past the service TTL); every request touches the idle clock;
+  (idle past the service TTL); every request touches the idle clock
+  through the owner's ``on_use`` hook;
 - **serialization** — engines are single-threaded by design, so a
   per-session lock runs requests one at a time even when the socket
   front end handles many connections;
@@ -43,6 +44,7 @@ class Session:
         topology_id: str,
         engine,
         *,
+        on_use,
         queue_limit: int = 8,
         clock=None,
     ) -> None:
@@ -53,6 +55,9 @@ class Session:
         self.engine = engine
         self.queue_limit = queue_limit
         self._clock = clock
+        # stamps ``last_used`` for the owner, which keeps its open
+        # sessions in last-used order (see TopKService._mark_used)
+        self._on_use = on_use
         self.state = "open"
         self.draining = False
         self.created_at = self._now()
@@ -130,10 +135,10 @@ class Session:
         try:
             with self._serial:
                 self.ensure_open()  # may have expired while waiting
-                self.last_used = self._now()
+                self._on_use(self)
                 self.requests_handled += 1
                 yield self.engine
-                self.last_used = self._now()
+                self._on_use(self)
         finally:
             with self._admission:
                 self._pending -= 1

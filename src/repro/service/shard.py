@@ -521,19 +521,21 @@ class ShardedClient(_BaseClient):
                     merged[name].merge(hist)
                 else:
                     merged[name] = hist
-        return {
-            name: {
+        summaries = {}
+        for name, hist in sorted(merged.items()):
+            if not hist.count:
+                continue
+            p50, p95, p99 = hist.quantiles(50.0, 95.0, 99.0)
+            summaries[name] = {
                 "count": hist.count,
                 "mean": hist.total / hist.count,
                 "min": hist.min,
                 "max": hist.max,
-                "p50": hist.quantile(50.0),
-                "p95": hist.quantile(95.0),
-                "p99": hist.quantile(99.0),
+                "p50": p50,
+                "p95": p95,
+                "p99": p99,
             }
-            for name, hist in sorted(merged.items())
-            if hist.count
-        }
+        return summaries
 
     # -- pipelining -----------------------------------------------------
     def submit_nowait(self, request: msg.Message) -> int:

@@ -263,15 +263,12 @@ class BatchSimulator:
     ) -> BatchSimulationReport:
         """Run ``collect`` (the batch walk), charge and report it; the
         ``collect`` span times both."""
-        with maybe_span(self.instrumentation, "collect", label=label) as span:
+        obs = self.instrumentation
+        with maybe_span(obs, "collect", label=label) as span:
             result = collect()
             num_epochs = result.num_epochs
             base, values, retry_mj, edges, fails = self._charge_batch(
                 result.messages, num_epochs, totals
-            )
-            span.annotate(
-                epochs=num_epochs,
-                messages=len(result.messages) * num_epochs,
             )
         retries = (
             fails.sum(axis=1).astype(np.int64)
@@ -291,8 +288,9 @@ class BatchSimulator:
             failure_matrix=fails,
             detail=result,
         )
-        if self.instrumentation is not None:
-            self.instrumentation.record_batch_collection(
+        if obs is not None:
+            obs.record_batch_collection(
+                span,
                 label,
                 epochs=num_epochs,
                 messages=len(result.messages) * num_epochs,
@@ -322,32 +320,6 @@ class BatchSimulator:
         extra += pricing.acquisition_mj
         return self._report(
             lambda: execute_plan_batch(plan, values),
-            extra,
-            label,
-            started,
-            (pricing.energy_mj, pricing.values),
-        )
-
-    def account_collection(
-        self,
-        plan: QueryPlan,
-        result: BatchCollectionResult,
-        *,
-        include_trigger: bool = True,
-        label: str = "collection",
-    ) -> BatchSimulationReport:
-        """Energy-account an already-executed batch collection.
-
-        The second half of :meth:`run_collection`: ``result`` must come
-        from this plan's execution, and the report is identical to what
-        :meth:`run_collection` would have produced on the same rows.
-        """
-        started = time.perf_counter()
-        pricing = CollectionPricing.of(plan, self.energy)
-        extra = pricing.trigger_mj if include_trigger else 0.0
-        extra += pricing.acquisition_mj
-        return self._report(
-            lambda: result,
             extra,
             label,
             started,

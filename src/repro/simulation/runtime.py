@@ -144,8 +144,10 @@ class Simulator:
         Randomness source for failure draws (ignored without failures).
     instrumentation:
         Optional :class:`~repro.obs.Instrumentation`; when set, every
-        collection phase records a ``collection_run`` event plus
-        messages/bytes/mJ counters broken down by edge depth.
+        collection phase records one ``collect`` span whose attributes
+        carry its ``label``, ``messages``, ``values``, ``retries`` and
+        ``energy_mj``, plus the ``sim.*`` counters, with messages/bytes/
+        mJ broken down by edge depth.
     ledger:
         Optional :class:`~repro.obs.EnergyLedger`; when set, every
         message's radio cost (including failure retries) is attributed
@@ -250,17 +252,13 @@ class Simulator:
         charged from the precomputed pricing (one ledger vector add);
         otherwise message by message, so failure draws keep their
         order."""
-        with maybe_span(
-            self.instrumentation, "collect", label=label
-        ) as span:
+        obs = self.instrumentation
+        with maybe_span(obs, "collect", label=label) as span:
             result, extra_energy = collect()
             if pricing is not None and self.failures is None:
                 energy, values, retries = pricing.energy_mj, pricing.values, 0
                 outcomes: list[tuple[int, bool]] = []
-                by_depth = (
-                    pricing.by_depth if self.instrumentation is not None
-                    else None
-                )
+                by_depth = pricing.by_depth
                 if self.ledger is not None:  # closes the ledger epoch
                     self.ledger.charge_epochs(
                         pricing.node_energy,
@@ -273,24 +271,22 @@ class Simulator:
                 )
                 if self.ledger is not None:
                     self.ledger.end_epoch()
-            span.annotate(
-                messages=len(result.messages),
-                retries=retries,
-                energy_mj=energy + extra_energy,
-            )
-        if self.instrumentation is not None:
-            self.instrumentation.record_collection(
+            energy += extra_energy
+            messages = len(result.messages)
+        if obs is not None:
+            obs.record_collection(
+                span,
                 label,
-                messages=len(result.messages),
+                messages=messages,
                 values=values,
                 retries=retries,
-                energy_mj=energy + extra_energy,
+                energy_mj=energy,
                 by_depth=by_depth,
             )
         return SimulationReport(
             returned=result.returned,
-            energy_mj=energy + extra_energy,
-            num_messages=len(result.messages),
+            energy_mj=energy,
+            num_messages=messages,
             num_values_sent=values,
             num_retries=retries,
             proven_count=getattr(result, "proven_count", 0),

@@ -16,11 +16,10 @@ from repro.experiments.fig3_comparison import _exact_sweep_batch
 from repro.network.builder import random_topology
 from repro.network.energy import EnergyModel
 from repro.planners.oracle import OraclePlanner
-from repro.plans.execution import execute_plan_batch
-from repro.plans.plan import QueryPlan
 from repro.query.accuracy import batch_accuracy
 from repro.simulation.batch import BatchSimulator
 from tests.experiments import _scalar_oracle as oracle
+from tests.simulation._collection_oracle import naive_k_by_recursion
 
 MICA2 = EnergyModel.mica2()
 
@@ -52,11 +51,7 @@ def _rows_plan_by_plan(topology, energy, eval_trace, k):
                 "budget_mj": "",
             }
         )
-        plan = QueryPlan.naive_k(topology, j)
-        result = execute_plan_batch(plan, values)
-        result.returned_values = result.returned_values[:, :j]
-        result.returned_nodes = result.returned_nodes[:, :j]
-        report = simulator.account_collection(plan, result, label="naive-k")
+        report = naive_k_by_recursion(simulator, values, j)
         naive = batch_accuracy(report.top_k_nodes(j), values, j) * j / k
         rows.append(
             {

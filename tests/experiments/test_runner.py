@@ -103,6 +103,32 @@ class TestContentKeys:
         bumped[3] += 1e-9
         assert content_key(_draw_trial, {"trace": bumped}, seed) != base
 
+    def test_sink_history_leaves_the_key_unchanged(self):
+        """An inline trial's telemetry sink is part of its params, but
+        what the sink has accumulated must not change the key, or a
+        re-run with the same sink would never hit the cache."""
+        (seed,) = np.random.SeedSequence(0).spawn(1)
+        obs = Instrumentation()
+        base = content_key(_draw_trial, {"x": 1, "instrumentation": obs}, seed)
+        obs.counter("runner.trials").inc()
+        with obs.span("plan"):
+            obs.event("plan_built", planner="greedy")
+        assert content_key(
+            _draw_trial, {"x": 1, "instrumentation": obs}, seed
+        ) == base
+        assert content_key(
+            _draw_trial, {"x": 1, "instrumentation": Instrumentation()}, seed
+        ) == base
+        assert content_key(_draw_trial, {"x": 1}, seed) != base
+
+    def test_rerun_with_a_sink_hits_the_cache(self):
+        obs = Instrumentation()
+        runner = ExperimentRunner(seed=4, instrumentation=obs)
+        params = [{"x": i, "instrumentation": obs} for i in range(3)]
+        first = runner.map(_draw_trial, params)
+        assert runner.map(_draw_trial, params) == first
+        assert obs.metrics.counter("runner.cache.hits").value == 3
+
 
 class TestParallel:
     def test_pool_matches_inline(self):

@@ -27,7 +27,7 @@ class TestRecording:
     def test_filter_by_kind(self):
         trace = EventTrace()
         trace.record("lp_solve", model="a")
-        trace.record("collection_run", label="x")
+        trace.record("plan_installed", reason="x")
         trace.record("lp_solve", model="b")
         models = [event.data["model"] for event in trace.events("lp_solve")]
         assert models == ["a", "b"]

@@ -44,14 +44,16 @@ class TestEventSequence:
 
         kinds = obs.trace.kinds()
         # five bootstrap samples, then the first query triggers an LP
-        # solve, a plan build, an install, and one collection
+        # solve, a plan build, an install, and one collection, whose
+        # record is its ``collect`` span
         assert kinds[:5] == ["sample_collected"] * 5
-        assert kinds[5:] == [
-            "lp_solve", "plan_built", "plan_installed", "collection_run",
-        ]
+        assert kinds[5:] == ["lp_solve", "plan_built", "plan_installed"]
         installed = obs.trace.events("plan_installed")[0]
         assert installed.data["reason"] == "initial"
         assert installed.data["install_mj"] > 0
+        (collect,) = obs.spans.find("collect")
+        assert collect.attributes["label"] == "collection"
+        assert installed.ts <= collect.start_s
 
     def test_lp_solve_event_carries_solver_stats(self, setting):
         rng, topology, field = setting
@@ -76,16 +78,27 @@ class TestEventSequence:
         for __ in range(4):
             engine.feed_sample(field.sample(rng))
         engine.query(field.sample(rng))
-        event = obs.trace.events("collection_run")[0]
-        by_depth = event.data["by_depth"]
-        assert by_depth  # a non-trivial plan crosses at least one edge
-        assert sum(d["messages"] for d in by_depth.values()) == (
-            event.data["messages"]
+        (collect,) = obs.spans.find("collect")  # the only collection
+
+        def by_depth(family):
+            return [
+                counter.value
+                for name, counter in obs.metrics.counters.items()
+                if name.startswith(f"sim.{family}.depth")
+            ]
+
+        assert by_depth("messages")  # a non-trivial plan crosses an edge
+        assert sum(by_depth("messages")) == collect.attributes["messages"]
+        assert collect.attributes["messages"] == (
+            obs.metrics.counter("sim.messages").value
         )
-        # per-depth energy covers the messages; the event total also
+        # per-depth energy covers the messages; the span total also
         # includes trigger + acquisition extras, so it is strictly more
-        message_energy = sum(d["energy_mj"] for d in by_depth.values())
-        assert 0 < message_energy < event.data["energy_mj"]
+        message_energy = sum(by_depth("energy_mj"))
+        assert 0 < message_energy < collect.attributes["energy_mj"]
+        assert collect.attributes["energy_mj"] == (
+            obs.metrics.counter("sim.energy_mj").value
+        )
 
     def test_declined_replan_is_counted_and_retried(self, setting):
         rng, topology, field = setting

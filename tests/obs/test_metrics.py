@@ -208,6 +208,37 @@ class TestMergeableBuckets:
         assert merged.buckets == whole.buckets
         assert merged.quantile(q) == whole.quantile(q)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(min_value=1e-12, max_value=1e12),
+                st.sampled_from([0.0, -1.0]),
+            ),
+            max_size=200,
+        ),
+        st.lists(st.floats(min_value=-10.0, max_value=110.0), max_size=6),
+    )
+    def test_quantiles_equal_separate_quantile_calls(self, values, qs):
+        hist = self._hist()
+        for value in values:
+            hist.observe(value)
+
+        def one_pass(q):  # the single-quantile bucket walk
+            if not hist.count:
+                return 0.0
+            rank = q / 100.0 * (hist.count - 1)
+            cumulative = 0
+            for index in sorted(hist.buckets):
+                cumulative += hist.buckets[index]
+                if cumulative > rank:
+                    break
+            return min(max(bucket_value(index), hist.min), hist.max)
+
+        expected = tuple(one_pass(q) for q in qs)
+        assert hist.quantiles(*qs) == expected
+        assert tuple(hist.quantile(q) for q in qs) == expected
+
     def test_quantile_reads_buckets_and_clamps_to_extrema(self):
         hist = self._hist()
         for value in [0.001] * 98 + [0.5, 2.0]:

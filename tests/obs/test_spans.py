@@ -1,6 +1,8 @@
 """Tests for hierarchical span tracing (repro.obs.spans)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ObservabilityError
 from repro.obs import NULL_SPAN, Instrumentation, Span, SpanTracer, maybe_span
@@ -224,6 +226,34 @@ class TestRingMode:
         assert [root.name for root in tracer.roots] == ["second", "third"]
         assert tracer.dropped == 2
         assert tracer.retained == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shapes=st.lists(st.integers(min_value=0, max_value=4), max_size=40),
+        capacity=st.integers(min_value=1, max_value=7),
+    )
+    def test_eviction_reads_recorded_tree_sizes(self, shapes, capacity):
+        """Each root counts its tree as spans attach, so ring eviction
+        never walks a tree; the counts still equal what a walk finds."""
+        tracer = SpanTracer(clock=FakeClock(), capacity=capacity, mode="ring")
+
+        def unwalkable(span, depth=0):
+            raise AssertionError("ring eviction walked a span tree")
+
+        original = Span.walk
+        Span.walk = unwalkable
+        try:
+            for depth in shapes:  # one request tree per entry
+                spans = [tracer.span(f"d{level}") for level in range(depth + 1)]
+                for span in spans:
+                    span.__enter__()
+                for span in reversed(spans):
+                    span.__exit__(None, None, None)
+        finally:
+            Span.walk = original
+        walked = sum(1 for __ in tracer.walk())
+        assert tracer.retained == walked <= capacity
+        assert tracer.retained + tracer.dropped == sum(d + 1 for d in shapes)
 
     def test_never_evicts_the_open_root_it_is_nested_under(self):
         tracer = SpanTracer(clock=FakeClock(), capacity=1, mode="ring")

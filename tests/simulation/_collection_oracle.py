@@ -8,17 +8,24 @@ computation.  :func:`~repro.plans.execution.execute_plan` and
 :meth:`~repro.simulation.runtime.Simulator.run_collection` walk a
 compiled schedule and charge one precomputed pricing instead; the
 differential tests require both to agree bitwise with this module.
+
+:func:`naive_k_by_recursion` is the batch-side reference for NAIVE-k:
+the tree recursion over :meth:`QueryPlan.naive_k`, accounted as an
+installed plan, which ``BatchSimulator.run_naive_k``'s direct build
+must reproduce.
 """
 
 from __future__ import annotations
 
+import time
+
 from repro.errors import PlanError
 from repro.network.topology import validate_readings
 from repro.obs.spans import maybe_span
-from repro.plans.execution import CollectionResult
+from repro.plans.execution import CollectionResult, execute_plan_batch
 from repro.plans.plan import Message, QueryPlan, Reading, tag_readings
 from repro.simulation.distribution import trigger_cost
-from repro.simulation.runtime import SimulationReport
+from repro.simulation.runtime import CollectionPricing, SimulationReport
 
 
 def oracle_execute_plan(
@@ -119,15 +126,11 @@ def oracle_run_collection(
         energy, values, retries, outcomes, by_depth = oracle_charge(
             simulator, result.messages
         )
-        span.annotate(
-            messages=len(result.messages),
-            retries=retries,
-            energy_mj=energy + extra,
-        )
     if simulator.ledger is not None:
         simulator.ledger.end_epoch()
     if obs is not None:
         obs.record_collection(
+            span,
             label,
             messages=len(result.messages),
             values=values,
@@ -143,4 +146,24 @@ def oracle_run_collection(
         num_retries=retries,
         detail=result,
         edge_outcomes=outcomes,
+    )
+
+
+def naive_k_by_recursion(simulator, trace, k: int):
+    """NAIVE-k over every epoch of ``trace`` as a replay on a
+    :class:`~repro.simulation.batch.BatchSimulator`: the tree recursion
+    over ``QueryPlan.naive_k``, trimmed to the top ``k`` and accounted
+    like any installed plan (trigger and acquisition included)."""
+    started = time.perf_counter()
+    plan = QueryPlan.naive_k(simulator.topology, k)
+    result = execute_plan_batch(plan, trace)
+    result.returned_values = result.returned_values[:, :k]
+    result.returned_nodes = result.returned_nodes[:, :k]
+    pricing = CollectionPricing.of(plan, simulator.energy)
+    return simulator._report(
+        lambda: result,
+        pricing.trigger_mj + pricing.acquisition_mj,
+        "naive-k",
+        started,
+        (pricing.energy_mj, pricing.values),
     )

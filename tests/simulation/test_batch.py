@@ -16,12 +16,13 @@ from repro.network.builder import random_topology
 from repro.network.energy import EnergyModel
 from repro.network.failures import LinkFailureModel
 from repro.obs import EnergyLedger, Instrumentation
-from repro.plans.execution import bandwidth_vector, execute_plan_batch
+from repro.plans.execution import bandwidth_vector
 from repro.plans.plan import QueryPlan
 from repro.query.accuracy import accuracy
 from repro.simulation.batch import BatchSimulator
 from repro.simulation.runtime import Simulator
 from tests.conftest import tree_plan_readings, tree_with_readings
+from tests.simulation._collection_oracle import naive_k_by_recursion
 
 MICA2 = EnergyModel.mica2()
 
@@ -149,17 +150,6 @@ def test_naive_k_equivalence(workload):
         )
 
 
-def _naive_k_by_recursion(simulator, trace, k):
-    """NAIVE-k as a replay: the tree recursion over ``QueryPlan.naive_k``,
-    accounted like any installed plan (the reference the direct build in
-    ``run_naive_k`` must reproduce)."""
-    plan = QueryPlan.naive_k(simulator.topology, k)
-    result = execute_plan_batch(plan, trace)
-    result.returned_values = result.returned_values[:, :k]
-    result.returned_nodes = result.returned_nodes[:, :k]
-    return simulator.account_collection(plan, result, label="naive-k")
-
-
 def _assert_same_naive_report(direct, replayed):
     np.testing.assert_array_equal(
         direct.returned_values, replayed.returned_values
@@ -190,7 +180,7 @@ def test_naive_k_direct_build_property(data, k):
     simulator = BatchSimulator(topology, MICA2)
     _assert_same_naive_report(
         simulator.run_naive_k(trace, k),
-        _naive_k_by_recursion(simulator, trace, k),
+        naive_k_by_recursion(simulator, trace, k),
     )
 
 
@@ -205,7 +195,7 @@ def test_naive_k_with_failures_and_ledger_matches_the_recursion(
         topology, probability=0.3, reroute_extra_mj=2.0
     )
     reports, ledgers = [], []
-    for run in (BatchSimulator.run_naive_k, _naive_k_by_recursion):
+    for run in (BatchSimulator.run_naive_k, naive_k_by_recursion):
         ledger = EnergyLedger(topology.n, capacity_mj=200.0)
         simulator = BatchSimulator(
             topology, MICA2, failures=failures,
@@ -391,7 +381,7 @@ class TestLedgerEquivalence:
         )
 
 
-def test_obs_counters_and_event(workload):
+def test_obs_counters_and_collect_span(workload):
     topology, plan, trace = workload
     obs = Instrumentation()
     simulator = BatchSimulator(topology, MICA2, instrumentation=obs)
@@ -405,5 +395,16 @@ def test_obs_counters_and_event(workload):
     )
     assert obs.metrics.histogram("sim.batch.size").count == 1
     assert obs.metrics.histogram("sim.batch.seconds.eval").count == 1
-    (event,) = obs.trace.events("batch_collection_run")
-    assert event.data["epochs"] == len(trace)
+    assert len(obs.trace) == 0  # the span is the record; no event
+    (span,) = obs.spans.find("collect")
+    assert span.attributes == {
+        "label": "eval",
+        "epochs": len(trace),
+        "messages": report.num_messages * len(trace),
+        "values": report.num_values_sent * len(trace),
+        "retries": int(report.num_retries.sum()),
+        "energy_mj": float(report.energy_mj.sum()),
+    }
+    assert span.attributes["energy_mj"] == (
+        obs.metrics.counter("sim.batch.energy_mj").value
+    )

@@ -119,9 +119,7 @@ def _assert_state_equal(got: Simulator, want: Simulator):
             ]
 
         def collections(obs):
-            return [
-                event.data for event in obs.trace.events("collection_run")
-            ]
+            return [span.attributes for span in obs.spans.find("collect")]
 
         assert sim_counters(got.instrumentation) == sim_counters(
             want.instrumentation
@@ -164,6 +162,9 @@ def test_run_collection_matches_oracle_bitwise(case):
                 priority=case["priority"],
             ),
         )
+        # after every collection: the cumulative sim.* counters then
+        # pin each collection's per-depth breakdown, not just the sum
+        _assert_state_equal(fast, slow)
         _assert_reports_equal(
             fast.collect_full_sample(readings),
             oracle_run_collection(
@@ -171,7 +172,7 @@ def test_run_collection_matches_oracle_bitwise(case):
                 label="full-sample",
             ),
         )
-    _assert_state_equal(fast, slow)
+        _assert_state_equal(fast, slow)
 
 
 def test_failure_draws_interleave_with_retries():
@@ -196,4 +197,4 @@ def test_failure_draws_interleave_with_retries():
         want = oracle_run_collection(slow, plan, readings)
         assert got.num_retries == want.num_retries > 0
         _assert_reports_equal(got, want)
-    _assert_state_equal(fast, slow)
+        _assert_state_equal(fast, slow)
