@@ -4,8 +4,9 @@ Measures, per formulation and problem size, how long it takes to get a
 solver-ready :class:`~repro.lp.StandardForm` three ways:
 
 - ``algebraic_s``: the oracle builders of
-  ``tests/lp/_algebraic_oracle.py`` + ``compile_model`` (the reference
-  object-graph path, kept as a test oracle);
+  ``tests/lp/_algebraic_oracle.py`` + the ``compile_model`` of
+  ``tests/lp/_model_oracle.py`` (the reference object-graph path, kept
+  as a test oracle);
 - ``fast_cold_s``: the direct array compiler with an empty replan cache;
 - ``fast_warm_s``: the same compiler after a prior compile on the same
   topology/k/costs (the :class:`~repro.query.engine.TopKEngine` replan
@@ -36,7 +37,7 @@ import numpy as np
 from _helpers import record, write_payload
 
 from repro.datagen.gaussian import random_gaussian_field
-from repro.lp import ScipyBackend, compile_model
+from repro.lp import ScipyBackend
 from repro.network.builder import random_topology
 from repro.network.energy import EnergyModel
 from repro.planners.base import PlanningContext
@@ -44,6 +45,7 @@ from repro.planners.lp_lf import LPLFPlanner
 from repro.planners.lp_no_lf import LPNoLFPlanner
 from repro.planners.proof import ProofPlanner
 from tests.lp._algebraic_oracle import build_model
+from tests.lp._model_oracle import compile_model
 
 SIZES = ((20, 10), (40, 25), (60, 25))
 QUICK_SIZES = ((20, 10), (30, 10))

@@ -5,13 +5,14 @@ n = 60, m = 25, measured two ways per backend:
 
 - ``sweep``: one :class:`~repro.lp.ParametricForm` compile plus
   ``solve_batch`` — the budget row's RHS slot is patched per member and
-  the pure simplex backend warm-starts each member from the previous
-  optimal basis via a dual-simplex restart;
+  the pure simplex warm-starts each member from the previous optimal
+  basis via a dual-simplex restart;
 - ``cold``: a fresh ``compile_lp_lf`` + ``solve_form`` per budget (the
   pre-sweep regime).
 
-The acceptance bar from the issue — >= 3x on the pure simplex backend
-at full size — is asserted here.  The HiGHS row is reported without a
+The pure simplex is the test oracle in ``tests/lp/_simplex_oracle.py``
+(run from ``benchmarks/`` with ``PYTHONPATH=../src:..``); its
+acceptance bar — >= 3x at full size — is asserted here.  The HiGHS row is reported without a
 bar: HiGHS loads the form into one session and re-solves each member
 cold (a warm restart would land on other optimal vertices), so its
 sweep win is the shared compile and model hand-off.  Equivalence is asserted alongside the
@@ -45,13 +46,14 @@ import numpy as np
 from _helpers import record, write_payload
 
 from repro.datagen.gaussian import random_gaussian_field
-from repro.lp import ScipyBackend, SimplexBackend, compile_lp_lf
+from repro.lp import ScipyBackend, compile_lp_lf
 from repro.lp.fastbuild import compile_lp_lf_parametric
 from repro.network.builder import random_topology
 from repro.network.energy import EnergyModel
 from repro.planners.base import PlanningContext
 from repro.planners.lp_lf import LPLFPlanner
 from repro.planners.rounding import round_bandwidth
+from tests.lp._simplex_oracle import SimplexBackend
 
 K = 10
 _BUDGET_FACTORS = (0.7, 0.85, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0)

@@ -324,22 +324,6 @@ def _stats_demo(
                     planner, topology, energy, train, eval_trace, k, budget,
                     instrumentation=obs,
                 )
-            # a warm-started budget sweep, so the span tree shows
-            # warm/cold sweep members side by side
-            from repro.planners.base import PlanningContext
-            from repro.sampling.matrix import SampleMatrix
-
-            sweep_context = PlanningContext(
-                topology=topology,
-                energy=energy,
-                samples=SampleMatrix(train.values, k=k),
-                k=k,
-                budget=budget,
-                instrumentation=obs,
-            )
-            LPLFPlanner(backend="pure-simplex").plan_for_budgets(
-                sweep_context, [budget * f for f in (0.8, 1.0, 1.2)]
-            )
 
         with obs.span("phase.engine"):
             engine = TopKEngine(

@@ -11,9 +11,9 @@ is one compile + ``solve_batch`` over an 8-budget ladder,
 ``sweep_speedup`` is how much faster that is than compiling and
 solving each budget cold.  (The HiGHS sweep shares the
 compile and one loaded solver session but re-solves each member cold:
-warm restarts would move members to other optimal vertices.  The pure
-simplex backend adds dual-simplex warm starts — see
-``benchmarks/bench_lpsweep.py``.)
+warm restarts would move members to other optimal vertices.
+``benchmarks/bench_lpsweep.py`` also times the dual-simplex warm starts
+of the pure-Python simplex the tests keep as an oracle.)
 """
 
 from __future__ import annotations
@@ -89,18 +89,12 @@ def run(
     sample_counts: tuple[int, ...] = (10, 25),
     k: int = 10,
     include_proof: bool = True,
-    backend: str | None = None,
     instrumentation=None,
 ) -> list[dict]:
-    """One row per (formulation, n, m) combination.
-
-    ``backend`` is a registered solver name (see
-    :func:`repro.lp.backend.available_backends`); the default is the
-    production HiGHS backend.
-    """
+    """One row per (formulation, n, m) combination, solved on HiGHS."""
     rng = np.random.default_rng(seed)
     energy = EnergyModel.mica2()
-    solver = get_backend(backend, instrumentation=instrumentation)
+    solver = get_backend(instrumentation=instrumentation)
     rows: list[dict] = []
     for n in node_counts:
         # keep sparse instances connectable: widen the radio range as

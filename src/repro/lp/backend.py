@@ -1,10 +1,11 @@
 """The solver-backend protocol and the one factory that selects one.
 
-Everything that solves an LP — planners, experiments, ``Model.solve``
-— goes through :func:`get_backend` (or :func:`resolve_backend` when a
-caller may already hold an instance) instead of importing a concrete
-backend class.  Registering a name here is all a new solver needs to
-become selectable everywhere.
+Everything that solves an LP — planners, experiments, the Steiner
+study — goes through :func:`get_backend` (or :func:`resolve_backend`
+when a caller may already hold an instance) instead of importing a
+concrete backend class.  Registering a name here is all a new solver
+needs to become selectable everywhere.  HiGHS is the one registered
+solver, under three names.
 """
 
 from __future__ import annotations
@@ -14,31 +15,24 @@ from typing import TYPE_CHECKING, Protocol, runtime_checkable
 from repro.errors import SolverError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.lp.model import Model
     from repro.lp.result import Solution
     from repro.obs import Instrumentation
 
 
 @runtime_checkable
 class Backend(Protocol):
-    """Anything that can solve an LP in the three shapes the code uses.
-
-    ``solve(model)``
-        Solve an algebraic :class:`~repro.lp.Model` (used by
-        :mod:`repro.stochastic.steiner` and the tests' oracles).
+    """Anything that can solve an LP in the two shapes the code uses.
 
     ``solve_form(form, name)``
-        Solve a pre-compiled
-        :class:`~repro.lp.standard_form.StandardForm`, the
-        :mod:`repro.lp.fastbuild` output every planner solves.
+        Solve a compiled :class:`~repro.lp.standard_form.StandardForm`:
+        the :mod:`repro.lp.fastbuild` output every planner solves, or
+        the arrays :mod:`repro.stochastic.steiner` assembles.
 
     ``solve_batch(parametric, rhs_values, name=None)``
         Solve one :class:`~repro.lp.fastbuild.ParametricForm` for a
         sequence of RHS-slot values, returning one ``Solution`` per
         value, element-wise identical to independent cold solves.  The
-        pure simplex warm-starts each member from the previous optimal
-        basis (dual-simplex restart) and records an ``lp_sweep`` event.
-        The HiGHS backend loads the form into one session and re-solves
+        HiGHS backend loads the form into one session and re-solves
         each member cold under one ``batch.solve`` span and an
         ``lp_batch`` event, by design: on Fig-3 ladders a HiGHS warm
         restart lands on another optimal vertex in 236 of 280 members
@@ -48,12 +42,8 @@ class Backend(Protocol):
 
     name: str
 
-    def solve(self, model: "Model") -> "Solution":
-        """Return an optimal solution or raise :class:`SolverError`."""
-        ...  # pragma: no cover - protocol definition
-
     def solve_form(self, form, name: str = "lp") -> "Solution":
-        """Solve a compiled standard form."""
+        """Return an optimal solution or raise :class:`SolverError`."""
         ...  # pragma: no cover - protocol definition
 
     def solve_batch(
@@ -69,18 +59,10 @@ def _make_scipy(instrumentation=None) -> "Backend":
     return ScipyBackend(instrumentation=instrumentation)
 
 
-def _make_simplex(instrumentation=None) -> "Backend":
-    from repro.lp.simplex import SimplexBackend
-
-    return SimplexBackend(instrumentation=instrumentation)
-
-
 _FACTORIES = {
     "scipy-highs": _make_scipy,
     "scipy": _make_scipy,
     "highs": _make_scipy,
-    "pure-simplex": _make_simplex,
-    "simplex": _make_simplex,
 }
 
 DEFAULT_BACKEND = "scipy-highs"

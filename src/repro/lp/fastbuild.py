@@ -1,18 +1,19 @@
 """Fast-path compilation of the PROSPECTOR LPs to standard-form arrays.
 
-The algebraic layer (:class:`~repro.lp.model.Model` / ``LinExpr`` /
-``Constraint``) allocates one Python object per variable and several
-per constraint term; for LP+LF at n=60, m=25 that is tens of thousands
-of allocations, and *build* time dominates solve time — the same
-pathology the paper reports for its CPLEX runs (§5 "Other Results").
+An algebraic modeling layer allocates one Python object per variable
+and several per constraint term; for LP+LF at n=60, m=25 that is tens
+of thousands of allocations, and *build* time dominates solve time —
+the same pathology the paper reports for its CPLEX runs (§5 "Other
+Results").
 
 This module lowers each formulation **directly** to COO triplets with
 numpy and assembles a :class:`~repro.lp.standard_form.StandardForm`;
 it is the only way the planners compile.  Its rows, columns,
-coefficients, bounds, and objective are bitwise identical to
-``compile_model`` of the algebraic builders kept as a test oracle in
-``tests/lp/_algebraic_oracle.py``, and ``tests/lp/test_fastbuild.py``
-checks that equivalence.
+coefficients, bounds, and objective are bitwise identical to the
+algebraic builders kept as a test oracle in
+``tests/lp/_algebraic_oracle.py`` (compiled by that oracle's
+``compile_model``), and ``tests/lp/test_fastbuild.py`` checks that
+equivalence.
 
 On top of the compilers sits :class:`ReplanCache`: the constraint
 blocks that do not depend on the sample matrix (edge-use rows, path
@@ -88,9 +89,8 @@ class ParametricForm:
     entry (the budget row).  A budget sweep therefore compiles **once**
     (through the :class:`ReplanCache` like any other compile) and each
     sweep member just patches that one float — via
-    ``backend.solve_batch`` (warm-started on the pure simplex, cold
-    members of one loaded session on HiGHS), or via
-    :meth:`form_for` for an independent cold oracle solve.
+    ``backend.solve_batch`` (cold members of one loaded HiGHS
+    session), or via :meth:`form_for` for an independent cold solve.
 
     ``rhs_of`` maps a budget to the slot's value using the *same* float
     arithmetic as a cold compile at that budget, so a patched form is
@@ -273,7 +273,8 @@ def _assemble(
     b_ub: np.ndarray,
     bounds: list,
 ) -> StandardForm:
-    """Pack COO triplets into a StandardForm, mirroring compile_model."""
+    """Pack COO triplets into a minimized StandardForm (the costs of a
+    maximization negated), with an empty equality block."""
     if maximize:
         c = -c
         constant = -constant

@@ -32,9 +32,7 @@ except ImportError as exc:  # pragma: no cover - depends on the install
     ) from exc
 
 from repro.errors import SolverError
-from repro.lp.model import Model
 from repro.lp.result import Solution, SolveStats
-from repro.lp.standard_form import compile_model, orient_inequality_duals
 from repro.obs.spans import maybe_span
 
 _STATUS_BY_CODE = {
@@ -242,7 +240,7 @@ def _check_feasible(run: _HighsRun) -> _HighsRun:
 
 
 class ScipyBackend:
-    """Solve models with HiGHS through scipy's binding.
+    """Solve compiled LPs with HiGHS through scipy's binding.
 
     Parameters
     ----------
@@ -256,27 +254,13 @@ class ScipyBackend:
     def __init__(self, instrumentation=None) -> None:
         self.instrumentation = instrumentation
 
-    def solve(self, model: Model) -> Solution:
-        form = compile_model(model)
-        return self._solve_member(
-            form, model.name, model, lambda: _HighsSession(form).solve()
-        )
-
     def solve_form(self, form, name: str = "lp") -> Solution:
-        """Solve a pre-compiled :class:`StandardForm` (fast-path entry).
-
-        Used by :mod:`repro.lp.fastbuild`, which lowers the PROSPECTOR
-        formulations to arrays without an algebraic model.  All
-        inequality rows of a ``StandardForm`` are already in ``<=``
-        orientation, so the reported duals need no per-row flips.
-        """
+        """Solve a compiled :class:`~repro.lp.StandardForm` cold."""
         return self._solve_member(
-            form, name, None, lambda: _HighsSession(form).solve()
+            form, name, lambda: _HighsSession(form).solve()
         )
 
-    def _solve_member(
-        self, form, name: str, model: Model | None, solve
-    ) -> Solution:
+    def _solve_member(self, form, name: str, solve) -> Solution:
         """Run ``solve`` (a :class:`_HighsRun` factory) in a ``solve``
         span and report it.  A one-off session is built, solved and
         freed inside the call, so the span holds all of its cost."""
@@ -305,9 +289,7 @@ class ScipyBackend:
             objective=form.report_objective(float(run.fun)),
             values=np.asarray(run.x, dtype=float),
             stats=stats,
-            inequality_duals=orient_inequality_duals(
-                run.ineq_duals, form, model
-            ),
+            inequality_duals=form.report_duals(run.ineq_duals),
         )
 
     def _ladder(self, parametric, rhs_values, label: str) -> list[Solution]:
@@ -315,7 +297,7 @@ class ScipyBackend:
         form = parametric.form
         session = _HighsSession(form, row=parametric.row)
         return [
-            self._solve_member(form, label, None, partial(session.solve, rhs))
+            self._solve_member(form, label, partial(session.solve, rhs))
             for rhs in rhs_values
         ]
 

@@ -1,14 +1,16 @@
-"""Compile a :class:`~repro.lp.model.Model` into standard-form arrays.
+"""The standard-form arrays every backend solves.
 
-The target form matches ``scipy.optimize.linprog``::
+The form matches ``scipy.optimize.linprog``::
 
     minimize    c @ x
     subject to  A_ub @ x <= b_ub
                 A_eq @ x == b_eq
                 bounds[i][0] <= x[i] <= bounds[i][1]
 
-Maximization objectives are negated here and un-negated when the
-solution is reported, so backends only ever minimize.
+Builders (:mod:`repro.lp.fastbuild`, :mod:`repro.stochastic.steiner`)
+negate maximization objectives when they assemble the arrays, and the
+form un-negates the reported objective and duals, so backends only
+ever minimize.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-
-from repro.lp.model import Model
 
 
 @dataclass
@@ -39,102 +39,15 @@ class StandardForm:
         return len(self.c)
 
     def report_objective(self, minimized_value: float) -> float:
-        """Convert the backend's minimized value to the model's sense."""
+        """Convert the backend's minimized value to the formulation's
+        own sense."""
         value = minimized_value + self.objective_constant
         return -value if self.maximize else value
 
-
-def orient_inequality_duals(
-    duals: np.ndarray | None, form: StandardForm, model: Model | None
-) -> np.ndarray | None:
-    """Shadow prices in the model's own sense.
-
-    Backends report ``d(minimized objective)/d(b_ub)`` for the compiled
-    ``<=`` rows; this converts to ``d(model objective)/d(original rhs)``
-    by undoing the maximization negation and the ``>=``-to-``<=`` row
-    flips of :func:`compile_model`.  The form-only path (``model is
-    None``) has no original ``>=`` rows to report against, so only the
-    sense negation applies.
-    """
-    if duals is None:
-        return None
-    duals = np.asarray(duals, dtype=float).copy()
-    if form.maximize:
-        duals = -duals
-    if model is None:
-        return duals
-    row = 0
-    for constraint in model.constraints:
-        if constraint.sense == "==":
-            continue
-        if constraint.sense == ">=":
-            duals[row] = -duals[row]
-        row += 1
-    return duals
-
-
-def compile_model(model: Model) -> StandardForm:
-    """Lower an algebraic model into :class:`StandardForm` arrays.
-
-    ``>=`` rows are negated into ``<=`` rows; ``==`` rows go to the
-    equality block.  The sparse matrices are built in COO form in a
-    single pass and converted to CSR.
-    """
-    n = model.num_variables
-    objective = model.objective
-    maximize = model.sense == "max"
-
-    c = np.zeros(n)
-    constant = 0.0
-    if objective is not None:
-        for idx, coeff in objective.terms.items():
-            c[idx] = coeff
-        constant = objective.constant
-    if maximize:
-        c = -c
-        constant = -constant
-
-    ub_rows: list[int] = []
-    ub_cols: list[int] = []
-    ub_vals: list[float] = []
-    b_ub: list[float] = []
-    eq_rows: list[int] = []
-    eq_cols: list[int] = []
-    eq_vals: list[float] = []
-    b_eq: list[float] = []
-
-    for constraint in model.constraints:
-        sign = -1.0 if constraint.sense == ">=" else 1.0
-        if constraint.sense == "==":
-            row = len(b_eq)
-            for idx, coeff in constraint.expr.terms.items():
-                eq_rows.append(row)
-                eq_cols.append(idx)
-                eq_vals.append(coeff)
-            b_eq.append(constraint.rhs)
-        else:
-            row = len(b_ub)
-            for idx, coeff in constraint.expr.terms.items():
-                ub_rows.append(row)
-                ub_cols.append(idx)
-                ub_vals.append(sign * coeff)
-            b_ub.append(sign * constraint.rhs)
-
-    a_ub = sparse.coo_matrix(
-        (ub_vals, (ub_rows, ub_cols)), shape=(len(b_ub), n)
-    ).tocsr()
-    a_eq = sparse.coo_matrix(
-        (eq_vals, (eq_rows, eq_cols)), shape=(len(b_eq), n)
-    ).tocsr()
-
-    bounds = [(var.lb, var.ub) for var in model.variables]
-    return StandardForm(
-        c=c,
-        a_ub=a_ub,
-        b_ub=np.asarray(b_ub, dtype=float),
-        a_eq=a_eq,
-        b_eq=np.asarray(b_eq, dtype=float),
-        bounds=bounds,
-        objective_constant=constant,
-        maximize=maximize,
-    )
+    def report_duals(self, duals: np.ndarray | None) -> np.ndarray | None:
+        """The backend's ``<=``-row duals, ``d(minimized objective) /
+        d(b_ub)``, converted to the formulation's own sense."""
+        if duals is None:
+            return None
+        duals = np.array(duals, dtype=float)
+        return -duals if self.maximize else duals

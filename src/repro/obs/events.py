@@ -19,7 +19,6 @@ from repro.errors import ObservabilityError
 
 EVENT_KINDS = (
     "lp_solve",
-    "lp_sweep",
     "lp_batch",
     "plan_built",
     "plan_installed",

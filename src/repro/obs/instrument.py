@@ -120,14 +120,8 @@ class Instrumentation:
         ``stats`` is a :class:`~repro.lp.result.SolveStats` (duck-typed
         so :mod:`repro.obs` stays dependency-free).
         """
-        warm_started = bool(getattr(stats, "warm_started", False))
-        pivots = int(getattr(stats, "pivots", 0))
         self.metrics.counter("lp.solves").inc()
         self.metrics.counter("lp.iterations").inc(stats.iterations)
-        if warm_started:
-            self.metrics.counter("lp.warm_starts").inc()
-        if pivots:
-            self.metrics.counter("lp.pivots").inc(pivots)
         self.metrics.histogram(f"lp.solve_seconds.{model_name}").observe(
             stats.wall_seconds
         )
@@ -141,46 +135,6 @@ class Instrumentation:
             constraints=stats.num_constraints,
             iterations=stats.iterations,
             wall_seconds=stats.wall_seconds,
-            warm_started=warm_started,
-            pivots=pivots,
-        )
-
-    def record_lp_sweep(
-        self, model_name: str, *, members: int, warm_hits: int,
-        pivots_saved: int, seconds: float, bland_activations: int = 0,
-        cold_fallbacks: int = 0,
-    ) -> None:
-        """One budget ladder warm-solved by the pure simplex's
-        ``solve_batch``.
-
-        ``warm_hits`` counts members restarted from the previous
-        optimal basis; ``pivots_saved`` is the pivot count a cold solve
-        would have needed minus what the warm restarts actually spent
-        (zero for backends without warm starts).  ``bland_activations``
-        and ``cold_fallbacks`` are degeneracy telemetry: how often
-        Bland's anti-cycling rule engaged and how many warm restarts
-        had to be abandoned for cold re-solves.
-        """
-        self.metrics.counter("lp.sweep.solves").inc()
-        self.metrics.counter("lp.sweep.members").inc(members)
-        self.metrics.counter("lp.sweep.warm_hits").inc(warm_hits)
-        self.metrics.counter("lp.sweep.pivots_saved").inc(pivots_saved)
-        self.metrics.counter("lp.sweep.bland_activations").inc(
-            bland_activations
-        )
-        self.metrics.counter("lp.sweep.cold_fallbacks").inc(cold_fallbacks)
-        self.metrics.histogram(f"lp.sweep.seconds.{model_name}").observe(
-            seconds
-        )
-        self.event(
-            "lp_sweep",
-            model=model_name,
-            members=members,
-            warm_hits=warm_hits,
-            pivots_saved=pivots_saved,
-            bland_activations=bland_activations,
-            cold_fallbacks=cold_fallbacks,
-            seconds=seconds,
         )
 
     def record_lp_batch(

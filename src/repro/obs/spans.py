@@ -20,6 +20,7 @@ assert exact durations instead of sleeping.
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Callable, Iterator
 
@@ -130,8 +131,20 @@ class Span:
         )
 
 
+class _OpenSpans(threading.local):
+    """One open-span stack per thread."""
+
+    def __init__(self) -> None:
+        self.stack: list[Span] = []
+
+
 class SpanTracer:
-    """Hands out spans and maintains the open-span stack.
+    """Hands out spans and maintains one open-span stack per thread.
+
+    A span nests under the innermost span open *on its own thread*, so
+    concurrent requests handled on separate threads of one tracer each
+    start their own root tree.  The retained trees, the capacity and
+    the span-id sequence are shared by all threads.
 
     Parameters
     ----------
@@ -169,7 +182,7 @@ class SpanTracer:
         self.roots: list[Span] = []
         self.retained = 0
         self.dropped = 0
-        self._stack: list[Span] = []
+        self._open = _OpenSpans()
         self._next_span_id = 1
 
     def span(self, name: str, **attributes) -> Span:
@@ -178,13 +191,15 @@ class SpanTracer:
 
     @property
     def current(self) -> Span | None:
-        """The innermost open span, if any."""
-        return self._stack[-1] if self._stack else None
+        """The innermost span open on this thread, if any."""
+        stack = self._open.stack
+        return stack[-1] if stack else None
 
     @property
     def open_spans(self) -> tuple[Span, ...]:
-        """The open-span stack, outermost first (read-only view)."""
-        return tuple(self._stack)
+        """This thread's open-span stack, outermost first (read-only
+        view)."""
+        return tuple(self._open.stack)
 
     # -- stack mechanics (driven by Span.__enter__/__exit__) -----------
     def _enter(self, span: Span) -> None:
@@ -193,7 +208,7 @@ class SpanTracer:
         if span.span_id == 0:
             span.span_id = self._next_span_id
             self._next_span_id += 1
-        stack = self._stack
+        stack = self._open.stack
         if self.retained >= self.capacity and self.mode == "ring":
             self._evict()
         if self.retained >= self.capacity or (
@@ -215,8 +230,7 @@ class SpanTracer:
     def _evict(self) -> None:
         """Drop the oldest finished root trees until one span fits.
 
-        Open trees (anything still on the stack, or simply unfinished)
-        are never evicted — if only open trees remain, the new span is
+        Open trees (anything unfinished) are never evicted — if only open trees remain, the new span is
         dropped instead, same as block mode.  A root's tree size is
         counted as its spans attach, so eviction never walks a tree.
         """
@@ -224,7 +238,7 @@ class SpanTracer:
         index = 0
         while self.retained >= self.capacity and index < len(roots):
             root = roots[index]
-            if root.end_s is None or root in self._stack:
+            if root.end_s is None:
                 index += 1
                 continue
             del roots[index]
@@ -233,7 +247,7 @@ class SpanTracer:
 
     def _exit(self, span: Span) -> None:
         span.end_s = self.clock()
-        stack = self._stack
+        stack = self._open.stack
         if stack and stack[-1] is span:
             stack.pop()
         elif span in stack:

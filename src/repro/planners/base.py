@@ -163,9 +163,9 @@ def sweep_solutions(
     The cross-session form cache's solution cache
     (:meth:`repro.service.cache.SharedPlanCache.sweep_solutions`) lets
     equal-content tenants pay one batch solve; otherwise the backend's
-    ``solve_batch`` runs the ladder (dual-simplex warm restarts on the
-    pure simplex, one HiGHS session re-solved cold per member on
-    scipy).  Both return element-wise identical solutions.
+    ``solve_batch`` runs the ladder (one HiGHS session re-solved cold
+    per member).  Both return solutions element-wise identical to
+    independent cold solves.
     """
     if form_cache is not None:
         return form_cache.sweep_solutions(

@@ -136,9 +136,8 @@ class LPNoLFPlanner:
         """One plan per budget, sharing a single compiled formulation.
 
         The formulation compiles once (through the replan cache) and
-        each member patches the budget row's RHS: the HiGHS backend
-        re-solves each member cold in one loaded session, the pure
-        simplex warm-starts it.  The results are element-wise identical
+        each member patches the budget row's RHS, re-solved cold in one
+        loaded HiGHS session.  The results are element-wise identical
         to calling :meth:`plan` once per budget.
         """
         budgets = [float(b) for b in budgets]

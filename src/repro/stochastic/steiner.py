@@ -20,10 +20,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import BudgetError, ModelError
-from repro.lp import LinExpr, Model
+from repro.lp.backend import resolve_backend
+from repro.lp.fastbuild import _assemble
+from repro.lp.standard_form import StandardForm
 from repro.network.topology import Topology
 from repro.stochastic.scenarios import ScenarioSet
+
+_LP_NAME = "two-stage-steiner"
 
 
 @dataclass
@@ -80,38 +86,66 @@ class TwoStageSteinerTree:
             needed.update(self.topology.path_edges(terminal))
         return needed
 
-    def _build(self, scenarios: ScenarioSet):
-        model = Model("two-stage-steiner")
-        x = {
-            edge: model.add_variable(f"x_{edge}", lb=0.0, ub=1.0)
-            for edge in self.topology.edges
-        }
-        y: dict[tuple[int, int], object] = {}
-        for s, scenario in enumerate(scenarios):
-            for edge in self._scenario_edges(scenario):
-                y[edge, s] = model.add_variable(f"y_{edge}_{s}", lb=0.0, ub=1.0)
-                model.add_constraint(
-                    x[edge] + y[edge, s] >= 1.0, name=f"cover_{edge}_{s}"
-                )
-        return model, x, y
+    def _compile(
+        self, scenarios: ScenarioSet, first_stage_budget: float | None
+    ) -> StandardForm:
+        """The LP as standard-form arrays, minimized.
 
-    def _stage_costs(self, scenarios: ScenarioSet, x, y):
-        first = LinExpr.sum_of(
-            self.edge_costs[edge] * var for edge, var in x.items()
+        Columns: ``x_e`` per edge in topology order, then for each
+        scenario one ``y_{e,s}`` per edge its terminals need.  Rows: one
+        cover row per ``y`` column, ``x_e + y_{e,s} >= 1`` negated to
+        ``-x_e - y_{e,s} <= -1``; with a budget, then the row
+        ``sum_e c_e x_e <= budget``.  The objective is the expected
+        second stage, plus the first stage when there is no budget.
+        """
+        edges = self.topology.edges
+        x_col = {edge: col for col, edge in enumerate(edges)}
+        first = [self.edge_costs[edge] for edge in edges]
+        recourse_scale = scenarios.probability * self.inflation
+        recourse: list[float] = []
+        rows: list[int] = []
+        cols: list[int] = []
+        for scenario in scenarios:
+            for edge in self._scenario_edges(scenario):
+                rows += (len(recourse), len(recourse))
+                cols += (x_col[edge], len(edges) + len(recourse))
+                recourse.append(recourse_scale * self.edge_costs[edge])
+        vals = [-1.0] * len(rows)
+        b_ub = [-1.0] * len(recourse)
+        if first_stage_budget is None:
+            c = first + recourse
+        else:
+            rows += [len(recourse)] * len(edges)
+            cols += range(len(edges))
+            vals += first
+            b_ub.append(float(first_stage_budget))
+            c = [0.0] * len(edges) + recourse
+        return _assemble(
+            c=np.array(c, dtype=float),
+            constant=0.0,
+            maximize=False,
+            rows=np.array(rows, dtype=np.int64),
+            cols=np.array(cols, dtype=np.int64),
+            vals=np.array(vals, dtype=float),
+            b_ub=np.array(b_ub, dtype=float),
+            bounds=[(0.0, 1.0)] * len(c),
         )
-        second = LinExpr.sum_of(
-            (scenarios.probability * self.inflation * self.edge_costs[edge])
-            * var
-            for (edge, __), var in y.items()
-        )
-        return first, second
+
+    def _solve(
+        self, scenarios: ScenarioSet, first_stage_budget: float | None, backend
+    ) -> SteinerSolution:
+        form = self._compile(scenarios, first_stage_budget)
+        solution = resolve_backend(backend).solve_form(form, _LP_NAME)
+        # the x columns come first, in topology edge order
+        fractional = {
+            edge: float(solution.values[col])
+            for col, edge in enumerate(self.topology.edges)
+        }
+        return self._extract(scenarios, solution.objective, fractional)
 
     def _extract(
-        self, scenarios: ScenarioSet, solution, x
+        self, scenarios: ScenarioSet, lp_objective: float, fractional
     ) -> SteinerSolution:
-        fractional = {
-            edge: solution.value(var) for edge, var in x.items()
-        }
         bought = frozenset(e for e, v in fractional.items() if v >= 0.5)
         first_cost = sum(self.edge_costs[e] for e in bought)
         # expected recourse of the *rounded* first stage
@@ -126,17 +160,14 @@ class TwoStageSteinerTree:
             first_stage_edges=bought,
             first_stage_cost=first_cost,
             expected_second_stage_cost=second,
-            lp_objective=solution.objective,
+            lp_objective=lp_objective,
             fractional_first_stage=fractional,
         )
 
     # -- the two problem forms ---------------------------------------------
     def solve_total_cost(self, scenarios: ScenarioSet, backend=None) -> SteinerSolution:
         """Minimize day-1 cost plus expected day-2 recourse."""
-        model, x, y = self._build(scenarios)
-        first, second = self._stage_costs(scenarios, x, y)
-        model.minimize(first + second)
-        return self._extract(scenarios, model.solve(backend), x)
+        return self._solve(scenarios, None, backend)
 
     def solve_budgeted(
         self,
@@ -147,8 +178,4 @@ class TwoStageSteinerTree:
         """Bound the day-1 spend; minimize the expected day-2 cost."""
         if first_stage_budget < 0:
             raise BudgetError("first-stage budget must be non-negative")
-        model, x, y = self._build(scenarios)
-        first, second = self._stage_costs(scenarios, x, y)
-        model.add_constraint(first <= first_stage_budget, name="budget")
-        model.minimize(second)
-        return self._extract(scenarios, model.solve(backend), x)
+        return self._solve(scenarios, first_stage_budget, backend)

@@ -1,10 +1,12 @@
 """Algebraic reference builders for the three PROSPECTOR LPs.
 
 Each builder spells one formulation of the paper (§4.1 LP−LF, §4.2
-LP+LF, §4.3 Proof) as a :class:`~repro.lp.Model` object graph, one
-``add_constraint`` per paper constraint.  Production compiles with
-:mod:`repro.lp.fastbuild` only; these builders are the oracle it must
-match bit for bit (``tests/lp/test_fastbuild.py``), and
+LP+LF, §4.3 Proof) as a ``Model`` object graph, one
+``add_constraint`` per paper constraint, in the modeling layer of
+``tests/lp/_model_oracle.py``.  Production compiles with
+:mod:`repro.lp.fastbuild` only; these builders, lowered by the
+oracle's ``compile_model``, are what it must match bit for bit
+(``tests/lp/test_fastbuild.py``), and
 ``benchmarks/bench_fastpath.py`` times them as the baseline the fast
 path is measured against.
 
@@ -15,12 +17,12 @@ hand the result to the planner's own repair-and-fill step.
 
 from __future__ import annotations
 
-from repro.lp import LinExpr, Model
 from repro.lp.backend import resolve_backend
 from repro.planners.base import PlanningContext
 from repro.planners.proof import ProofPlanner
 from repro.planners.rounding import round_bandwidth
 from repro.plans.plan import QueryPlan
+from tests.lp._model_oracle import LinExpr, Model
 
 
 def build_lp_no_lf_model(context: PlanningContext) -> tuple[Model, dict, dict]:

@@ -1,8 +1,9 @@
-"""A self-contained revised-simplex solver with warm-started re-solves.
+"""A self-contained revised-simplex solver, kept as HiGHS's test oracle.
 
-This backend exists so the library does not take the production solver
-on faith: tests cross-check :class:`~repro.lp.scipy_backend.ScipyBackend`
-against this independent implementation on every formulation.
+Production solves every LP with HiGHS
+(:class:`~repro.lp.ScipyBackend`).  This independent implementation
+exists so the tests do not take that solver on faith: they cross-check
+it against this one on every formulation.
 
 The engine is a bounded-variable revised simplex over the standard-form
 arrays: variable bounds (including free and fixed variables) are handled
@@ -16,31 +17,27 @@ columns for rows the slack basis cannot satisfy, so the PROSPECTOR
 formulations — all ``<=`` rows with a feasible all-lower-bounds point —
 cold-start directly in phase 2.
 
-Because the factorized basis persists, the engine also supports the
-parametric sweeps of :mod:`repro.lp.fastbuild`: when only one
+Because the factorized basis persists, the engine also warm-starts the
+parametric ladders of :mod:`repro.lp.fastbuild`: when only one
 right-hand-side entry changes between solves the optimal basis stays
 dual-feasible, so :meth:`SimplexBackend.solve_batch` re-solves each
-sweep member with a dual-simplex restart from the previous optimum — a
-handful of pivots instead of a cold run (``warm_started``/``pivots`` in
-the returned :class:`~repro.lp.result.SolveStats`).
+ladder member with a dual-simplex restart from the previous optimum —
+a handful of pivots instead of a cold run.  Each member's
+:class:`SimplexStats` records whether it was warm and how many pivots
+it took.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg import LinAlgError, lu_factor, lu_solve
 
 from repro.errors import SolverError
-from repro.lp.model import Model
-from repro.lp.result import Solution, SolveStats
-from repro.lp.standard_form import (
-    StandardForm,
-    compile_model,
-    orient_inequality_duals,
-)
+from repro.lp import Solution, SolveStats, StandardForm
 from repro.obs.spans import maybe_span
 
 _OPT_TOL = 1e-9          # reduced-cost threshold for entering candidates
@@ -52,6 +49,23 @@ _REFACTOR_EVERY = 64     # eta-file length before a fresh LU
 _BLAND_AFTER = 24        # consecutive degenerate pivots before Bland
 _TIE_BREAK = 1e-7        # pricing perturbation that pins a unique vertex
 _GOLDEN = 0.6180339887498949
+
+
+@dataclass
+class SimplexStats(SolveStats):
+    """:class:`~repro.lp.SolveStats` plus this solver's warm record.
+
+    ``warm_started`` marks a ladder member restarted from the previous
+    optimal basis, and ``pivots`` counts the basis changes (bound flips
+    included) this solve needed.  ``bland_activations`` counts how
+    often Bland's anti-cycling rule engaged, and ``cold_fallback``
+    marks a warm restart abandoned for a cold re-solve.
+    """
+
+    warm_started: bool = False
+    pivots: int = 0
+    bland_activations: int = 0
+    cold_fallback: bool = False
 
 
 class _WarmRestartFailed(Exception):
@@ -533,7 +547,7 @@ class _RevisedSimplex:
 
 
 class SimplexBackend:
-    """Bounded-variable revised simplex over the model's standard form.
+    """Bounded-variable revised simplex over a compiled standard form.
 
     Parameters
     ----------
@@ -541,8 +555,8 @@ class SimplexBackend:
         Pivot budget per solve before raising ``iteration_limit``.
     instrumentation:
         Optional :class:`~repro.obs.Instrumentation`; when set, every
-        solve records an ``lp_solve`` event and solve-time histograms,
-        and sweeps record ``lp.sweep.*`` counters.
+        solve opens a ``solve`` span and records an ``lp_solve`` event,
+        as the production backend does.
     """
 
     name = "pure-simplex"
@@ -553,20 +567,8 @@ class SimplexBackend:
         self.max_iterations = max_iterations
         self.instrumentation = instrumentation
 
-    def solve(self, model: Model) -> Solution:
-        return self._solve_compiled(compile_model(model), model.name, model)
-
     def solve_form(self, form: StandardForm, name: str = "lp") -> Solution:
-        """Solve a pre-compiled :class:`StandardForm` (fast-path entry).
-
-        Used by :mod:`repro.lp.fastbuild`; also keeps this backend
-        usable as a cross-check oracle for array-level compilers.
-        """
-        return self._solve_compiled(form, name, None)
-
-    def _solve_compiled(
-        self, form: StandardForm, name: str, model: Model | None
-    ) -> Solution:
+        """Solve a compiled :class:`~repro.lp.StandardForm` cold."""
         start = time.perf_counter()
         with maybe_span(
             self.instrumentation, "solve", model=name, backend=self.name
@@ -575,8 +577,9 @@ class SimplexBackend:
             iterations = engine.solve()
             span.annotate(iterations=iterations, pivots=engine.pivots)
         return self._finish(
-            engine, form, name, model, start,
-            iterations=iterations, warm_started=False,
+            engine, form, name, start,
+            iterations=iterations, pivots=engine.pivots,
+            bland_activations=engine.bland_activations,
         )
 
     def _finish(
@@ -584,31 +587,16 @@ class SimplexBackend:
         engine: _RevisedSimplex,
         form: StandardForm,
         name: str,
-        model: Model | None,
         start: float,
-        *,
-        iterations: int,
-        warm_started: bool,
-        bland_activations: int | None = None,
-        cold_fallback: bool = False,
+        **warm_record,
     ) -> Solution:
         x = engine.solution_values()
-        duals = orient_inequality_duals(engine.duals(), form, model)
-        elapsed = time.perf_counter() - start
-        stats = SolveStats(
+        stats = SimplexStats(
             backend=self.name,
-            wall_seconds=elapsed,
-            iterations=iterations,
+            wall_seconds=time.perf_counter() - start,
             num_variables=form.num_variables,
             num_constraints=form.a_ub.shape[0] + form.a_eq.shape[0],
-            warm_started=warm_started,
-            pivots=engine.pivots,
-            bland_activations=(
-                engine.bland_activations
-                if bland_activations is None
-                else bland_activations
-            ),
-            cold_fallback=cold_fallback,
+            **warm_record,
         )
         if self.instrumentation is not None:
             self.instrumentation.record_lp_solve(name, stats)
@@ -617,7 +605,7 @@ class SimplexBackend:
             objective=form.report_objective(float(form.c @ x)),
             values=x,
             stats=stats,
-            inequality_duals=duals,
+            inequality_duals=form.report_duals(engine.duals()),
         )
 
     def solve_batch(self, parametric, rhs_values, name: str | None = None):
@@ -628,78 +616,43 @@ class SimplexBackend:
         the previous optimal basis, which stays dual-feasible because
         only the right-hand side changed, and falls back to a cold
         solve if the restart cannot finish.  Returns one
-        :class:`~repro.lp.result.Solution` per value, element-wise
-        identical to independent cold solves (same 1e-9 value grid,
-        same rounded plans).
+        :class:`~repro.lp.Solution` per value, element-wise identical to
+        independent cold solves (same 1e-9 value grid, same rounded
+        plans).
         """
         label = name or parametric.name
         rhs = np.atleast_1d(np.asarray(rhs_values, dtype=float))
-        if rhs.size == 0:
-            return []
         form = parametric.compiled.form
         row = parametric.row
         solutions: list[Solution] = []
         engine: _RevisedSimplex | None = None
-        cold_pivots = 0
-        warm_hits = 0
-        pivots_saved = 0
-        cold_fallbacks = 0
-        bland_total = 0
-        sweep_start = time.perf_counter()
         for rhs_value in rhs:
             start = time.perf_counter()
             warm = False
             fell_back = False
-            iterations = 0
-            with maybe_span(
-                self.instrumentation, "sweep.member",
-                model=label, rhs=float(rhs_value),
-            ) as span:
-                if engine is not None:
-                    pivots_before = engine.pivots
-                    bland_before = engine.bland_activations
-                    try:
-                        iterations = engine.resolve(row, float(rhs_value))
-                        engine.verify()
-                        warm = True
-                        warm_hits += 1
-                        pivots_saved += max(
-                            0, cold_pivots - (engine.pivots - pivots_before)
-                        )
-                    except _WarmRestartFailed:
-                        engine = None
-                        fell_back = True
-                        cold_fallbacks += 1
-                if engine is None:
-                    engine = _RevisedSimplex(
-                        parametric.form_for_rhs(float(rhs_value)),
-                        label, self.max_iterations,
-                    )
-                    pivots_before = engine.pivots
-                    bland_before = engine.bland_activations
-                    iterations = engine.solve()
-                    cold_pivots = engine.pivots
-                member_pivots = engine.pivots - pivots_before
-                member_bland = engine.bland_activations - bland_before
-                bland_total += member_bland
-                span.annotate(
-                    mode="warm" if warm else "cold", pivots=member_pivots
+            if engine is not None:
+                pivots_before = engine.pivots
+                bland_before = engine.bland_activations
+                try:
+                    iterations = engine.resolve(row, float(rhs_value))
+                    engine.verify()
+                    warm = True
+                except _WarmRestartFailed:
+                    engine = None
+                    fell_back = True
+            if engine is None:
+                engine = _RevisedSimplex(
+                    parametric.form_for_rhs(float(rhs_value)),
+                    label, self.max_iterations,
                 )
-            member = self._finish(
-                engine, form, label, None, start,
-                iterations=iterations, warm_started=warm,
-                bland_activations=member_bland, cold_fallback=fell_back,
-            )
-            member.stats.pivots = member_pivots
-            solutions.append(member)
-        if self.instrumentation is not None:
-            self.instrumentation.record_lp_sweep(
-                label,
-                members=len(solutions),
-                warm_hits=warm_hits,
-                pivots_saved=pivots_saved,
-                bland_activations=bland_total,
-                cold_fallbacks=cold_fallbacks,
-                seconds=time.perf_counter() - sweep_start,
-            )
+                pivots_before = bland_before = 0
+                iterations = engine.solve()
+            solutions.append(self._finish(
+                engine, form, label, start,
+                iterations=iterations,
+                warm_started=warm,
+                pivots=engine.pivots - pivots_before,
+                bland_activations=engine.bland_activations - bland_before,
+                cold_fallback=fell_back,
+            ))
         return solutions

@@ -5,14 +5,16 @@ import pytest
 from repro.errors import SolverError
 from repro.lp import (
     Backend,
-    Model,
     ScipyBackend,
-    SimplexBackend,
     available_backends,
     get_backend,
     resolve_backend,
 )
 from repro.obs import Instrumentation
+from tests.lp._model_oracle import Model
+from tests.lp._simplex_oracle import SimplexBackend
+
+_HIGHS_NAMES = ("highs", "scipy", "scipy-highs")
 
 
 def tiny_model() -> Model:
@@ -36,18 +38,22 @@ class TestFactory:
 
     @pytest.mark.parametrize("alias", ["pure-simplex", "simplex"])
     def test_simplex_aliases(self, alias):
-        assert isinstance(get_backend(alias), SimplexBackend)
+        # the pure simplex is a test oracle, not a registered backend
+        with pytest.raises(
+            SolverError, match=f"unknown LP backend '{alias}'"
+        ) as err:
+            get_backend(alias)
+        assert str(err.value).endswith("available: " + ", ".join(_HIGHS_NAMES))
 
     def test_unknown_name_raises_with_choices(self):
-        with pytest.raises(SolverError, match="unknown LP backend 'glpk'"):
+        with pytest.raises(SolverError, match="unknown LP backend 'glpk'") as err:
             get_backend("glpk")
-        with pytest.raises(SolverError, match="pure-simplex"):
-            get_backend("glpk")
+        assert str(err.value).endswith("available: " + ", ".join(_HIGHS_NAMES))
 
     def test_available_backends_sorted_and_complete(self):
         names = available_backends()
         assert names == tuple(sorted(names))
-        assert {"scipy-highs", "pure-simplex"} <= set(names)
+        assert names == _HIGHS_NAMES
 
     def test_factory_products_satisfy_protocol(self):
         for name in available_backends():
@@ -67,7 +73,9 @@ class TestResolve:
         assert backend.instrumentation is None
 
     def test_name_and_none_build_fresh(self):
-        assert isinstance(resolve_backend("simplex"), SimplexBackend)
+        by_name = resolve_backend("highs")
+        assert isinstance(by_name, ScipyBackend)
+        assert resolve_backend("highs") is not by_name
         assert isinstance(resolve_backend(None), ScipyBackend)
 
     def test_instrumentation_threaded_into_built_backend(self):
@@ -78,7 +86,7 @@ class TestResolve:
 
 class TestModelSolveSpecs:
     def test_solve_accepts_name(self):
-        solution = tiny_model().solve("pure-simplex")
+        solution = tiny_model().solve("highs")
         assert solution.objective == pytest.approx(9.0)
 
     def test_solve_accepts_instance_and_none(self):
@@ -93,10 +101,15 @@ class TestModelSolveSpecs:
 
 
 class TestInstrumentedBackends:
+    BUILD = {
+        "scipy-highs": lambda obs: get_backend("scipy-highs", obs),
+        "pure-simplex": lambda obs: SimplexBackend(instrumentation=obs),
+    }
+
     @pytest.mark.parametrize("name", ["scipy-highs", "pure-simplex"])
     def test_each_solve_is_recorded(self, name):
         obs = Instrumentation()
-        backend = get_backend(name, instrumentation=obs)
+        backend = self.BUILD[name](obs)
         tiny_model().solve(backend)
         tiny_model().solve(backend)
 
@@ -111,6 +124,6 @@ class TestInstrumentedBackends:
         assert events[0].data["constraints"] == 1
 
     def test_uninstrumented_backend_records_nothing(self):
-        backend = get_backend("pure-simplex")
+        backend = SimplexBackend()
         assert backend.instrumentation is None
         tiny_model().solve(backend)  # must not raise

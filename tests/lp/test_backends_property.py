@@ -1,4 +1,4 @@
-"""Property test: the two LP backends agree on random feasible LPs.
+"""Property test: HiGHS and the simplex oracle agree on random LPs.
 
 This is the cross-check that justifies trusting the production HiGHS
 backend for every PROSPECTOR formulation.
@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SolverError
-from repro.lp import Model, ScipyBackend, SimplexBackend
+from repro.lp import ScipyBackend
+from tests.lp._model_oracle import Model
+from tests.lp._simplex_oracle import SimplexBackend
 
 
 @st.composite

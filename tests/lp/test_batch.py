@@ -3,10 +3,8 @@
 For every formulation and both backends, a ladder solve must agree
 with independent per-member solves — objectives to 1e-9 relative,
 variable vectors exactly equal after the 1e-9 value rounding, and
-budget-row duals agreeing across backends.  The pure simplex solves a
-ladder with dual-simplex warm restarts; its degeneracy telemetry
-(Bland activations, cold fallbacks) must land in ``SolveStats`` and
-the ``lp.sweep.*`` counters, and the HiGHS ladder in the
+budget-row duals agreeing across backends.  The simplex oracle solves
+a ladder with dual-simplex warm restarts; the HiGHS ladder records the
 ``lp.batch.*`` counters and one ``lp_batch`` event.
 """
 
@@ -17,7 +15,6 @@ import pytest
 
 from repro.lp import (
     ScipyBackend,
-    SimplexBackend,
     compile_lp_lf_parametric,
     compile_lp_no_lf_parametric,
     compile_proof_parametric,
@@ -25,6 +22,7 @@ from repro.lp import (
 from repro.obs import Instrumentation
 from repro.planners.proof import ProofPlanner
 from repro.service.cache import SharedPlanCache
+from tests.lp._simplex_oracle import SimplexBackend
 from tests.lp.test_fastbuild import make_context
 
 _FACTORS = np.linspace(0.7, 2.4, 16)
@@ -55,7 +53,8 @@ class TestBatchEquivalence:
     def test_lockstep_matches_per_member_cold_solves(
         self, planner_key, seed, n, m, k
     ):
-        """The pure simplex's warm ladder equals a cold solve per member."""
+        """The simplex oracle's warm ladder equals a cold solve per
+        member."""
         context = make_context(seed, n, m, k, planner_key=planner_key)
         parametric = _parametric_for(planner_key, context)
         rhs = _ladder(context, parametric)
@@ -109,19 +108,6 @@ class TestBatchEquivalence:
 
 
 class TestBatchTelemetry:
-    def test_sequential_sweep_records_degeneracy_counters(self):
-        obs = Instrumentation()
-        context = make_context(6, 12, 6, 3)
-        parametric = compile_lp_no_lf_parametric(context)
-        budgets = [context.budget * f for f in (0.8, 1.0, 1.3, 1.7)]
-        backend = SimplexBackend(instrumentation=obs)
-        members = backend.solve_batch(parametric, parametric.rhs_values(budgets))
-        assert obs.counter("lp.sweep.solves").value == 1
-        blands = sum(m.stats.bland_activations for m in members)
-        falls = sum(1 for m in members if m.stats.cold_fallback)
-        assert obs.counter("lp.sweep.bland_activations").value == blands
-        assert obs.counter("lp.sweep.cold_fallbacks").value == falls
-
     def test_scipy_batch_records_counters(self):
         obs = Instrumentation()
         context = make_context(7, 10, 5, 3)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import SolverError
-from repro.lp import Model, ScipyBackend, SimplexBackend
+from repro.lp import ScipyBackend
+from tests.lp._model_oracle import Model
+from tests.lp._simplex_oracle import SimplexBackend
 
 
 def solve_with_budget(capacity):

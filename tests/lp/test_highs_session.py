@@ -25,15 +25,9 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from repro.errors import SolverError
-from repro.lp import (
-    CompiledLP,
-    ParametricForm,
-    ScipyBackend,
-    StandardForm,
-    compile_model,
-)
+from repro.lp import CompiledLP, ParametricForm, ScipyBackend, StandardForm
 from repro.lp.scipy_backend import _HighsSession
-from repro.lp.standard_form import orient_inequality_duals
+from tests.lp._model_oracle import compile_model, model_duals
 from tests.lp.test_backends_property import random_lp
 from tests.lp.test_fastbuild import make_context
 from tests.lp.test_parametric import _budgets, _parametric_for
@@ -68,11 +62,12 @@ def _oracle(form: StandardForm, model=None):
     )
     if not result.success:
         return _ORACLE_STATUS.get(result.status, "error")
+    duals = form.report_duals(result.ineqlin.marginals)
     return (
         np.asarray(result.x, dtype=float),
         form.report_objective(float(result.fun)),
         int(result.nit),
-        orient_inequality_duals(result.ineqlin.marginals, form, model),
+        duals if model is None else model_duals(duals, model),
     )
 
 
@@ -185,14 +180,15 @@ class TestRandomLPs:
     @settings(max_examples=120, deadline=None)
     @given(random_lp())
     def test_model_solve_matches_linprog(self, model):
-        """The algebraic entry, whose duals are re-oriented per row."""
+        """The oracle's algebraic entry, whose duals are re-oriented per
+        row."""
         expected = _oracle(compile_model(model), model)
         if isinstance(expected, str):
             with pytest.raises(SolverError) as err:
-                ScipyBackend().solve(model)
+                model.solve(ScipyBackend())
             assert err.value.status == expected
         else:
-            _assert_matches(ScipyBackend().solve(model), expected)
+            _assert_matches(model.solve(ScipyBackend()), expected)
 
     @settings(
         max_examples=150, deadline=None,
@@ -263,7 +259,7 @@ class TestFeasibilityCheck:
             assert run.status == "optimal"
             return perturb(run)
 
-        return ScipyBackend()._solve_member(self.FORM, "lp", None, solve)
+        return ScipyBackend()._solve_member(self.FORM, "lp", solve)
 
     def test_optimal_solution_passes(self):
         solution = self._solve(lambda run: run)

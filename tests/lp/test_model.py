@@ -1,9 +1,9 @@
-"""Unit tests for the LP model container."""
+"""Unit tests for the LP model container of the algebraic oracle."""
 
 import pytest
 
 from repro.errors import ModelError, SolverError
-from repro.lp import Model
+from tests.lp._model_oracle import Model
 
 
 class TestModelBasics:

@@ -7,6 +7,9 @@ solve must match independent cold solves — objectives to 1e-9 and
 plans exactly equal after rounding.  (Raw variable vectors are a
 solver-internal detail; the simplex tie-break pricing makes them agree
 in practice, but the contract is stated over objectives and plans.)
+Both HiGHS, which re-solves each member cold, and the simplex oracle,
+which warm-starts each member from the previous optimal basis, are
+held to it.
 """
 
 from __future__ import annotations
@@ -15,10 +18,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.lp import (
     ScipyBackend,
-    SimplexBackend,
     compile_lp_lf,
     compile_lp_no_lf,
     compile_lp_lf_parametric,
@@ -28,6 +32,7 @@ from repro.lp import (
 from repro.planners.lp_lf import LPLFPlanner
 from repro.planners.lp_no_lf import LPNoLFPlanner
 from repro.planners.proof import ProofPlanner
+from tests.lp._simplex_oracle import SimplexBackend
 from tests.lp.test_fastbuild import make_context
 
 # Proof budgets must stay above the minimum certified cost (the context
@@ -99,41 +104,78 @@ class TestParametricForm:
             assert value == parametric.form_for(budget).b_ub[parametric.row]
 
 
+_PLANNERS = {
+    "lp-no-lf": LPNoLFPlanner,
+    "lp-lf": LPLFPlanner,
+    "proof": ProofPlanner,
+}
+
+_BACKENDS = {"simplex": SimplexBackend, "scipy": ScipyBackend}
+
+# The pure-Python Proof ladder grows steeply with n (about 90 s at
+# n = 30 against 3 s at n = 18), so the simplex oracle runs the n = 30
+# shape on the two cheaper formulations only; the hypothesis property
+# below covers warm Proof ladders on random instances up to n = 18.
+_SWEEP_CASES = [
+    pytest.param(
+        seed, n, m, k, planner_key, backend,
+        id=f"{seed}-{n}-{m}-{k}-{planner_key}-{backend}",
+    )
+    for backend in ("simplex", "scipy")
+    for planner_key in sorted(_PLANNERS)
+    for seed, n, m, k in [
+        (0, 6, 4, 2),
+        (1, 12, 6, 3),
+        (2, 18, 9, 5),
+        (3, 30, 10, 10),
+    ]
+    if not (backend == "simplex" and planner_key == "proof" and n > 18)
+]
+
+
+def _assert_sweep_plans_equal_cold_plans(context, planner_key, backend_cls):
+    budgets = _budgets(context)
+    cls = _PLANNERS[planner_key]
+    swept = cls(backend=backend_cls()).plan_for_budgets(context, budgets)
+    assert len(swept) == len(budgets)
+    for budget, sweep_plan in zip(budgets, swept):
+        cold_plan = cls(backend=backend_cls()).plan(
+            replace(context, budget=budget)
+        )
+        assert sweep_plan.bandwidths == cold_plan.bandwidths
+
+
 class TestSweepEquivalence:
     """Property sweep over random topologies: ``plan_for_budgets`` must
     be element-wise identical to per-budget cold planning, on every
     formulation and both backends."""
 
-    PLANNERS = {
-        "lp-no-lf": LPNoLFPlanner,
-        "lp-lf": LPLFPlanner,
-        "proof": ProofPlanner,
-    }
-
-    @pytest.mark.parametrize("backend", ["simplex", "scipy"])
-    @pytest.mark.parametrize("planner_key", sorted(PLANNERS))
-    @pytest.mark.parametrize("seed,n,m,k", [
-        (0, 6, 4, 2),
-        (1, 12, 6, 3),
-        (2, 18, 9, 5),
-        (3, 30, 10, 10),
-    ])
+    @pytest.mark.parametrize(
+        "seed,n,m,k,planner_key,backend", _SWEEP_CASES
+    )
     def test_sweep_plans_equal_cold_plans(
-        self, backend, planner_key, seed, n, m, k
+        self, seed, n, m, k, planner_key, backend
     ):
         context = make_context(seed, n, m, k, planner_key=planner_key)
-        budgets = _budgets(context)
-        cls = self.PLANNERS[planner_key]
-        swept = cls(backend=backend).plan_for_budgets(context, budgets)
-        assert len(swept) == len(budgets)
-        for budget, sweep_plan in zip(budgets, swept):
-            cold_plan = cls(backend=backend).plan(
-                replace(context, budget=budget)
-            )
-            assert sweep_plan.bandwidths == cold_plan.bandwidths
+        _assert_sweep_plans_equal_cold_plans(
+            context, planner_key, _BACKENDS[backend]
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        n=st.integers(min_value=6, max_value=18),
+        m=st.integers(min_value=3, max_value=9),
+        k=st.integers(min_value=2, max_value=5),
+    )
+    def test_warm_proof_sweep_plans_equal_cold_plans(self, seed, n, m, k):
+        """The simplex oracle's warm-started Proof ladders give the
+        plans of cold solves, on random instances up to n = 18."""
+        context = make_context(seed, n, m, k, planner_key="proof")
+        _assert_sweep_plans_equal_cold_plans(context, "proof", SimplexBackend)
 
     @pytest.mark.parametrize("backend_cls", [SimplexBackend, ScipyBackend])
-    @pytest.mark.parametrize("planner_key", sorted(PLANNERS))
+    @pytest.mark.parametrize("planner_key", sorted(_PLANNERS))
     def test_sweep_objectives_match_cold_solves(self, backend_cls, planner_key):
         context = make_context(4, 16, 8, 5, planner_key=planner_key)
         budgets = _budgets(context)
@@ -170,4 +212,6 @@ class TestSweepStats:
         members = backend.solve_batch(
             parametric, parametric.rhs_values(_budgets(context))
         )
-        assert all(m.stats.warm_started is False for m in members)
+        assert not any(
+            getattr(m.stats, "warm_started", False) for m in members
+        )

@@ -1,9 +1,11 @@
-"""Unit tests for the pure-Python simplex backend."""
+"""Unit tests for the pure-Python simplex oracle."""
 
 import pytest
 
 from repro.errors import SolverError
-from repro.lp import Model, ScipyBackend, SimplexBackend
+from repro.lp import ScipyBackend
+from tests.lp._model_oracle import Model
+from tests.lp._simplex_oracle import SimplexBackend
 
 
 @pytest.fixture

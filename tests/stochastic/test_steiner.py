@@ -1,11 +1,98 @@
 """Unit tests for the two-stage stochastic Steiner tree."""
 
+import numpy as np
 import pytest
 
 from repro.errors import BudgetError, ModelError
-from repro.network.builder import line_topology, star_topology
+from repro.network.builder import line_topology, random_topology, star_topology
 from repro.stochastic.scenarios import ScenarioSet
 from repro.stochastic.steiner import TwoStageSteinerTree
+from tests.lp._model_oracle import LinExpr, Model, compile_model
+
+
+def algebraic_model(problem, scenarios, first_stage_budget=None):
+    """The two-stage LP spelled constraint by constraint on the
+    modeling oracle: ``(model, x)``."""
+    model = Model("two-stage-steiner")
+    x = {
+        edge: model.add_variable(f"x_{edge}", lb=0.0, ub=1.0)
+        for edge in problem.topology.edges
+    }
+    y = {}
+    for s, scenario in enumerate(scenarios):
+        for edge in problem._scenario_edges(scenario):
+            y[edge, s] = model.add_variable(f"y_{edge}_{s}", lb=0.0, ub=1.0)
+            model.add_constraint(
+                x[edge] + y[edge, s] >= 1.0, name=f"cover_{edge}_{s}"
+            )
+    first = LinExpr.sum_of(
+        problem.edge_costs[edge] * var for edge, var in x.items()
+    )
+    second = LinExpr.sum_of(
+        (scenarios.probability * problem.inflation * problem.edge_costs[edge])
+        * var
+        for (edge, __), var in y.items()
+    )
+    if first_stage_budget is None:
+        model.minimize(first + second)
+    else:
+        model.add_constraint(first <= first_stage_budget, name="budget")
+        model.minimize(second)
+    return model, x
+
+
+def _random_instance(seed):
+    """A random tree with random edge costs and demand scenarios."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 16))
+    topology = random_topology(n, rng=rng, radio_range=max(25.0, 200.0 / n**0.5))
+    costs = {
+        edge: float(rng.uniform(0.1, 3.0)) for edge in topology.edges
+    }
+    problem = TwoStageSteinerTree(
+        topology, edge_costs=costs, inflation=float(rng.uniform(1.0, 4.0))
+    )
+    scenarios = ScenarioSet(
+        set(rng.choice(np.arange(1, n), size=int(rng.integers(0, n // 2 + 1)),
+                       replace=False).tolist())
+        for __ in range(int(rng.integers(1, 8)))
+    )
+    return problem, scenarios
+
+
+class TestArrays:
+    """The arrays the Steiner study builds directly equal the oracle
+    ``compile_model`` of the constraint-by-constraint model, bitwise,
+    and solve to the same fractional first stage."""
+
+    @pytest.mark.parametrize("budget", [None, 0.0, 1.5, 4.0])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_form_equals_compiled_algebraic_model(self, seed, budget):
+        problem, scenarios = _random_instance(seed)
+        model, x = algebraic_model(problem, scenarios, budget)
+        reference = compile_model(model)
+        form = problem._compile(scenarios, budget)
+        assert form.maximize == reference.maximize
+        assert form.objective_constant == reference.objective_constant
+        assert np.array_equal(form.c, reference.c)
+        assert np.array_equal(form.b_ub, reference.b_ub)
+        assert form.bounds == reference.bounds
+        assert form.a_ub.shape == reference.a_ub.shape
+        assert np.array_equal(form.a_ub.indptr, reference.a_ub.indptr)
+        assert np.array_equal(form.a_ub.indices, reference.a_ub.indices)
+        assert np.array_equal(form.a_ub.data, reference.a_ub.data)
+        assert form.a_eq.shape == reference.a_eq.shape
+        assert form.b_eq.size == reference.b_eq.size == 0
+
+        oracle = model.solve()
+        if budget is None:
+            solution = problem.solve_total_cost(scenarios)
+        else:
+            solution = problem.solve_budgeted(scenarios, budget)
+        assert solution.lp_objective == oracle.objective
+        assert solution.fractional_first_stage == {
+            edge: oracle.value(var) for edge, var in x.items()
+        }
 
 
 class TestConstruction:

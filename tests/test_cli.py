@@ -158,7 +158,6 @@ class TestTrace:
         # planner stack spans nested under the phases
         assert "plan (planner=" in out
         assert "solve (" in out
-        assert "sweep.member" in out
         assert "energy ledger" in out
 
     def test_chrome_export_is_valid_trace_json(self, capsys, tmp_path):

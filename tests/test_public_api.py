@@ -61,3 +61,11 @@ def test_api_facade_docstring_example():
     results = doctest.testmod(repro.api, verbose=False)
     assert results.failed == 0
     assert results.attempted > 0
+
+
+def test_lp_docstring_example():
+    import repro.lp
+
+    results = doctest.testmod(repro.lp, verbose=False)
+    assert results.failed == 0
+    assert results.attempted > 0
