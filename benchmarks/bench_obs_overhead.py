@@ -2,23 +2,21 @@
 
 When no :class:`~repro.obs.Instrumentation` is attached, every hook in
 the hot path collapses to a shared no-op singleton —
-``maybe_span(None, ...)`` returns ``NULL_SPAN`` and
-``maybe_timer(None, ...)`` returns ``NULL_TIMER`` — so the disabled
-path allocates nothing.  This benchmark prices that path:
+``maybe_span(None, ...)`` returns ``NULL_SPAN`` — so the disabled path
+allocates nothing.  This benchmark prices that path:
 
-- ``span_ns`` / ``timer_ns``: per-call cost of entering and exiting
-  the null span / null timer, measured over a tight loop;
+- ``span_ns``: per-call cost of entering and exiting the null span,
+  measured over a tight loop;
 - ``hooks``: how many hook executions one real ``plan()`` performs,
   counted by running the identical work once *with* instrumentation
   attached (retained + dropped spans, plus every histogram
   observation — an over-count, which only makes the bar stricter);
 - ``bare_s``: best-of wall time of the uninstrumented ``plan()``.
 
-``overhead_fraction = hooks * max(span, timer) cost / bare_s`` — the
-share of an uninstrumented planning run spent inside no-op
-observability hooks.  The ISSUE bar, < 2%, is asserted here together
-with the singleton identities that make the disabled path
-allocation-free.  A machine-readable ``results/BENCH_obs_overhead.json``
+``overhead_fraction = hooks * span cost / bare_s`` — the share of an
+uninstrumented planning run spent inside no-op observability hooks.
+The < 2% bar is asserted here together with the singleton identity
+that makes the disabled path allocation-free.  A machine-readable ``results/BENCH_obs_overhead.json``
 (``BENCH_obs_overhead.quick.json`` for a quick run)
 is written for the regression gate, whose acceptance maximum re-checks
 the 2% bar; the fraction is a machine-relative ratio, so it stays
@@ -29,7 +27,9 @@ path (client span + trace adoption + server span + latency histogram
 + slow-request offer): request qps is measured end to end through an
 uninstrumented client/service pair, hook executions are counted on an
 instrumented twin, and the same < 2% bar is asserted on the resulting
-fraction — so the telemetry plane provably costs nothing when off.
+fraction, each hook priced at the dearer of the null span and the
+null trace adoption — so the telemetry plane provably costs nothing
+when off.
 Its null-hook costs and bare request time are taken in alternating
 rounds (minimum of each), which keeps the ratio's run-to-run spread
 well inside the bar.
@@ -47,7 +47,7 @@ from _helpers import record, write_payload
 from repro.datagen.gaussian import random_gaussian_field
 from repro.network.builder import random_topology
 from repro.network.energy import EnergyModel
-from repro.obs import NULL_SPAN, NULL_TIMER, Instrumentation, maybe_span, maybe_timer
+from repro.obs import NULL_SPAN, Instrumentation, maybe_span
 from repro.planners.base import PlanningContext
 from repro.planners.lp_lf import LPLFPlanner
 
@@ -72,14 +72,6 @@ def _per_call_null_span(loops: int) -> float:
     start = time.perf_counter()
     for _ in range(loops):
         with maybe_span(None, "bench", tag=1):
-            pass
-    return (time.perf_counter() - start) / loops
-
-
-def _per_call_null_timer(loops: int) -> float:
-    start = time.perf_counter()
-    for _ in range(loops):
-        with maybe_timer(None, "bench"):
             pass
     return (time.perf_counter() - start) / loops
 
@@ -155,10 +147,9 @@ def _service_row(quick: bool) -> dict:
     # alternating rounds and the minimum of each kept, so numerator and
     # denominator come from the same stretch of host load; timed at
     # different moments, their ratio swung across the 2% bar.
-    span_s = timer_s = adopt_s = bare_s = float("inf")
+    span_s = adopt_s = bare_s = float("inf")
     for _ in range(_SERVICE_ROUNDS):
         span_s = min(span_s, _per_call_null_span(loops))
-        timer_s = min(timer_s, _per_call_null_timer(loops))
         adopt_s = min(adopt_s, _per_call_null_adopt(loops))
         __, __, session, queries = _service_workload(
             requests, instrumented=False
@@ -167,12 +158,11 @@ def _service_row(quick: bool) -> dict:
         for row in queries:
             session.query(row)
         bare_s = min(bare_s, time.perf_counter() - start)
-    fraction = hooks * max(span_s, timer_s, adopt_s) / bare_s
+    fraction = hooks * max(span_s, adopt_s) / bare_s
     return {
         "workload": f"service qps requests={requests}",
         "bare_s": bare_s,
         "span_ns": span_s * 1e9,
-        "timer_ns": max(timer_s, adopt_s) * 1e9,
         "hooks": hooks,
         "overhead_fraction": fraction,
     }
@@ -182,7 +172,6 @@ def run(quick: bool = False) -> list[dict]:
     n, m = (30, 10) if quick else (60, 25)
     loops = 50_000 if quick else 200_000
     span_s = _per_call_null_span(loops)
-    timer_s = _per_call_null_timer(loops)
     hooks = _count_hooks(n, m)
 
     planner = LPLFPlanner()
@@ -193,13 +182,12 @@ def run(quick: bool = False) -> list[dict]:
         planner.plan(bare_context)
         bare_s = min(bare_s, time.perf_counter() - start)
 
-    fraction = hooks * max(span_s, timer_s) / bare_s
+    fraction = hooks * span_s / bare_s
     return [
         {
             "workload": f"plan lp-lf n={n} m={m}",
             "bare_s": bare_s,
             "span_ns": span_s * 1e9,
-            "timer_ns": timer_s * 1e9,
             "hooks": hooks,
             "overhead_fraction": fraction,
         },
@@ -212,8 +200,7 @@ def _archive(rows: list[dict], quick: bool) -> None:
         "obs_overhead",
         rows,
         columns=[
-            "workload", "bare_s", "span_ns", "timer_ns", "hooks",
-            "overhead_fraction",
+            "workload", "bare_s", "span_ns", "hooks", "overhead_fraction",
         ],
         title="Disabled-instrumentation overhead on the planning hot path",
         quick=quick,
@@ -234,7 +221,6 @@ def _archive(rows: list[dict], quick: bool) -> None:
 def _assert_bars(rows: list[dict], quick: bool) -> None:
     # the singletons ARE the disabled path: no per-call allocation
     assert maybe_span(None, "x", a=1) is NULL_SPAN
-    assert maybe_timer(None, "x") is NULL_TIMER
     for row in rows:
         assert row["overhead_fraction"] < 0.02, row
 

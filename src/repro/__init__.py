@@ -80,7 +80,6 @@ from repro.planners import (
 )
 from repro.obs import (
     EnergyLedger,
-    EventTrace,
     Instrumentation,
     MetricsRegistry,
     SpanTracer,
@@ -154,7 +153,6 @@ __all__ = [
     "EnergyLedger",
     "EnergyModel",
     "EngineConfig",
-    "EventTrace",
     "ExactOutcome",
     "ExactTopK",
     "GHSOutcome",

@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument(
         "--json",
         action="store_true",
-        help="emit the raw metrics/trace dump as JSON instead of tables",
+        help="emit the raw metrics/spans dump as JSON instead of tables",
     )
     stats.add_argument(
         "--out",

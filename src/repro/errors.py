@@ -57,7 +57,7 @@ class TraceError(ReproError):
 class ObservabilityError(ReproError):
     """The observability subsystem was used inconsistently.
 
-    Raised for unknown event kinds, malformed metric dumps, and other
+    Raised for unknown instant-event kinds, malformed metric dumps, and other
     misuse of :mod:`repro.obs`; never raised on the hot path when
     instrumentation is disabled.
     """

@@ -33,8 +33,8 @@ class Backend(Protocol):
         sequence of RHS-slot values, returning one ``Solution`` per
         value, element-wise identical to independent cold solves.  The
         HiGHS backend loads the form into one session and re-solves
-        each member cold under one ``batch.solve`` span and an
-        ``lp_batch`` event, by design: on Fig-3 ladders a HiGHS warm
+        each member cold under one ``batch.solve`` span (carrying the
+        model, backend and member count), by design: on Fig-3 ladders a HiGHS warm
         restart lands on another optimal vertex in 236 of 280 members
         and changes the rounded plan in 30, so its
         ``lp.warm_start_ratio`` is always 0.
@@ -86,8 +86,8 @@ def get_backend(
         ``None`` selects the production default.
     instrumentation:
         Optional :class:`~repro.obs.Instrumentation`; when given, the
-        backend records every solve (an ``lp_solve`` event plus
-        per-formulation solve-time histograms).
+        backend records every solve (a ``solve`` span carrying the
+        LP's size plus per-formulation solve-time histograms).
     """
     key = DEFAULT_BACKEND if name is None else name
     try:

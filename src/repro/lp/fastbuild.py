@@ -21,13 +21,15 @@ rows, budget-row coefficients, bounds) are memoized per topology
 content token + energy-cost fingerprint (+ ``k``), which is exactly the
 regime :class:`~repro.query.engine.TopKEngine` replans live in — same
 tree, sliding sample window.  A window slide then only rebuilds the
-``ones(j)``-dependent rows.  Cache hits/misses and compile timers land
-in :mod:`repro.obs` under ``fastbuild.cache.hits`` /
-``fastbuild.cache.misses`` / ``fastbuild.compile_seconds.<name>``.
+``ones(j)``-dependent rows.  Each compile is one ``compile`` span;
+cache hits/misses and the span's duration land in :mod:`repro.obs`
+under ``fastbuild.cache.hits`` / ``fastbuild.cache.misses`` /
+``fastbuild.compile_seconds.<name>``.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
@@ -37,7 +39,6 @@ import numpy as np
 from scipy import sparse
 
 from repro.lp.standard_form import StandardForm
-from repro.obs.instrument import maybe_timer
 from repro.obs.spans import maybe_span
 
 __all__ = [
@@ -251,6 +252,28 @@ def _fetch_static(cache, obs, key, topology, build):
     return cache.put(key, topology, build())
 
 
+def _observed_compile(formulation: str):
+    """Run a compiler in a ``compile`` span whose duration feeds
+    ``fastbuild.compile_seconds.<formulation>``; without instrumentation
+    on the context the compiler runs bare."""
+    histogram = f"fastbuild.compile_seconds.{formulation}"
+
+    def decorate(compiler):
+        @functools.wraps(compiler)
+        def compile_observed(context, *args, **kwargs):
+            obs = context.instrumentation
+            if obs is None:
+                return compiler(context, *args, **kwargs)
+            with obs.span("compile", formulation=formulation) as span:
+                compiled = compiler(context, *args, **kwargs)
+            obs.histogram(histogram).observe(span.duration_s)
+            return compiled
+
+        return compile_observed
+
+    return decorate
+
+
 def _ragged_gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Indices for concatenating ``arr[s:s+c]`` slices without a loop."""
     total = int(counts.sum())
@@ -311,6 +334,7 @@ def _edge_budget_costs(context) -> np.ndarray:
 # -- PROSPECTOR LP−LF -------------------------------------------------------
 
 
+@_observed_compile("prospector-lp-no-lf")
 def compile_lp_no_lf(context, cache: ReplanCache | None = None) -> CompiledLP:
     """Lower PROSPECTOR LP−LF (paper §4.1) to standard-form arrays.
 
@@ -319,98 +343,97 @@ def compile_lp_no_lf(context, cache: ReplanCache | None = None) -> CompiledLP:
     the exact order of the algebraic oracle's builder.
     """
     obs = context.instrumentation
-    with maybe_span(obs, "compile", formulation="prospector-lp-no-lf"), \
-            maybe_timer(obs, "fastbuild.compile_seconds.prospector-lp-no-lf"):
-        topology = context.topology
-        n = topology.n
-        edges = np.asarray(topology.edges, dtype=np.int64)
-        num_edges = edges.size
-        y_col_of = np.full(n, -1, dtype=np.int64)
-        y_col_of[edges] = n + np.arange(num_edges)
+    topology = context.topology
+    n = topology.n
+    edges = np.asarray(topology.edges, dtype=np.int64)
+    num_edges = edges.size
+    y_col_of = np.full(n, -1, dtype=np.int64)
+    y_col_of[edges] = n + np.arange(num_edges)
 
-        key = (
-            "lp-no-lf", topology.cache_token(), context.k,
-            _cost_fingerprint(context),
-        )
+    key = (
+        "lp-no-lf", topology.cache_token(), context.k,
+        _cost_fingerprint(context),
+    )
 
-        def build_static() -> dict:
-            indptr, path_flat = topology.path_edge_arrays()
-            counts = indptr[edges + 1] - indptr[edges]
-            gather = _ragged_gather(indptr[edges], counts)
-            path_cols = y_col_of[path_flat[gather]]
-            num_path = gather.size
-            path_rows = np.arange(num_path, dtype=np.int64)
-            budget_row = num_path
-            x_budget = (
-                topology.depth_array()[edges] * context.per_value
-            ).astype(float)
-            rows = np.concatenate(
-                [
-                    path_rows,
-                    path_rows,
-                    np.full(num_edges, budget_row, dtype=np.int64),
-                    np.full(num_edges, budget_row, dtype=np.int64),
-                ]
-            )
-            cols = np.concatenate(
-                [
-                    np.repeat(edges, counts),  # x columns (node id == column)
-                    path_cols,
-                    y_col_of[edges],
-                    edges,
-                ]
-            )
-            vals = np.concatenate(
-                [
-                    np.ones(num_path),
-                    -np.ones(num_path),
-                    _edge_budget_costs(context),
-                    x_budget,
-                ]
-            )
-            bounds = [(0.0, 1.0)] * (n + num_edges)
-            names = [f"x_{node}" for node in range(n)] + [
-                f"y_{edge}" for edge in edges
+    def build_static() -> dict:
+        indptr, path_flat = topology.path_edge_arrays()
+        counts = indptr[edges + 1] - indptr[edges]
+        gather = _ragged_gather(indptr[edges], counts)
+        path_cols = y_col_of[path_flat[gather]]
+        num_path = gather.size
+        path_rows = np.arange(num_path, dtype=np.int64)
+        budget_row = num_path
+        x_budget = (
+            topology.depth_array()[edges] * context.per_value
+        ).astype(float)
+        rows = np.concatenate(
+            [
+                path_rows,
+                path_rows,
+                np.full(num_edges, budget_row, dtype=np.int64),
+                np.full(num_edges, budget_row, dtype=np.int64),
             ]
-            return {
-                "rows": rows,
-                "cols": cols,
-                "vals": vals,
-                "num_rows": num_path + 1,
-                "bounds": bounds,
-                "names": names,
-            }
-
-        static = _fetch_static(cache, obs, key, topology, build_static)
-
-        b_ub = np.zeros(static["num_rows"])
-        b_ub[-1] = context.budget - context.energy.acquisition_mj  # RHS slot
-
-        counts = context.samples.column_counts()
-        c = np.zeros(n + num_edges)
-        c[:n] = np.asarray(counts, dtype=float)
-
-        form = _assemble(
-            c=c,
-            constant=0.0,
-            maximize=True,
-            rows=static["rows"],
-            cols=static["cols"],
-            vals=static["vals"],
-            b_ub=b_ub,
-            bounds=list(static["bounds"]),
         )
-        return CompiledLP(
-            name="prospector-lp-no-lf",
-            form=form,
-            column_names=list(static["names"]),
-            primary_columns={node: node for node in range(n)},
+        cols = np.concatenate(
+            [
+                np.repeat(edges, counts),  # x columns (node id == column)
+                path_cols,
+                y_col_of[edges],
+                edges,
+            ]
         )
+        vals = np.concatenate(
+            [
+                np.ones(num_path),
+                -np.ones(num_path),
+                _edge_budget_costs(context),
+                x_budget,
+            ]
+        )
+        bounds = [(0.0, 1.0)] * (n + num_edges)
+        names = [f"x_{node}" for node in range(n)] + [
+            f"y_{edge}" for edge in edges
+        ]
+        return {
+            "rows": rows,
+            "cols": cols,
+            "vals": vals,
+            "num_rows": num_path + 1,
+            "bounds": bounds,
+            "names": names,
+        }
+
+    static = _fetch_static(cache, obs, key, topology, build_static)
+
+    b_ub = np.zeros(static["num_rows"])
+    b_ub[-1] = context.budget - context.energy.acquisition_mj  # RHS slot
+
+    counts = context.samples.column_counts()
+    c = np.zeros(n + num_edges)
+    c[:n] = np.asarray(counts, dtype=float)
+
+    form = _assemble(
+        c=c,
+        constant=0.0,
+        maximize=True,
+        rows=static["rows"],
+        cols=static["cols"],
+        vals=static["vals"],
+        b_ub=b_ub,
+        bounds=list(static["bounds"]),
+    )
+    return CompiledLP(
+        name="prospector-lp-no-lf",
+        form=form,
+        column_names=list(static["names"]),
+        primary_columns={node: node for node in range(n)},
+    )
 
 
 # -- PROSPECTOR LP+LF -------------------------------------------------------
 
 
+@_observed_compile("prospector-lp-lf")
 def compile_lp_lf(context, cache: ReplanCache | None = None) -> CompiledLP:
     """Lower PROSPECTOR LP+LF (paper §4.2) to standard-form arrays.
 
@@ -420,146 +443,145 @@ def compile_lp_lf(context, cache: ReplanCache | None = None) -> CompiledLP:
     matching the algebraic oracle's builder exactly.
     """
     obs = context.instrumentation
-    with maybe_span(obs, "compile", formulation="prospector-lp-lf"), \
-            maybe_timer(obs, "fastbuild.compile_seconds.prospector-lp-lf"):
-        topology = context.topology
-        samples = context.samples
-        n = topology.n
-        edges = np.asarray(topology.edges, dtype=np.int64)
-        num_edges = edges.size
-        b_col_of = np.full(n, -1, dtype=np.int64)
-        b_col_of[edges] = np.arange(num_edges)
-        y_col_of = np.full(n, -1, dtype=np.int64)
-        y_col_of[edges] = num_edges + np.arange(num_edges)
+    topology = context.topology
+    samples = context.samples
+    n = topology.n
+    edges = np.asarray(topology.edges, dtype=np.int64)
+    num_edges = edges.size
+    b_col_of = np.full(n, -1, dtype=np.int64)
+    b_col_of[edges] = np.arange(num_edges)
+    y_col_of = np.full(n, -1, dtype=np.int64)
+    y_col_of[edges] = num_edges + np.arange(num_edges)
 
-        key = (
-            "lp-lf", topology.cache_token(), context.k,
-            _cost_fingerprint(context),
-        )
+    key = (
+        "lp-lf", topology.cache_token(), context.k,
+        _cost_fingerprint(context),
+    )
 
-        def build_static() -> dict:
-            subtree = topology.subtree_size_array()[edges].astype(float)
-            use_rows = np.arange(num_edges, dtype=np.int64)
-            return {
-                "use_rows": np.concatenate([use_rows, use_rows]),
-                "use_cols": np.concatenate([b_col_of[edges], y_col_of[edges]]),
-                "use_vals": np.concatenate([np.ones(num_edges), -subtree]),
-                "budget_y": _edge_budget_costs(context),
-                "budget_b": np.full(num_edges, context.per_value, dtype=float),
-                "bounds_by": [(0.0, float(s)) for s in subtree]
-                + [(0.0, 1.0)] * num_edges,
-                "names_by": [f"b_{edge}" for edge in edges]
-                + [f"y_{edge}" for edge in edges],
-            }
+    def build_static() -> dict:
+        subtree = topology.subtree_size_array()[edges].astype(float)
+        use_rows = np.arange(num_edges, dtype=np.int64)
+        return {
+            "use_rows": np.concatenate([use_rows, use_rows]),
+            "use_cols": np.concatenate([b_col_of[edges], y_col_of[edges]]),
+            "use_vals": np.concatenate([np.ones(num_edges), -subtree]),
+            "budget_y": _edge_budget_costs(context),
+            "budget_b": np.full(num_edges, context.per_value, dtype=float),
+            "bounds_by": [(0.0, float(s)) for s in subtree]
+            + [(0.0, 1.0)] * num_edges,
+            "names_by": [f"b_{edge}" for edge in edges]
+            + [f"y_{edge}" for edge in edges],
+        }
 
-        static = _fetch_static(cache, obs, key, topology, build_static)
+    static = _fetch_static(cache, obs, key, topology, build_static)
 
-        # -- z layout: the matrix's 1-entries in row-major order, which
-        # is exactly (j ascending, node ascending)
-        num_samples = samples.num_samples
-        z_sample, z_nodes = np.nonzero(np.asarray(samples.matrix, dtype=bool))
-        num_z = z_nodes.size
-        z_base = 2 * num_edges
+    # -- z layout: the matrix's 1-entries in row-major order, which
+    # is exactly (j ascending, node ascending)
+    num_samples = samples.num_samples
+    z_sample, z_nodes = np.nonzero(np.asarray(samples.matrix, dtype=bool))
+    num_z = z_nodes.size
+    z_base = 2 * num_edges
 
-        # -- (7) path rows: one per (z variable, ancestor edge)
-        indptr, path_flat = topology.path_edge_arrays()
-        path_counts = indptr[z_nodes + 1] - indptr[z_nodes]
-        gather = _ragged_gather(indptr[z_nodes], path_counts)
-        num_path = gather.size
-        path_row_ids = num_edges + np.arange(num_path, dtype=np.int64)
-        path_z_cols = z_base + np.repeat(
-            np.arange(num_z, dtype=np.int64), path_counts
-        )
-        path_edge_positions = b_col_of[path_flat[gather]]
-        path_y_cols = num_edges + path_edge_positions
+    # -- (7) path rows: one per (z variable, ancestor edge)
+    indptr, path_flat = topology.path_edge_arrays()
+    path_counts = indptr[z_nodes + 1] - indptr[z_nodes]
+    gather = _ragged_gather(indptr[z_nodes], path_counts)
+    num_path = gather.size
+    path_row_ids = num_edges + np.arange(num_path, dtype=np.int64)
+    path_z_cols = z_base + np.repeat(
+        np.arange(num_z, dtype=np.int64), path_counts
+    )
+    path_edge_positions = b_col_of[path_flat[gather]]
+    path_y_cols = num_edges + path_edge_positions
 
-        # -- (8) bandwidth rows.  Node i sits in edge e's subtree iff e
-        # lies on i's root path, so the member entries of the bw rows
-        # are the path-row gather regrouped by (sample, edge); one
-        # bincount finds which (sample, edge) groups are nonempty.
-        entry_groups = (
-            np.repeat(z_sample, path_counts) * num_edges + path_edge_positions
-        )
-        member_counts = np.bincount(
-            entry_groups, minlength=num_samples * num_edges
-        )
-        active = member_counts > 0
-        num_bw = int(np.count_nonzero(active))
-        bw_base = num_edges + num_path
-        bw_row_lookup = np.cumsum(active) - 1  # group -> bw row rank
-        bw_z_rows = bw_base + bw_row_lookup[entry_groups]
-        bw_b_rows = bw_base + np.arange(num_bw, dtype=np.int64)
-        bw_b_cols = np.flatnonzero(active) % num_edges
+    # -- (8) bandwidth rows.  Node i sits in edge e's subtree iff e
+    # lies on i's root path, so the member entries of the bw rows
+    # are the path-row gather regrouped by (sample, edge); one
+    # bincount finds which (sample, edge) groups are nonempty.
+    entry_groups = (
+        np.repeat(z_sample, path_counts) * num_edges + path_edge_positions
+    )
+    member_counts = np.bincount(
+        entry_groups, minlength=num_samples * num_edges
+    )
+    active = member_counts > 0
+    num_bw = int(np.count_nonzero(active))
+    bw_base = num_edges + num_path
+    bw_row_lookup = np.cumsum(active) - 1  # group -> bw row rank
+    bw_z_rows = bw_base + bw_row_lookup[entry_groups]
+    bw_b_rows = bw_base + np.arange(num_bw, dtype=np.int64)
+    bw_b_cols = np.flatnonzero(active) % num_edges
 
-        budget_row = bw_base + num_bw
-        num_rows = budget_row + 1
+    budget_row = bw_base + num_bw
+    num_rows = budget_row + 1
 
-        rows = np.concatenate(
-            [
-                static["use_rows"],
-                path_row_ids,
-                path_row_ids,
-                bw_z_rows,
-                bw_b_rows,
-                np.full(2 * num_edges, budget_row, dtype=np.int64),
-            ]
-        )
-        cols = np.concatenate(
-            [
-                static["use_cols"],
-                path_z_cols,
-                path_y_cols,
-                path_z_cols,  # the bw-row z entries reuse the path gather
-                bw_b_cols,
-                y_col_of[edges],
-                b_col_of[edges],
-            ]
-        )
-        vals = np.concatenate(
-            [
-                static["use_vals"],
-                np.ones(num_path),
-                -np.ones(num_path),
-                np.ones(num_path),
-                -np.ones(num_bw),
-                static["budget_y"],
-                static["budget_b"],
-            ]
-        )
-        b_ub = np.zeros(num_rows)
-        b_ub[-1] = context.budget - context.energy.acquisition_mj
-
-        c = np.zeros(z_base + num_z)
-        c[z_base:] = 1.0
-        bounds = list(static["bounds_by"]) + [(0.0, 1.0)] * num_z
-        names = list(static["names_by"]) + [
-            f"z_{j}_{node}"
-            for j, node in zip(z_sample.tolist(), z_nodes.tolist())
+    rows = np.concatenate(
+        [
+            static["use_rows"],
+            path_row_ids,
+            path_row_ids,
+            bw_z_rows,
+            bw_b_rows,
+            np.full(2 * num_edges, budget_row, dtype=np.int64),
         ]
+    )
+    cols = np.concatenate(
+        [
+            static["use_cols"],
+            path_z_cols,
+            path_y_cols,
+            path_z_cols,  # the bw-row z entries reuse the path gather
+            bw_b_cols,
+            y_col_of[edges],
+            b_col_of[edges],
+        ]
+    )
+    vals = np.concatenate(
+        [
+            static["use_vals"],
+            np.ones(num_path),
+            -np.ones(num_path),
+            np.ones(num_path),
+            -np.ones(num_bw),
+            static["budget_y"],
+            static["budget_b"],
+        ]
+    )
+    b_ub = np.zeros(num_rows)
+    b_ub[-1] = context.budget - context.energy.acquisition_mj
 
-        form = _assemble(
-            c=c,
-            constant=0.0,
-            maximize=True,
-            rows=rows,
-            cols=cols,
-            vals=vals,
-            b_ub=b_ub,
-            bounds=bounds,
-        )
-        return CompiledLP(
-            name="prospector-lp-lf",
-            form=form,
-            column_names=names,
-            primary_columns={
-                int(edge): int(b_col_of[edge]) for edge in edges
-            },
-        )
+    c = np.zeros(z_base + num_z)
+    c[z_base:] = 1.0
+    bounds = list(static["bounds_by"]) + [(0.0, 1.0)] * num_z
+    names = list(static["names_by"]) + [
+        f"z_{j}_{node}"
+        for j, node in zip(z_sample.tolist(), z_nodes.tolist())
+    ]
+
+    form = _assemble(
+        c=c,
+        constant=0.0,
+        maximize=True,
+        rows=rows,
+        cols=cols,
+        vals=vals,
+        b_ub=b_ub,
+        bounds=bounds,
+    )
+    return CompiledLP(
+        name="prospector-lp-lf",
+        form=form,
+        column_names=names,
+        primary_columns={
+            int(edge): int(b_col_of[edge]) for edge in edges
+        },
+    )
 
 
 # -- PROSPECTOR-Proof -------------------------------------------------------
 
 
+@_observed_compile("prospector-proof")
 def compile_proof(context, *, budget_rhs: float) -> CompiledLP:
     """Lower PROSPECTOR-Proof (paper §4.3) to standard-form arrays.
 
@@ -575,155 +597,152 @@ def compile_proof(context, *, budget_rhs: float) -> CompiledLP:
     sample-independent and computed once per compile; only the support
     memberships and the objective consult the sample values.
     """
-    obs = context.instrumentation
-    with maybe_span(obs, "compile", formulation="prospector-proof"), \
-            maybe_timer(obs, "fastbuild.compile_seconds.prospector-proof"):
-        topology = context.topology
-        samples = context.samples
-        n = topology.n
-        edges = np.asarray(topology.edges, dtype=np.int64)
-        num_edges = edges.size
-        depth = topology.depth_array()
-        chain_len = depth + 1
-        node_offset = np.concatenate([[0], np.cumsum(chain_len)])
-        p_per_sample = int(node_offset[-1])
-        num_samples = samples.num_samples
+    topology = context.topology
+    samples = context.samples
+    n = topology.n
+    edges = np.asarray(topology.edges, dtype=np.int64)
+    num_edges = edges.size
+    depth = topology.depth_array()
+    chain_len = depth + 1
+    node_offset = np.concatenate([[0], np.cumsum(chain_len)])
+    p_per_sample = int(node_offset[-1])
+    num_samples = samples.num_samples
 
-        def p_rel(nodes: np.ndarray, anc_depth: np.ndarray) -> np.ndarray:
-            """Column of ``p_{·,node,anc}`` relative to its sample block."""
-            return node_offset[nodes] + depth[nodes] - anc_depth
+    def p_rel(nodes: np.ndarray, anc_depth: np.ndarray) -> np.ndarray:
+        """Column of ``p_{·,node,anc}`` relative to its sample block."""
+        return node_offset[nodes] + depth[nodes] - anc_depth
 
-        # -- sample-independent templates (relative columns, relative rows)
-        # (13) chain rows: depth[u] rows per node, consecutive chain cols
-        chain_counts = depth.copy()
-        below_rel = _ragged_gather(node_offset[:-1], chain_counts)
-        above_rel = below_rel + 1
-        num_chain = below_rel.size
-        chain_rows_rel = np.arange(num_chain, dtype=np.int64)
+    # -- sample-independent templates (relative columns, relative rows)
+    # (13) chain rows: depth[u] rows per node, consecutive chain cols
+    chain_counts = depth.copy()
+    below_rel = _ragged_gather(node_offset[:-1], chain_counts)
+    above_rel = below_rel + 1
+    num_chain = below_rel.size
+    chain_rows_rel = np.arange(num_chain, dtype=np.int64)
 
-        # (12) bandwidth rows: one per edge, entries over its subtree
-        desc = topology.descendant_matrix()
-        parents = np.array(
-            [topology.parent(int(edge)) for edge in edges], dtype=np.int64
-        )
-        bw_edge_idx, bw_nodes = np.nonzero(desc[edges])
-        bw_p_rel = p_rel(bw_nodes, depth[parents[bw_edge_idx]])
-        bw_rows_rel = num_chain + bw_edge_idx
-        bw_b_rows_rel = num_chain + np.arange(num_edges, dtype=np.int64)
+    # (12) bandwidth rows: one per edge, entries over its subtree
+    desc = topology.descendant_matrix()
+    parents = np.array(
+        [topology.parent(int(edge)) for edge in edges], dtype=np.int64
+    )
+    bw_edge_idx, bw_nodes = np.nonzero(desc[edges])
+    bw_p_rel = p_rel(bw_nodes, depth[parents[bw_edge_idx]])
+    bw_rows_rel = num_chain + bw_edge_idx
+    bw_b_rows_rel = num_chain + np.arange(num_edges, dtype=np.int64)
 
-        # (14) support pairs (node, ancestor, sibling child), in the
-        # algebraic iteration order; memberships are filled in per sample
-        pair_nodes: list[int] = []
-        pair_anc_rel: list[int] = []
-        pair_siblings: list[int] = []
-        for node in range(n):
-            for position, anc in enumerate(topology.ancestors(node)):
-                for sibling in topology.sibling_children(node, anc):
-                    pair_nodes.append(node)
-                    pair_anc_rel.append(int(node_offset[node]) + position)
-                    pair_siblings.append(sibling)
-        pair_nodes_arr = np.asarray(pair_nodes, dtype=np.int64)
-        pair_anc_rel_arr = np.asarray(pair_anc_rel, dtype=np.int64)
-        pair_siblings_arr = np.asarray(pair_siblings, dtype=np.int64)
-        pair_desc = (
-            desc[pair_siblings_arr]
-            if pair_siblings_arr.size
-            else np.zeros((0, n), dtype=bool)
-        )
+    # (14) support pairs (node, ancestor, sibling child), in the
+    # algebraic iteration order; memberships are filled in per sample
+    pair_nodes: list[int] = []
+    pair_anc_rel: list[int] = []
+    pair_siblings: list[int] = []
+    for node in range(n):
+        for position, anc in enumerate(topology.ancestors(node)):
+            for sibling in topology.sibling_children(node, anc):
+                pair_nodes.append(node)
+                pair_anc_rel.append(int(node_offset[node]) + position)
+                pair_siblings.append(sibling)
+    pair_nodes_arr = np.asarray(pair_nodes, dtype=np.int64)
+    pair_anc_rel_arr = np.asarray(pair_anc_rel, dtype=np.int64)
+    pair_siblings_arr = np.asarray(pair_siblings, dtype=np.int64)
+    pair_desc = (
+        desc[pair_siblings_arr]
+        if pair_siblings_arr.size
+        else np.zeros((0, n), dtype=bool)
+    )
 
-        node_ids = np.arange(n, dtype=np.int64)
-        values = samples.values
+    node_ids = np.arange(n, dtype=np.int64)
+    values = samples.values
 
-        rows_parts: list[np.ndarray] = []
-        cols_parts: list[np.ndarray] = []
-        vals_parts: list[np.ndarray] = []
-        row_cursor = 0
-        c = np.zeros(num_edges + num_samples * p_per_sample)
-        for j in range(num_samples):
-            p_base = num_edges + j * p_per_sample
-            # chain block
-            rows_parts.append(row_cursor + chain_rows_rel)
-            cols_parts.append(p_base + above_rel)
-            vals_parts.append(np.ones(num_chain))
-            rows_parts.append(row_cursor + chain_rows_rel)
-            cols_parts.append(p_base + below_rel)
-            vals_parts.append(-np.ones(num_chain))
-            # bandwidth block
-            rows_parts.append(row_cursor + bw_rows_rel)
-            cols_parts.append(p_base + bw_p_rel)
-            vals_parts.append(np.ones(bw_p_rel.size))
-            rows_parts.append(row_cursor + bw_b_rows_rel)
-            cols_parts.append(np.arange(num_edges, dtype=np.int64))
-            vals_parts.append(-np.ones(num_edges))
-            row_cursor += num_chain + num_edges
-            # support block: smaller(i, j) under the (value, id) order
-            row = values[j]
-            smaller = (row[None, :] < row[:, None]) | (
-                (row[None, :] == row[:, None])
-                & (node_ids[None, :] < node_ids[:, None])
-            )
-            support = pair_desc & smaller[pair_nodes_arr]
-            has_support = np.flatnonzero(support.any(axis=1))
-            if has_support.size:
-                rows_parts.append(
-                    row_cursor + np.arange(has_support.size, dtype=np.int64)
-                )
-                cols_parts.append(p_base + pair_anc_rel_arr[has_support])
-                vals_parts.append(np.ones(has_support.size))
-                sel_idx, support_nodes = np.nonzero(support[has_support])
-                cols_parts.append(
-                    p_base
-                    + p_rel(
-                        support_nodes,
-                        depth[pair_siblings_arr[has_support][sel_idx]],
-                    )
-                )
-                rows_parts.append(row_cursor + sel_idx)
-                vals_parts.append(-np.ones(sel_idx.size))
-                row_cursor += has_support.size
-            # (10) objective: top-k values proven at the root
-            ones_j = np.flatnonzero(samples.matrix[j])
-            c[p_base + node_offset[ones_j] + depth[ones_j]] = 1.0
-
-        # (11) budget row, constants folded exactly like Constraint.build
-        constant = 0.0
-        for edge in edges:
-            constant += context.edge_cost(int(edge))
-        budget_row = row_cursor
-        rows_parts.append(np.full(num_edges, budget_row, dtype=np.int64))
+    rows_parts: list[np.ndarray] = []
+    cols_parts: list[np.ndarray] = []
+    vals_parts: list[np.ndarray] = []
+    row_cursor = 0
+    c = np.zeros(num_edges + num_samples * p_per_sample)
+    for j in range(num_samples):
+        p_base = num_edges + j * p_per_sample
+        # chain block
+        rows_parts.append(row_cursor + chain_rows_rel)
+        cols_parts.append(p_base + above_rel)
+        vals_parts.append(np.ones(num_chain))
+        rows_parts.append(row_cursor + chain_rows_rel)
+        cols_parts.append(p_base + below_rel)
+        vals_parts.append(-np.ones(num_chain))
+        # bandwidth block
+        rows_parts.append(row_cursor + bw_rows_rel)
+        cols_parts.append(p_base + bw_p_rel)
+        vals_parts.append(np.ones(bw_p_rel.size))
+        rows_parts.append(row_cursor + bw_b_rows_rel)
         cols_parts.append(np.arange(num_edges, dtype=np.int64))
-        vals_parts.append(np.full(num_edges, context.per_value, dtype=float))
-        b_ub = np.zeros(budget_row + 1)
-        b_ub[-1] = -(constant - budget_rhs)
+        vals_parts.append(-np.ones(num_edges))
+        row_cursor += num_chain + num_edges
+        # support block: smaller(i, j) under the (value, id) order
+        row = values[j]
+        smaller = (row[None, :] < row[:, None]) | (
+            (row[None, :] == row[:, None])
+            & (node_ids[None, :] < node_ids[:, None])
+        )
+        support = pair_desc & smaller[pair_nodes_arr]
+        has_support = np.flatnonzero(support.any(axis=1))
+        if has_support.size:
+            rows_parts.append(
+                row_cursor + np.arange(has_support.size, dtype=np.int64)
+            )
+            cols_parts.append(p_base + pair_anc_rel_arr[has_support])
+            vals_parts.append(np.ones(has_support.size))
+            sel_idx, support_nodes = np.nonzero(support[has_support])
+            cols_parts.append(
+                p_base
+                + p_rel(
+                    support_nodes,
+                    depth[pair_siblings_arr[has_support][sel_idx]],
+                )
+            )
+            rows_parts.append(row_cursor + sel_idx)
+            vals_parts.append(-np.ones(sel_idx.size))
+            row_cursor += has_support.size
+        # (10) objective: top-k values proven at the root
+        ones_j = np.flatnonzero(samples.matrix[j])
+        c[p_base + node_offset[ones_j] + depth[ones_j]] = 1.0
 
-        subtree = topology.subtree_size_array()[edges]
-        bounds = [(1.0, float(s)) for s in subtree] + [(0.0, 1.0)] * (
-            num_samples * p_per_sample
-        )
-        names = [f"b_{edge}" for edge in edges]
-        for j in range(num_samples):
-            for node in range(n):
-                for anc in topology.ancestors(node):
-                    names.append(f"p_{j}_{node}_{anc}")
+    # (11) budget row, constants folded exactly like Constraint.build
+    constant = 0.0
+    for edge in edges:
+        constant += context.edge_cost(int(edge))
+    budget_row = row_cursor
+    rows_parts.append(np.full(num_edges, budget_row, dtype=np.int64))
+    cols_parts.append(np.arange(num_edges, dtype=np.int64))
+    vals_parts.append(np.full(num_edges, context.per_value, dtype=float))
+    b_ub = np.zeros(budget_row + 1)
+    b_ub[-1] = -(constant - budget_rhs)
 
-        form = _assemble(
-            c=c,
-            constant=0.0,
-            maximize=True,
-            rows=np.concatenate(rows_parts),
-            cols=np.concatenate(cols_parts),
-            vals=np.concatenate(vals_parts),
-            b_ub=b_ub,
-            bounds=bounds,
-        )
-        return CompiledLP(
-            name="prospector-proof",
-            form=form,
-            column_names=names,
-            primary_columns={
-                int(edge): position for position, edge in enumerate(edges)
-            },
-        )
+    subtree = topology.subtree_size_array()[edges]
+    bounds = [(1.0, float(s)) for s in subtree] + [(0.0, 1.0)] * (
+        num_samples * p_per_sample
+    )
+    names = [f"b_{edge}" for edge in edges]
+    for j in range(num_samples):
+        for node in range(n):
+            for anc in topology.ancestors(node):
+                names.append(f"p_{j}_{node}_{anc}")
+
+    form = _assemble(
+        c=c,
+        constant=0.0,
+        maximize=True,
+        rows=np.concatenate(rows_parts),
+        cols=np.concatenate(cols_parts),
+        vals=np.concatenate(vals_parts),
+        b_ub=b_ub,
+        bounds=bounds,
+    )
+    return CompiledLP(
+        name="prospector-proof",
+        form=form,
+        column_names=names,
+        primary_columns={
+            int(edge): position for position, edge in enumerate(edges)
+        },
+    )
 
 
 # -- parametric entry points ------------------------------------------------

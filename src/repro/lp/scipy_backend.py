@@ -246,7 +246,9 @@ class ScipyBackend:
     ----------
     instrumentation:
         Optional :class:`~repro.obs.Instrumentation`; when set, every
-        solve records an ``lp_solve`` event and solve-time histograms.
+        solve is a ``solve`` span carrying the LP's iterations,
+        variables and constraints, plus the ``lp.*`` counters and
+        solve-time histograms.
     """
 
     name = "scipy-highs"
@@ -283,7 +285,7 @@ class ScipyBackend:
             num_constraints=form.a_ub.shape[0] + form.a_eq.shape[0],
         )
         if self.instrumentation is not None:
-            self.instrumentation.record_lp_solve(name, stats)
+            self.instrumentation.record_lp_solve(span, name, stats)
         return Solution(
             status="optimal",
             objective=form.report_objective(float(run.fun)),
@@ -314,16 +316,11 @@ class ScipyBackend:
         rhs_values = np.atleast_1d(np.asarray(rhs_values, dtype=float))
         if rhs_values.size == 0:
             return []
-        start = time.perf_counter()
         with maybe_span(
             self.instrumentation, "batch.solve",
             model=label, backend=self.name, members=int(rhs_values.size),
-        ):
+        ) as span:
             solutions = self._ladder(parametric, rhs_values, label)
         if self.instrumentation is not None:
-            self.instrumentation.record_lp_batch(
-                label,
-                members=len(solutions),
-                seconds=time.perf_counter() - start,
-            )
+            self.instrumentation.record_lp_batch(span, label, len(solutions))
         return solutions

@@ -1,4 +1,4 @@
-"""Observability: metrics, events, hierarchical spans, and exporters.
+"""Observability: metrics, hierarchical spans, and exporters.
 
 The library's cross-cutting layers (LP backends, planners, simulator,
 query engine) all accept one optional :class:`Instrumentation` object.
@@ -21,7 +21,7 @@ Quick tour::
     print(render_flame(obs))           # span tree with wall times
     chrome_trace_json(obs)             # load in ui.perfetto.dev
     prometheus_text(obs)               # text exposition for scrapes
-    obs.trace.events("lp_solve")       # structured event log
+    obs.spans.find("solve")            # every LP solve, with its size
 
 Per-node battery telemetry lives in :class:`EnergyLedger`; attach one
 to a simulator (``Simulator(..., ledger=ledger)``) and read back
@@ -40,23 +40,16 @@ from repro.obs.distributed import (
     render_top,
 )
 from repro.obs.energy import EnergyLedger
-from repro.obs.events import EVENT_KINDS, Event, EventTrace
 from repro.obs.export import (
     chrome_trace,
     chrome_trace_json,
     prometheus_text,
     render_flame,
 )
-from repro.obs.instrument import (
-    NULL_TIMER,
-    Instrumentation,
-    maybe_timer,
-    record_event,
-)
+from repro.obs.instrument import EVENT_KINDS, Instrumentation, record_event
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.report import (
     counter_rows,
-    event_rows,
     from_json,
     gauge_rows,
     histogram_rows,
@@ -70,15 +63,12 @@ __all__ = [
     "Counter",
     "EVENT_KINDS",
     "EnergyLedger",
-    "Event",
-    "EventTrace",
     "Gauge",
     "Histogram",
     "Instrumentation",
     "LocalTelemetrySource",
     "MetricsRegistry",
     "NULL_SPAN",
-    "NULL_TIMER",
     "SlowRequestLog",
     "Span",
     "SpanTracer",
@@ -89,13 +79,11 @@ __all__ = [
     "chrome_trace",
     "chrome_trace_json",
     "counter_rows",
-    "event_rows",
     "from_json",
     "gauge_rows",
     "histogram_rows",
     "inherited_trace_id",
     "maybe_span",
-    "maybe_timer",
     "new_trace_id",
     "prometheus_text",
     "record_event",

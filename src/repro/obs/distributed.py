@@ -34,7 +34,12 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.errors import ObservabilityError
-from repro.obs.export import _format_value, _metric_name, _summary_lines
+from repro.obs.export import (
+    _format_value,
+    _metric_name,
+    _summary_lines,
+    _trace_document,
+)
 from repro.obs.instrument import REQUEST_LATENCY_METRIC, Instrumentation
 from repro.obs.metrics import Histogram
 from repro.obs.spans import NULL_SPAN
@@ -178,43 +183,6 @@ class SlowRequestLog:
 
 
 # -- fleet aggregation -------------------------------------------------------
-
-
-def _span_dump_events(
-    dump: dict, origin_s: float, pid: int, trace_id, out: list[dict]
-) -> None:
-    """Emit Chrome ``X`` events for one span-dump subtree.
-
-    ``trace_id`` is the inherited trace id from the nearest annotated
-    ancestor; a span carrying its own ``trace_id`` attribute switches
-    the subtree to it.  That is what stitches a worker's plan/compile/
-    solve spans (annotated only at the ``service.request`` root) into
-    the client's trace in the merged document.
-    """
-    args = dict(dump.get("attributes", {}))
-    own = args.get("trace_id")
-    trace_id = own if own else trace_id
-    if trace_id:
-        args["trace_id"] = trace_id
-    span_id = dump.get("span_id", 0)
-    if span_id:
-        args["span_id"] = span_id
-    start = float(dump.get("start_s", 0.0))
-    end = dump.get("end_s")
-    out.append(
-        {
-            "name": dump.get("name", "?"),
-            "cat": "repro",
-            "ph": "X",
-            "ts": (start - origin_s) * 1e6,
-            "dur": ((end - start) if end is not None else 0.0) * 1e6,
-            "pid": pid,
-            "tid": 1,
-            "args": args,
-        }
-    )
-    for child in dump.get("children", []):
-        _span_dump_events(child, origin_s, pid, trace_id, out)
 
 
 def _latency_columns(latency: Histogram | None) -> dict:
@@ -442,26 +410,7 @@ class TelemetryAggregator:
                     "roots", []
                 )
                 lanes.append((f"shard {shard}", list(roots)))
-        # a child starts inside its parent: the roots hold the origin
-        starts = [
-            float(root.get("start_s", 0.0))
-            for __, roots in lanes for root in roots
-        ]
-        origin = min(starts) if starts else 0.0
-        events: list[dict] = []
-        for pid, (name, roots) in enumerate(lanes, start=1):
-            events.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": 1,
-                    "args": {"name": name},
-                }
-            )
-            for root in roots:
-                _span_dump_events(root, origin, pid, None, events)
-        return {"traceEvents": events, "displayTimeUnit": "ms"}
+        return _trace_document(lanes)
 
     def chrome_trace_json(
         self, client: Instrumentation | None = None,

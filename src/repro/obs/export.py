@@ -4,9 +4,10 @@ Three writers over one :class:`~repro.obs.instrument.Instrumentation`:
 
 - :func:`chrome_trace` / :func:`chrome_trace_json` — Chrome
   trace-event JSON (the ``traceEvents`` array format), loadable in
-  perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.  Spans
-  become complete ("X") events, typed trace events become instants
-  ("i") on the same timeline.
+  perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.  Every
+  span becomes a complete ("X") event, an instant span one with
+  ``dur`` 0.  One writer (``_trace_document``) serves both this and
+  the fleet aggregator's merged trace.
 - :func:`prometheus_text` — the Prometheus text exposition format for
   the metrics registry (counters, gauges, histograms-as-summaries).
 - :func:`render_flame` — a flame-style ASCII tree of the span
@@ -34,63 +35,79 @@ __all__ = [
 # -- Chrome trace-event JSON -------------------------------------------------
 
 
-def _span_events(span: Span, origin_s: float, pid: int, tid: int) -> list[dict]:
-    events = [
+def _span_dump_events(
+    dump: dict, origin_s: float, pid: int, trace_id, out: list[dict]
+) -> None:
+    """Emit Chrome ``X`` events for one span-dump subtree.
+
+    ``trace_id`` is the inherited trace id from the nearest annotated
+    ancestor; a span carrying its own ``trace_id`` attribute switches
+    the subtree to it.  That is what stitches a worker's plan/compile/
+    solve spans (annotated only at the ``service.request`` root) into
+    the client's trace in the merged document.
+    """
+    args = dict(dump.get("attributes", {}))
+    own = args.get("trace_id")
+    trace_id = own if own else trace_id
+    if trace_id:
+        args["trace_id"] = trace_id
+    span_id = dump.get("span_id", 0)
+    if span_id:
+        args["span_id"] = span_id
+    start = float(dump.get("start_s", 0.0))
+    end = dump.get("end_s")
+    out.append(
         {
-            "name": span.name,
+            "name": dump.get("name", "?"),
             "cat": "repro",
             "ph": "X",
-            "ts": (span.start_s - origin_s) * 1e6,
-            "dur": span.duration_s * 1e6,
+            "ts": (start - origin_s) * 1e6,
+            "dur": ((end - start) if end is not None else 0.0) * 1e6,
             "pid": pid,
-            "tid": tid,
-            "args": dict(span.attributes),
+            "tid": 1,
+            "args": args,
         }
+    )
+    for child in dump.get("children", []):
+        _span_dump_events(child, origin_s, pid, trace_id, out)
+
+
+def _trace_document(lanes: list[tuple[str, list[dict]]]) -> dict:
+    """A Chrome trace-event document of span-dump forests.
+
+    Each ``(name, roots)`` lane becomes one ``pid`` (numbered from 1 in
+    order) with a ``process_name`` record.  Timestamps are microseconds
+    relative to the earliest root, so the timeline starts at zero.
+    """
+    # a child starts inside its parent: the roots hold the origin
+    starts = [
+        float(root.get("start_s", 0.0))
+        for __, roots in lanes for root in roots
     ]
-    for child in span.children:
-        events.extend(_span_events(child, origin_s, pid, tid))
-    return events
+    origin = min(starts) if starts else 0.0
+    events: list[dict] = []
+    for pid, (name, roots) in enumerate(lanes, start=1):
+        events.append(
+            {
+                "name": "process_name",
+                "ph": "M",
+                "pid": pid,
+                "tid": 1,
+                "args": {"name": name},
+            }
+        )
+        for root in roots:
+            _span_dump_events(root, origin, pid, None, events)
+    return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
 def chrome_trace(obs: Instrumentation) -> dict:
-    """The run as a Chrome trace-event document (JSON-ready dict).
-
-    Timestamps are microseconds relative to the earliest span (or
-    event) so the perfetto timeline starts at zero.  Span attributes
-    travel in ``args``; typed events appear as instant markers.
-    """
-    starts = [root.start_s for root in obs.spans.roots]
-    starts.extend(e.ts for e in obs.trace if e.ts)
-    origin = min(starts) if starts else 0.0
-
-    events: list[dict] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": 1,
-            "tid": 1,
-            "args": {"name": "repro"},
-        }
-    ]
-    for root in obs.spans.roots:
-        events.extend(_span_events(root, origin, pid=1, tid=1))
-    for event in obs.trace:
-        if not event.ts:
-            continue  # restored from a pre-timestamp dump
-        events.append(
-            {
-                "name": event.kind,
-                "cat": "events",
-                "ph": "i",
-                "s": "t",
-                "ts": (event.ts - origin) * 1e6,
-                "pid": 1,
-                "tid": 1,
-                "args": {k: v for k, v in event.data.items()
-                         if isinstance(v, (int, float, str, bool))},
-            }
-        )
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
+    """The run as a Chrome trace-event document (JSON-ready dict): one
+    ``repro`` lane of :func:`_trace_document`.  Span attributes travel
+    in ``args``, with the span id and inherited trace id."""
+    return _trace_document(
+        [("repro", [root.to_dict() for root in obs.spans.roots])]
+    )
 
 
 def chrome_trace_json(obs: Instrumentation, indent: int | None = None) -> str:
@@ -188,7 +205,7 @@ def _render_span(
         "`- " if is_last else "|- "
     )
     share = span.duration_s / root_s if root_s > 0 else 0.0
-    bar = "#" * max(1, round(share * bar_width)) if root_s > 0 else ""
+    bar = "#" * max(1, round(share * bar_width)) if share > 0 else ""
     label = f"{prefix}{connector}{span.name}{_format_attrs(span.attributes)}"
     lines.append(
         f"{label.ljust(48)} {_format_duration(span.duration_s).rjust(9)}"

@@ -1,22 +1,30 @@
 """The :class:`Instrumentation` facade and its no-op helpers.
 
-One ``Instrumentation`` object bundles a metrics registry with an
-event trace and is threaded — always optionally — through the layers
-that do measurable work: LP backends, planners (via
-``PlanningContext``), the simulator, and the query engine.  Call
-sites never branch on feature flags; they either hold an
-``Instrumentation`` or ``None``, and the module-level helpers
-(:func:`maybe_timer`, :func:`record_event`) collapse to no-ops for
-``None`` so the disabled path allocates nothing.
+One ``Instrumentation`` object bundles a metrics registry with a span
+tracer and is threaded — always optionally — through the layers that
+do measurable work: LP backends, planners (via ``PlanningContext``),
+the simulator, the query engine and the service.  Spans (with
+attributes) and metrics are the only records:
+
+- a region's latency histogram is fed from its span's ``duration_s``;
+- what a record says about a region is attributes of its span (a
+  ``solve`` span's LP size, a ``plan`` span's cost and budget);
+- an occurrence with an identity (a plan installed, a session
+  expired) is a zero-length instant span (:meth:`Instrumentation.event`).
+
+Call sites never branch on feature flags; they either hold an
+``Instrumentation`` or ``None``, and :func:`~repro.obs.spans.maybe_span`
+and :func:`record_event` collapse to no-ops for ``None`` so the
+disabled path allocates nothing.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.obs.events import EventTrace
+from repro.errors import ObservabilityError
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import NULL_SPAN, SpanTracer
+from repro.obs.spans import SpanTracer
 
 REQUEST_LATENCY_METRIC = "service.request_seconds"
 """Histogram name every service feeds its request wall time into; the
@@ -35,27 +43,37 @@ _BATCH_COLLECTION = (
 )
 _BATCH_HISTOGRAMS = ("sim.batch.size", "sim.batch.seconds.{}")
 _ENERGY = ("engine.energy_mj", "engine.energy_mj.{}")
+_SAMPLE = ("engine.samples", "engine.samples.{}")
 _EVENT = ("events.{}",)
 _REQUEST = ("service.requests", "service.requests.{}")
 _LATENCY = (REQUEST_LATENCY_METRIC,)
 _WIRE = ("service.wire.request_bytes", "service.wire.reply_bytes")
 
+EVENT_KINDS = (
+    "plan_installed",
+    "failure_observed",
+    "audit_run",
+    "shard_lifecycle",
+    "session_expired",
+)
+"""The occurrences recorded as instant spans; :meth:`Instrumentation.event`
+rejects any other kind."""
+
+_KIND_SET = frozenset(EVENT_KINDS)
+
 
 class Instrumentation:
-    """Metrics registry, event trace, and span tracer with domain helpers.
+    """Metrics registry and span tracer with domain helpers.
 
     Parameters
     ----------
-    trace_capacity:
-        Ring-buffer size of the event trace; old events are evicted
-        (and counted as dropped) beyond this.
     span_capacity:
-        Maximum retained spans in the latency tree (further spans are
-        counted as dropped).
+        Maximum retained spans in the latency tree, instants included
+        (further spans are counted as dropped).
     clock:
-        Monotonic seconds source shared by timers, event timestamps,
-        and spans (default ``time.perf_counter``); injectable so tests
-        assert exact durations.
+        Monotonic seconds source of the spans (default
+        ``time.perf_counter``); injectable so tests assert exact
+        durations.
     span_mode:
         ``"block"`` (default) or ``"ring"``; ring keeps the newest
         span trees when the tracer fills up, which long-running
@@ -64,14 +82,12 @@ class Instrumentation:
 
     def __init__(
         self,
-        trace_capacity: int = 1024,
         span_capacity: int = 8192,
         clock=None,
         span_mode: str = "block",
     ) -> None:
         self.clock = clock or time.perf_counter
-        self.metrics = MetricsRegistry(clock=self.clock)
-        self.trace = EventTrace(capacity=trace_capacity, clock=self.clock)
+        self.metrics = MetricsRegistry()
         self.spans = SpanTracer(
             clock=self.clock, capacity=span_capacity, mode=span_mode
         )
@@ -100,26 +116,33 @@ class Instrumentation:
     def histogram(self, name: str):
         return self.metrics.histogram(name)
 
-    def timer(self, name: str):
-        """A fresh, nestable timing context over ``histogram(name)``."""
-        return self.metrics.timer(name)
-
     def span(self, name: str, **attributes):
         """A fresh span; nests under the currently open span on enter."""
         return self.spans.span(name, **attributes)
 
     def event(self, kind: str, **data):
-        """Record a typed event and bump its ``events.<kind>`` counter."""
+        """Record one occurrence of ``kind`` (one of :data:`EVENT_KINDS`)
+        as an instant span under the current span, with ``data`` as its
+        attributes, and bump its ``events.<kind>`` counter."""
+        if kind not in _KIND_SET:
+            raise ObservabilityError(
+                f"unknown event kind {kind!r}; expected one of {EVENT_KINDS}"
+            )
         self._metrics(_EVENT, kind)[0].value += 1
-        return self.trace.record(kind, **data)
+        return self.spans.instant(kind, data)
 
     # -- domain helpers (one per cross-cutting record shape) -----------
-    def record_lp_solve(self, model_name: str, stats) -> None:
-        """One LP solve: per-formulation latency histogram + event.
+    def record_lp_solve(self, span, model_name: str, stats) -> None:
+        """One LP solve: its size as attributes of its ``solve`` span,
+        plus the solve counters and per-formulation latency histogram.
 
         ``stats`` is a :class:`~repro.lp.result.SolveStats` (duck-typed
         so :mod:`repro.obs` stays dependency-free).
         """
+        span.annotate(
+            variables=stats.num_variables,
+            constraints=stats.num_constraints,
+        )
         self.metrics.counter("lp.solves").inc()
         self.metrics.counter("lp.iterations").inc(stats.iterations)
         self.metrics.histogram(f"lp.solve_seconds.{model_name}").observe(
@@ -127,49 +150,35 @@ class Instrumentation:
         )
         self.metrics.histogram("lp.variables").observe(stats.num_variables)
         self.metrics.histogram("lp.constraints").observe(stats.num_constraints)
-        self.event(
-            "lp_solve",
-            model=model_name,
-            backend=stats.backend,
-            variables=stats.num_variables,
-            constraints=stats.num_constraints,
-            iterations=stats.iterations,
-            wall_seconds=stats.wall_seconds,
-        )
 
-    def record_lp_batch(
-        self, model_name: str, *, members: int, seconds: float
-    ) -> None:
-        """One ladder solved through ``solve_batch`` under a single
-        ``batch.solve`` span."""
+    def record_lp_batch(self, span, model_name: str, members: int) -> None:
+        """One ladder solved through ``solve_batch`` under its finished
+        ``batch.solve`` span, whose duration feeds
+        ``lp.batch.seconds.<model>``."""
         self.metrics.counter("lp.batch.solves").inc()
         self.metrics.counter("lp.batch.members").inc(members)
         self.metrics.histogram(f"lp.batch.seconds.{model_name}").observe(
-            seconds
-        )
-        self.event(
-            "lp_batch", model=model_name, members=members, seconds=seconds
+            span.duration_s
         )
 
     def record_plan_built(
-        self, planner: str, *, edges_used: int, static_cost_mj: float,
-        budget_mj: float, seconds: float,
+        self, span, planner: str, *, edges_used: int,
+        static_cost_mj: float, budget_mj: float,
     ) -> None:
-        """One planner invocation (LP-based or combinatorial).
-
-        The build-time histogram is fed by the caller's timer (see
-        ``repro.planners.base.observed``); this records the rest.
-        """
-        self.metrics.counter("plan.builds").inc()
-        self.metrics.counter(f"plan.builds.{planner}").inc()
-        self.metrics.gauge(f"plan.static_cost_mj.{planner}").set(static_cost_mj)
-        self.event(
-            "plan_built",
-            planner=planner,
+        """One planner invocation (LP-based or combinatorial), recorded
+        after its ``plan`` span exits: the plan's size, cost and budget
+        as the span's attributes, its duration into
+        ``plan.build_seconds.<planner>``, plus the build counters."""
+        span.annotate(
             edges_used=edges_used,
             static_cost_mj=static_cost_mj,
             budget_mj=budget_mj,
-            seconds=seconds,
+        )
+        self.metrics.counter("plan.builds").inc()
+        self.metrics.counter(f"plan.builds.{planner}").inc()
+        self.metrics.gauge(f"plan.static_cost_mj.{planner}").set(static_cost_mj)
+        self.metrics.histogram(f"plan.build_seconds.{planner}").observe(
+            span.duration_s
         )
 
     def record_collection(
@@ -204,8 +213,8 @@ class Instrumentation:
         ``messages``/``values``/``retries``/``energy_mj`` are totals
         over the whole batch, annotated on its ``collect`` span and
         added to the ``sim.batch.*`` counters; the batch-size histogram
-        plus the per-label timer are what the speedup benchmarks read
-        back.
+        plus the per-label seconds histogram are what the speedup
+        benchmarks read back.
         """
         span.annotate(
             epochs=epochs, messages=messages, values=values,
@@ -226,6 +235,13 @@ class Instrumentation:
         total, per_category = self._metrics(_ENERGY, category)
         total.value += energy_mj
         per_category.value += energy_mj
+
+    def record_sample(self, source: str) -> None:
+        """One full-network sample added to an engine's window
+        (``engine.samples`` plus its per-source counter)."""
+        total, per_source = self._metrics(_SAMPLE, source)
+        total.value += 1
+        per_source.value += 1
 
     def record_request(self, kind: str) -> None:
         """One service request of ``kind`` (``service.requests`` plus
@@ -258,36 +274,22 @@ class Instrumentation:
     def to_dict(self) -> dict:
         return {
             "metrics": self.metrics.to_dict(),
-            "trace": self.trace.to_dict(),
             "spans": self.spans.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "Instrumentation":
+        """Rebuild from :meth:`to_dict` output; any other top-level
+        block (such as an older dump's ``"trace"``) is ignored."""
         obs = cls()
         obs.metrics = MetricsRegistry.from_dict(data.get("metrics", {}))
-        obs.trace = EventTrace.from_dict(
-            data.get("trace", {"capacity": 1024, "next_seq": 0, "events": []})
-        )
         obs.spans = SpanTracer.from_dict(data.get("spans", {}))
         return obs
 
 
-NULL_TIMER = NULL_SPAN
-"""The no-op timer is the no-op span (a context manager whose
-``elapsed`` is 0.0); proof that the disabled path allocates nothing
-(tests assert identity against this object)."""
-
-
-def maybe_timer(instrumentation: Instrumentation | None, name: str):
-    """``instrumentation.timer(name)``, or the shared no-op context."""
-    if instrumentation is None:
-        return NULL_TIMER
-    return instrumentation.timer(name)
-
-
 def record_event(instrumentation: Instrumentation | None, kind: str, **data):
-    """``instrumentation.event(kind, ...)``, or nothing at all."""
+    """``instrumentation.event(kind, ...)`` (the instant span), or
+    nothing at all."""
     if instrumentation is None:
         return None
     return instrumentation.event(kind, **data)

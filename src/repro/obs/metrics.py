@@ -1,4 +1,4 @@
-"""Counters, gauges, and histogram timers.
+"""Counters, gauges, and histograms.
 
 The registry is dependency-free and deliberately small: metrics are
 plain Python objects keyed by name, created on first touch, with a
@@ -12,15 +12,14 @@ published p50/p95/p99 comes from :meth:`Histogram.quantile`.  Inside
 the grid's range a quantile is within a relative :data:`RELATIVE_ERROR`
 of the exact order statistic.
 
-Timers read an injectable clock (default ``time.perf_counter``) so
-tests can assert exact durations instead of sleeping.
+Nothing here reads a clock: a latency histogram is fed the
+``duration_s`` of the span that timed the region (see
+:mod:`repro.obs.spans`).
 """
 
 from __future__ import annotations
 
 import math
-import time
-from typing import Callable
 
 from repro.errors import ObservabilityError
 
@@ -249,41 +248,10 @@ class Histogram:
         return f"Histogram({self.name!r}, count={self.count}, mean={self.mean:g})"
 
 
-class _Timer:
-    """Context manager recording elapsed wall time into a histogram.
-
-    Each ``registry.timer(name)`` call returns a fresh instance, so
-    timers nest freely (an outer timer keeps running while an inner
-    one, on the same or another histogram, starts and stops).  The
-    clock is injectable for deterministic tests.
-    """
-
-    __slots__ = ("histogram", "clock", "_start", "elapsed")
-
-    def __init__(
-        self,
-        histogram: Histogram,
-        clock: Callable[[], float] | None = None,
-    ) -> None:
-        self.histogram = histogram
-        self.clock = clock or time.perf_counter
-        self._start = 0.0
-        self.elapsed = 0.0
-
-    def __enter__(self) -> "_Timer":
-        self._start = self.clock()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.elapsed = self.clock() - self._start
-        self.histogram.observe(self.elapsed)
-
-
 class MetricsRegistry:
     """Named metrics, created on first touch."""
 
-    def __init__(self, clock: Callable[[], float] | None = None) -> None:
-        self.clock = clock or time.perf_counter
+    def __init__(self) -> None:
         self.counters: dict[str, Counter] = {}
         self.gauges: dict[str, Gauge] = {}
         self.histograms: dict[str, Histogram] = {}
@@ -309,10 +277,6 @@ class MetricsRegistry:
         except KeyError:
             metric = self.histograms[name] = Histogram(name)
             return metric
-
-    def timer(self, name: str) -> _Timer:
-        """A fresh (nestable) timing context over ``histogram(name)``."""
-        return _Timer(self.histogram(name), clock=self.clock)
 
     # -- serialization -------------------------------------------------
     def to_dict(self) -> dict:

@@ -3,10 +3,10 @@
 Three output shapes:
 
 - :func:`render_report` — the ASCII tables used by ``python -m repro
-  stats`` (counters, gauges, histogram timers, event tallies), built
-  on :func:`repro.experiments.reporting.format_table`;
+  stats`` (counters, gauges, histograms, span aggregates), built on
+  :func:`repro.experiments.reporting.format_table`;
 - :func:`to_json` / :func:`from_json` — a lossless dump of metrics and
-  trace for offline rendering;
+  spans for offline rendering;
 - the row helpers (:func:`counter_rows` etc.) for callers that want to
   table the numbers themselves.
 """
@@ -41,13 +41,6 @@ def histogram_rows(obs: Instrumentation) -> list[dict]:
     return rows
 
 
-def event_rows(obs: Instrumentation) -> list[dict]:
-    return [
-        {"event": kind, "count": count}
-        for kind, count in obs.trace.counts().items()
-    ]
-
-
 def span_rows(obs: Instrumentation) -> list[dict]:
     """Per-span-name aggregates over every retained tree."""
     totals: dict[str, dict] = {}
@@ -72,17 +65,11 @@ def render_report(obs: Instrumentation, title: str = "observability report") -> 
     for heading, rows in (
         ("counters", counter_rows(obs)),
         ("gauges", gauge_rows(obs)),
-        ("timers / histograms", histogram_rows(obs)),
-        ("events", event_rows(obs)),
+        ("histograms", histogram_rows(obs)),
         ("spans", span_rows(obs)),
     ):
         if rows:
             sections.append(format_table(rows, title=heading))
-    if obs.trace.dropped:
-        sections.append(
-            f"(event trace dropped {obs.trace.dropped} of"
-            f" {obs.trace.total_recorded} events)"
-        )
     if obs.spans.dropped:
         sections.append(
             f"(span tracer dropped {obs.spans.dropped} of"
@@ -94,10 +81,15 @@ def render_report(obs: Instrumentation, title: str = "observability report") -> 
 
 
 def to_json(obs: Instrumentation, indent: int | None = 2) -> str:
-    """Lossless JSON dump of metrics and event trace."""
+    """Lossless JSON dump of metrics and spans."""
     return json.dumps(obs.to_dict(), indent=indent, sort_keys=True)
 
 
 def from_json(text: str) -> Instrumentation:
-    """Rebuild an instrumentation object from :func:`to_json` output."""
+    """Rebuild an instrumentation object from :func:`to_json` output.
+
+    A dump written before the event trace was folded into spans carries
+    a ``"trace"`` block; it is ignored, and the metrics and spans load
+    as usual.
+    """
     return Instrumentation.from_dict(json.loads(text))

@@ -1,4 +1,4 @@
-"""Hierarchical span tracing: a latency tree instead of flat timers.
+"""Hierarchical span tracing: the one record of where time went.
 
 A :class:`Span` is one timed region of work with a name, wall-clock
 start/end, a flat attribute payload, and child spans.  The
@@ -7,10 +7,12 @@ the enter/exit stack, so nesting follows lexical structure: whatever
 span is open when a new one starts becomes its parent, across module
 boundaries (a ``plan`` span opened by a planner adopts the ``solve``
 span opened later by the LP backend, because both hang off the same
-:class:`~repro.obs.instrument.Instrumentation`).
+:class:`~repro.obs.instrument.Instrumentation`).  A latency histogram
+is fed from a finished span's ``duration_s``, so no second clock
+times the same region.  An occurrence with an identity (a session
+expired, an audit ran) is a zero-length *instant* span
+(:meth:`SpanTracer.instant`) under whatever span is open.
 
-The same None-collapses-to-no-op discipline as
-:func:`~repro.obs.instrument.maybe_timer` applies:
 :func:`maybe_span` returns the shared :data:`NULL_SPAN` singleton when
 instrumentation is disabled, so the disabled path allocates nothing.
 
@@ -201,6 +203,15 @@ class SpanTracer:
         view)."""
         return tuple(self._open.stack)
 
+    def instant(self, name: str, attributes: dict) -> Span:
+        """A zero-length span marking one occurrence, attached under the
+        span open on this thread (or as a root) and already finished."""
+        span = Span(name, attributes, tracer=self)
+        self._enter(span)
+        self._open.stack.pop()
+        span.end_s = span.start_s
+        return span
+
     # -- stack mechanics (driven by Span.__enter__/__exit__) -----------
     def _enter(self, span: Span) -> None:
         span.start_s = self.clock()
@@ -309,7 +320,7 @@ class SpanTracer:
 
 
 class _NullSpan:
-    """Shared do-nothing span (and timer) for the disabled path."""
+    """Shared do-nothing span for the disabled path."""
 
     __slots__ = ()
     name = ""
@@ -318,7 +329,6 @@ class _NullSpan:
     start_s = 0.0
     end_s = 0.0
     duration_s = 0.0
-    elapsed = 0.0  # doubles as the no-op timer (``NULL_TIMER``)
     finished = True
     span_id = 0
 

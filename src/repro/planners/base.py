@@ -40,7 +40,7 @@ class PlanningContext:
     failures: LinkFailureModel | None = None
     instrumentation: Instrumentation | None = None
     """Optional observability sink: planners decorated with
-    :func:`observed` record build timers and ``plan_built`` events
+    :func:`observed` record a ``plan`` span and the build metrics
     here, and LP-based planners hand it to their solver backend."""
 
     def __post_init__(self) -> None:
@@ -188,9 +188,10 @@ def observed(plan_method):
     """Wrap a planner's ``plan`` so instrumented contexts measure it.
 
     With ``context.instrumentation`` unset the original method runs
-    bare (no timers, no allocations); otherwise the build is timed
-    into ``plan.build_seconds.<planner>`` and summarized as a
-    ``plan_built`` event.
+    bare (no spans, no allocations); otherwise the build runs in a
+    ``plan`` span, whose duration feeds ``plan.build_seconds.<planner>``
+    and which gains the plan's ``edges_used``, ``static_cost_mj`` and
+    ``budget_mj`` attributes after it exits.
     """
 
     @functools.wraps(plan_method)
@@ -198,15 +199,14 @@ def observed(plan_method):
         obs = context.instrumentation
         if obs is None:
             return plan_method(self, context)
-        with obs.span("plan", planner=self.name):
-            with obs.timer(f"plan.build_seconds.{self.name}") as timer:
-                plan = plan_method(self, context)
+        with obs.span("plan", planner=self.name) as span:
+            plan = plan_method(self, context)
         obs.record_plan_built(
+            span,
             self.name,
             edges_used=len(plan.used_edges),
             static_cost_mj=context.plan_cost(plan),
             budget_mj=context.budget,
-            seconds=timer.elapsed,
         )
         return plan
 

@@ -148,18 +148,11 @@ class TopKEngine:
     # -- sample maintenance ----------------------------------------------
     def feed_sample(self, readings, charge_energy: bool = False) -> None:
         """Record one full-network sample (bootstrap or exploration)."""
-        energy_mj = 0.0
         if charge_energy:
             report = self.simulator.collect_full_sample(readings)
-            energy_mj = report.energy_mj
-            self._charge("sample", energy_mj)
-        record_event(
-            self.instrumentation,
-            "sample_collected",
-            source="feed",
-            charged=charge_energy,
-            energy_mj=energy_mj,
-        )
+            self._charge("sample", report.energy_mj)
+        if self.instrumentation is not None:
+            self.instrumentation.record_sample("feed")
         self.window.add(readings)
         self.plan = None  # force a re-plan with the fresh window
 
@@ -199,9 +192,11 @@ class TopKEngine:
     def maybe_replan(self) -> bool:
         """Re-optimize; disseminate only on sufficient improvement.
 
-        Returns True when a new plan was installed.  A declined
-        candidate is counted (``engine.replans_skipped`` /
-        ``replan_skipped`` event) and does *not* reset the replan
+        Returns True when a new plan was installed.  The decision is one
+        ``replan.decide`` span carrying both plans' expected hits and the
+        threshold, plus ``install_mj`` and ``edges_used`` when the
+        candidate is installed.  A declined candidate is counted
+        (``engine.replans_skipped``) and does *not* reset the replan
         clock, so the next query re-attempts instead of waiting a full
         ``replan_every`` cycle.
         """
@@ -215,30 +210,24 @@ class TopKEngine:
             current_hits = expected_hits(self.plan, ones)
             candidate_hits = expected_hits(candidate, ones)
             threshold = current_hits * (1.0 + self.config.replan_improvement)
-            span.annotate(installed=candidate_hits > threshold)
+            span.annotate(
+                installed=candidate_hits > threshold,
+                current_hits=current_hits,
+                candidate_hits=candidate_hits,
+                threshold=threshold,
+            )
             if candidate_hits > threshold:
                 self.plan = candidate
                 install_mj = self.simulator.install_cost(candidate)
                 self._charge("install", install_mj)
                 self._queries_since_replan = 0
-                record_event(
-                    self.instrumentation,
-                    "plan_installed",
-                    reason="replan",
+                span.annotate(
                     install_mj=install_mj,
                     edges_used=len(candidate.used_edges),
-                    current_hits=current_hits,
-                    candidate_hits=candidate_hits,
                 )
                 return True
             if self.instrumentation is not None:
                 self.instrumentation.counter("engine.replans_skipped").inc()
-                self.instrumentation.event(
-                    "replan_skipped",
-                    current_hits=current_hits,
-                    candidate_hits=candidate_hits,
-                    threshold=threshold,
-                )
             return False
 
     # -- execution -------------------------------------------------------------
@@ -437,19 +426,13 @@ class TopKEngine:
         ) as span:
             decision = self.sampler.decide()
             if decision.explore or self.window.is_empty:
-                span.annotate(action="sample")
+                span.annotate(action="sample", rate=decision.rate)
                 report = self.simulator.collect_full_sample(readings)
                 self._charge("sample", report.energy_mj)
                 self.window.add(readings)
                 self.plan = None
                 if self.instrumentation is not None:
-                    self.instrumentation.counter("engine.samples").inc()
-                    self.instrumentation.event(
-                        "sample_collected",
-                        source="explore",
-                        rate=decision.rate,
-                        energy_mj=report.energy_mj,
-                    )
+                    self.instrumentation.record_sample("explore")
                 return EpochOutcome(
                     epoch=self.epoch,
                     action="sample",

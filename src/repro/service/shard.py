@@ -27,7 +27,7 @@ path).
 Per-shard telemetry lands in the parent's optional
 :class:`~repro.obs.Instrumentation` under ``service.shard.*`` —
 worker-count and per-shard open-session gauges, routed-request
-counters, and ``shard_lifecycle`` events around spawn/shutdown.
+counters, and ``shard_lifecycle`` instant spans around spawn/shutdown.
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ class ShardedService:
         omitted.
     instrumentation:
         Optional parent-side :class:`~repro.obs.Instrumentation` for
-        the ``service.shard.*`` gauges/counters/events.
+        the ``service.shard.*`` gauges, counters and instant spans.
     telemetry_port:
         When not ``None``, :meth:`start` also brings up the live
         telemetry HTTP endpoint

@@ -311,7 +311,7 @@ class Simulator:
 
         ``priority`` overrides the forwarding order (used by subset
         queries that are not up-closed, see :mod:`repro.queries`);
-        ``label`` tags the phase in the observability event stream.
+        ``label`` tags the phase's ``collect`` span and counters.
 
         Only the walk over the plan's compiled schedule depends on the
         readings.  The energy, ledger charges, per-depth breakdown and

@@ -112,7 +112,7 @@ class TestContentKeys:
         base = content_key(_draw_trial, {"x": 1, "instrumentation": obs}, seed)
         obs.counter("runner.trials").inc()
         with obs.span("plan"):
-            obs.event("plan_built", planner="greedy")
+            obs.event("plan_installed", reason="initial")
         assert content_key(
             _draw_trial, {"x": 1, "instrumentation": obs}, seed
         ) == base

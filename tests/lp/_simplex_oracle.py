@@ -38,7 +38,7 @@ from scipy.linalg import LinAlgError, lu_factor, lu_solve
 
 from repro.errors import SolverError
 from repro.lp import Solution, SolveStats, StandardForm
-from repro.obs.spans import maybe_span
+from repro.obs.spans import NULL_SPAN, maybe_span
 
 _OPT_TOL = 1e-9          # reduced-cost threshold for entering candidates
 _FEAS_TOL = 1e-8         # bound-violation threshold (primal feasibility)
@@ -577,7 +577,7 @@ class SimplexBackend:
             iterations = engine.solve()
             span.annotate(iterations=iterations, pivots=engine.pivots)
         return self._finish(
-            engine, form, name, start,
+            engine, form, name, start, span,
             iterations=iterations, pivots=engine.pivots,
             bland_activations=engine.bland_activations,
         )
@@ -588,6 +588,7 @@ class SimplexBackend:
         form: StandardForm,
         name: str,
         start: float,
+        span,
         **warm_record,
     ) -> Solution:
         x = engine.solution_values()
@@ -599,7 +600,7 @@ class SimplexBackend:
             **warm_record,
         )
         if self.instrumentation is not None:
-            self.instrumentation.record_lp_solve(name, stats)
+            self.instrumentation.record_lp_solve(span, name, stats)
         return Solution(
             status="optimal",
             objective=form.report_objective(float(form.c @ x)),
@@ -648,7 +649,7 @@ class SimplexBackend:
                 pivots_before = bland_before = 0
                 iterations = engine.solve()
             solutions.append(self._finish(
-                engine, form, label, start,
+                engine, form, label, start, NULL_SPAN,
                 iterations=iterations,
                 warm_started=warm,
                 pivots=engine.pivots - pivots_before,

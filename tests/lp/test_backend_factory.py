@@ -116,12 +116,12 @@ class TestInstrumentedBackends:
         assert obs.metrics.counter("lp.solves").value == 2
         hist = obs.metrics.histogram("lp.solve_seconds.tiny")
         assert hist.count == 2
-        events = obs.trace.events("lp_solve")
-        assert len(events) == 2
-        assert events[0].data["model"] == "tiny"
-        assert events[0].data["backend"] == backend.name
-        assert events[0].data["variables"] == 2
-        assert events[0].data["constraints"] == 1
+        solves = obs.spans.find("solve")
+        assert len(solves) == 2
+        assert solves[0].attributes["model"] == "tiny"
+        assert solves[0].attributes["backend"] == backend.name
+        assert solves[0].attributes["variables"] == 2
+        assert solves[0].attributes["constraints"] == 1
 
     def test_uninstrumented_backend_records_nothing(self):
         backend = SimplexBackend()

@@ -116,9 +116,10 @@ class TestBatchTelemetry:
         ScipyBackend(instrumentation=obs).solve_batch(parametric, rhs)
         assert obs.counter("lp.batch.solves").value == 1
         assert obs.counter("lp.batch.members").value == len(rhs)
-        events = obs.trace.events("lp_batch")
-        assert len(events) == 1
-        assert events[0].data["members"] == len(rhs)
+        (batch,) = obs.spans.find("batch.solve")
+        assert batch.attributes["members"] == len(rhs)
+        hist = obs.histogram("lp.batch.seconds.prospector-lp-no-lf")
+        assert (hist.count, hist.total) == (1, batch.duration_s)
 
 
 class TestSharedSweepCache:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.obs import (
     Instrumentation,
+    TelemetryAggregator,
     chrome_trace,
     chrome_trace_json,
     prometheus_text,
@@ -31,8 +32,7 @@ def traced_run() -> tuple[Instrumentation, FakeClock]:
         clock.advance(0.010)
         with obs.span("plan", planner="lp-lf"):
             clock.advance(0.030)
-        obs.event("plan_installed", planner="lp-lf", cost=1.5,
-                  detail={"not": "scalar"})
+        obs.event("plan_installed", planner="lp-lf", cost=1.5)
         with obs.span("collect"):
             clock.advance(0.060)
     return obs, clock
@@ -44,7 +44,7 @@ class TestChromeTrace:
         doc = chrome_trace(obs)
         assert doc["displayTimeUnit"] == "ms"
         phases = {event["ph"] for event in doc["traceEvents"]}
-        assert phases == {"M", "X", "i"}
+        assert phases == {"M", "X"}
 
     def test_spans_become_relative_complete_events(self):
         obs, __ = traced_run()
@@ -59,18 +59,23 @@ class TestChromeTrace:
         assert events["plan"]["ts"] == pytest.approx(10_000.0)
         assert events["plan"]["dur"] == pytest.approx(30_000.0)
         assert events["collect"]["ts"] == pytest.approx(40_000.0)
-        assert events["plan"]["args"] == {"planner": "lp-lf"}
+        (plan,) = obs.spans.find("plan")
+        assert events["plan"]["args"] == {
+            "planner": "lp-lf", "span_id": plan.span_id,
+        }
         assert all(e["pid"] == 1 and e["tid"] == 1 for e in events.values())
 
-    def test_instant_events_carry_scalar_args_only(self):
+    def test_instant_event_is_a_zero_length_complete_event(self):
         obs, __ = traced_run()
-        (instant,) = [
-            e for e in chrome_trace(obs)["traceEvents"] if e["ph"] == "i"
-        ]
-        assert instant["name"] == "plan_installed"
-        assert instant["s"] == "t"
-        assert instant["args"] == {"planner": "lp-lf", "cost": 1.5}
+        instant = next(
+            e for e in chrome_trace(obs)["traceEvents"]
+            if e["name"] == "plan_installed"
+        )
+        assert instant["ph"] == "X"
+        assert instant["dur"] == 0.0
         assert instant["ts"] == pytest.approx(40_000.0)
+        assert instant["args"]["planner"] == "lp-lf"
+        assert instant["args"]["cost"] == 1.5
 
     def test_json_form_parses(self):
         obs, __ = traced_run()
@@ -86,6 +91,35 @@ class TestChromeTrace:
     def test_empty_instrumentation_exports(self):
         doc = chrome_trace(Instrumentation())
         assert [e["ph"] for e in doc["traceEvents"]] == ["M"]
+
+    def test_one_writer_for_a_run_and_the_fleet_client_lane(self):
+        clock = FakeClock(5.0)
+        obs = Instrumentation(clock=clock)
+        with obs.span("client.query", trace_id=77):
+            clock.advance(0.001)
+            with obs.span("service.request", kind="SubmitQuery"):
+                clock.advance(0.002)
+                obs.event("session_expired", session_id=4, idle_s=1.0)
+                with obs.span("collect", messages=3):
+                    clock.advance(0.004)
+        with obs.span("epoch", index=2):
+            clock.advance(0.003)
+        own = chrome_trace(obs)["traceEvents"]
+        assert own[0]["ph"] == "M"
+        fleet = TelemetryAggregator().chrome_trace(client=obs)["traceEvents"]
+        assert fleet[0] == {**own[0], "args": {"name": "client"}}
+        assert own[1:] == fleet[1:]
+        names = [e["name"] for e in own[1:]]
+        assert names == [
+            "client.query", "service.request", "session_expired",
+            "collect", "epoch",
+        ]
+        # the trace id is inherited by the nested spans, the instant too
+        assert [e["args"].get("trace_id") for e in own[1:]] == [
+            77, 77, 77, 77, None,
+        ]
+        instant = own[3]
+        assert (instant["ph"], instant["dur"]) == ("X", 0.0)
 
 
 class TestPrometheusText:
@@ -137,8 +171,10 @@ class TestRenderFlame:
         assert "100.0%" in lines[0]
         assert "|- plan (planner=lp-lf)" in lines[1]
         assert "30.0%" in lines[1]
-        assert "`- collect" in lines[2]
-        assert "60.0%" in lines[2]
+        assert "|- plan_installed (planner=lp-lf, cost=1.5)" in lines[2]
+        assert lines[2].rstrip().endswith("0us   0.0%")  # an instant: no bar
+        assert "`- collect" in lines[3]
+        assert "60.0%" in lines[3]
         assert "#" in lines[1]
 
     def test_no_spans_placeholder(self):

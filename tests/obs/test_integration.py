@@ -1,6 +1,7 @@
-"""Integration: an instrumented end-to-end engine run emits the
-expected event sequence, and disabled instrumentation (None) leaves
-behavior untouched with the shared no-op fast path."""
+"""Integration: an instrumented end-to-end engine run leaves the
+expected spans and counters, each former event kind in exactly one
+place, and disabled instrumentation (None) leaves behavior untouched
+with the shared no-op fast path."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from repro.datagen.gaussian import random_gaussian_field
 from repro.network.builder import random_topology
 from repro.network.energy import EnergyModel
-from repro.obs import NULL_TIMER, Instrumentation, maybe_timer, record_event
+from repro.obs import NULL_SPAN, Instrumentation, maybe_span, record_event
 from repro.planners.lp_no_lf import LPNoLFPlanner
 from repro.query.engine import EngineConfig, TopKEngine
 
@@ -40,20 +41,25 @@ class TestEventSequence:
         engine = make_engine(topology, instrumentation=obs)
         for __ in range(5):
             engine.feed_sample(field.sample(rng))
+        # a fed row is a bound counter, not a record of its own
+        assert obs.metrics.counter("engine.samples.feed").value == 5
+        assert obs.metrics.counter("engine.samples").value == 5
+        assert len(obs.spans) == 0
         engine.query(field.sample(rng))
 
-        kinds = obs.trace.kinds()
-        # five bootstrap samples, then the first query triggers an LP
-        # solve, a plan build, an install, and one collection, whose
-        # record is its ``collect`` span
-        assert kinds[:5] == ["sample_collected"] * 5
-        assert kinds[5:] == ["lp_solve", "plan_built", "plan_installed"]
-        installed = obs.trace.events("plan_installed")[0]
-        assert installed.data["reason"] == "initial"
-        assert installed.data["install_mj"] > 0
+        # the first query plans (plan → compile → solve → round), then
+        # installs it (the one instant), then runs one collection,
+        # whose record is its ``collect`` span
+        names = [root.name for root in obs.spans.roots]
+        assert names == ["plan", "plan_installed", "collect"]
+        (installed,) = obs.spans.find("plan_installed")
+        assert installed.duration_s == 0.0
+        assert installed.attributes["reason"] == "initial"
+        assert installed.attributes["install_mj"] > 0
+        assert obs.metrics.counter("events.plan_installed").value == 1
         (collect,) = obs.spans.find("collect")
         assert collect.attributes["label"] == "collection"
-        assert installed.ts <= collect.start_s
+        assert installed.start_s <= collect.start_s
 
     def test_lp_solve_event_carries_solver_stats(self, setting):
         rng, topology, field = setting
@@ -62,14 +68,37 @@ class TestEventSequence:
         for __ in range(4):
             engine.feed_sample(field.sample(rng))
         engine.ensure_plan()
-        event = obs.trace.events("lp_solve")[0]
-        assert event.data["model"] == "prospector-lp-no-lf"
-        assert event.data["backend"] == "scipy-highs"
-        assert event.data["variables"] > 0
-        assert event.data["constraints"] > 0
-        assert event.data["wall_seconds"] >= 0
+        (solve,) = obs.spans.find("solve")
+        assert solve.attributes["model"] == "prospector-lp-no-lf"
+        assert solve.attributes["backend"] == "scipy-highs"
+        assert solve.attributes["iterations"] >= 0
+        assert solve.attributes["variables"] > 0
+        assert solve.attributes["constraints"] > 0
+        assert obs.metrics.counter("lp.solves").value == 1
+        assert "events.lp_solve" not in obs.metrics.counters
         hist = obs.metrics.histogram("lp.solve_seconds.prospector-lp-no-lf")
         assert hist.count == 1
+        assert hist.total >= 0
+
+    def test_plan_built_is_attributes_of_the_plan_span(self, setting):
+        rng, topology, field = setting
+        obs = Instrumentation()
+        engine = make_engine(topology, instrumentation=obs)
+        for __ in range(4):
+            engine.feed_sample(field.sample(rng))
+        plan = engine.ensure_plan()
+        (span,) = obs.spans.find("plan")
+        assert span.attributes == {
+            "planner": "lp-no-lf",
+            "edges_used": len(plan.used_edges),
+            "static_cost_mj": engine._context().plan_cost(plan),
+            "budget_mj": 40.0,
+        }
+        # the build histogram is the span's own duration: one clock
+        hist = obs.metrics.histogram("plan.build_seconds.lp-no-lf")
+        assert (hist.count, hist.total) == (1, span.duration_s)
+        assert obs.metrics.counter("plan.builds").value == 1
+        assert "events.plan_built" not in obs.metrics.counters
 
     def test_collection_depth_breakdown_sums_to_totals(self, setting):
         rng, topology, field = setting
@@ -121,8 +150,62 @@ class TestEventSequence:
         # clock, so steps 3, 4, AND 5 all re-attempt — the pre-fix code
         # reset the clock on decline and would only re-attempt on step 5.
         assert obs.metrics.counter("engine.replans_skipped").value == 3
-        assert len(obs.trace.events("replan_skipped")) == 3
+        decisions = obs.spans.find("replan.decide")
+        assert len(decisions) == 3
+        for decision in decisions:
+            attributes = decision.attributes
+            assert attributes["installed"] is False
+            assert attributes["threshold"] == pytest.approx(
+                attributes["current_hits"] * (1.0 + 1e9)
+            )
+            assert attributes["candidate_hits"] <= attributes["threshold"]
+            assert "install_mj" not in attributes
+        assert "events.replan_skipped" not in obs.metrics.counters
         assert engine._queries_since_replan == 4
+
+    def test_installed_replan_is_attributes_of_its_decision(self, setting):
+        rng, topology, field = setting
+        obs = Instrumentation()
+        engine = make_engine(
+            topology, instrumentation=obs, replan_improvement=-1.0,
+        )
+        for __ in range(5):
+            engine.feed_sample(field.sample(rng))
+        engine.ensure_plan()
+        assert engine.maybe_replan()
+        (decision,) = obs.spans.find("replan.decide")
+        attributes = decision.attributes
+        assert attributes["installed"] is True
+        assert attributes["candidate_hits"] > attributes["threshold"]
+        assert attributes["edges_used"] == len(engine.plan.used_edges)
+        assert attributes["install_mj"] == (
+            engine.simulator.install_cost(engine.plan)
+        )
+        # only the initial install is an instant
+        (installed,) = obs.spans.find("plan_installed")
+        assert installed.attributes["reason"] == "initial"
+        assert obs.metrics.counter("events.plan_installed").value == 1
+
+    def test_explore_sample_is_a_counter_and_an_epoch_attribute(
+        self, setting
+    ):
+        rng, topology, field = setting
+        obs = Instrumentation()
+        engine = make_engine(topology, instrumentation=obs)
+        engine.sampler.rate = 1.0  # every epoch explores
+        outcomes = [engine.step(field.sample(rng)) for __ in range(3)]
+        assert [o.action for o in outcomes] == ["sample"] * 3
+        epochs = obs.spans.find("epoch")
+        assert [e.attributes["rate"] for e in epochs] == [
+            o.notes["rate"] for o in outcomes
+        ]
+        assert obs.metrics.counter("engine.samples.explore").value == 3
+        assert obs.metrics.counter("engine.samples").value == 3
+        assert "engine.samples.feed" not in obs.metrics.counters
+        # no instant: each epoch is its span and the sample's collection
+        assert {span.name for span, __ in obs.spans.walk()} == {
+            "epoch", "collect",
+        }
 
     def test_energy_counters_match_engine_total(self, setting):
         rng, topology, field = setting
@@ -148,9 +231,14 @@ class TestEventSequence:
         for __ in range(6):
             engine.feed_sample(field.sample(rng))
         result = engine.audit(field.sample(rng))
-        event = obs.trace.events("audit_run")[0]
-        assert event.data["estimated_accuracy"] == result.estimated_accuracy
-        assert event.data["audit_energy_mj"] == result.audit_energy_mj
+        (instant,) = obs.spans.find("audit_run")
+        assert instant.duration_s == 0.0
+        assert instant.attributes == {
+            "estimated_accuracy": result.estimated_accuracy,
+            "audit_energy_mj": result.audit_energy_mj,
+            "budget_factor": 1.25,
+        }
+        assert obs.metrics.counter("events.audit_run").value == 1
 
     def test_failure_observations_recorded(self, setting):
         from repro.network.failures import LinkFailureModel
@@ -176,7 +264,19 @@ class TestEventSequence:
             engine.query(field.sample(rng))
         observed = obs.metrics.counter("engine.failures_observed").value
         assert observed > 0
-        assert len(obs.trace.events("failure_observed")) == observed
+        instants = obs.spans.find("failure_observed")
+        assert len(instants) == observed
+        # each lands under the collection's failure-filter update
+        for span, __ in obs.spans.walk():
+            if span.name == "filter.update":
+                assert all(
+                    child.name == "failure_observed" for child in span.children
+                )
+        assert all(
+            failures.failure_probability.get(s.attributes["edge"])
+            is not None
+            for s in instants
+        )
 
 
 class TestDisabledInstrumentation:
@@ -201,12 +301,12 @@ class TestDisabledInstrumentation:
 
     def test_noop_helpers_allocate_nothing(self):
         # the shared singleton IS the disabled fast path: no fresh
-        # objects, no events, no exceptions
-        assert maybe_timer(None, "anything") is NULL_TIMER
-        assert maybe_timer(None, "other") is NULL_TIMER
-        with maybe_timer(None, "x") as timer:
-            assert timer is NULL_TIMER
-        assert record_event(None, "lp_solve", ignored=1) is None
+        # objects, no instants, no exceptions
+        assert maybe_span(None, "anything") is NULL_SPAN
+        assert maybe_span(None, "other", tag=1) is NULL_SPAN
+        with maybe_span(None, "x") as span:
+            assert span is NULL_SPAN
+        assert record_event(None, "audit_run", ignored=1) is None
 
     def test_planner_path_untimed_when_disabled(self, setting):
         rng, topology, field = setting
@@ -233,9 +333,9 @@ class TestDisabledInstrumentation:
 
 
 class TestSweepInstrumentation:
-    """Ladder telemetry from ``solve_batch``: the HiGHS cold ladder
-    records an lp_batch event, one lp_solve per member, and no warm
-    starts."""
+    """Ladder telemetry from ``solve_batch``: the HiGHS cold ladder is
+    one ``batch.solve`` span over one ``solve`` span per member, and
+    records no warm starts and no instant."""
 
     def _sweep(self, backend_cls):
         from repro.lp.fastbuild import compile_lp_lf_parametric
@@ -255,8 +355,22 @@ class TestSweepInstrumentation:
         obs, members = self._sweep(ScipyBackend)
         assert obs.metrics.counter("lp.warm_starts").value == 0
         assert obs.metrics.counter("lp.solves").value == len(members)
-        assert set(obs.trace.kinds()) == {"lp_solve", "lp_batch"}
-        assert obs.trace.events("lp_batch")[0].data["members"] == len(members)
+        ((batch, solves),) = [
+            (root, root.children) for root in obs.spans.roots
+            if root.name == "batch.solve"
+        ]
+        assert batch.attributes == {
+            "model": "prospector-lp-lf",
+            "backend": "scipy-highs",
+            "members": len(members),
+        }
+        assert [s.name for s in solves] == ["solve"] * len(members)
+        assert obs.metrics.counter("lp.batch.members").value == len(members)
+        hist = obs.metrics.histogram("lp.batch.seconds.prospector-lp-lf")
+        assert (hist.count, hist.total) == (1, batch.duration_s)
+        assert not any(
+            name.startswith("events.") for name in obs.metrics.counters
+        )
 
     def test_record_lp_solve_tuple_compat(self):
         """Any object with the five SolveStats fields records cleanly,
@@ -269,14 +383,16 @@ class TestSweepInstrumentation:
             num_constraints = 1
 
         obs = Instrumentation()
-        obs.record_lp_solve("legacy-model", LegacyStats())
-        event = obs.trace.events("lp_solve")[0]
-        assert event.data == {
+        with obs.span("solve", model="legacy-model") as span:
+            pass
+        obs.record_lp_solve(span, "legacy-model", LegacyStats())
+        assert span.attributes == {
             "model": "legacy-model",
-            "backend": "legacy",
             "variables": 2,
             "constraints": 1,
-            "iterations": 3,
-            "wall_seconds": 0.01,
         }
+        assert obs.metrics.counter("lp.solves").value == 1
+        assert obs.metrics.counter("lp.iterations").value == 3
+        hist = obs.metrics.histogram("lp.solve_seconds.legacy-model")
+        assert (hist.count, hist.total) == (1, 0.01)
         assert obs.metrics.counter("lp.warm_starts").value == 0

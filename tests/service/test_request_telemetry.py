@@ -3,8 +3,9 @@
 A warm ``SubmitQuery`` leaves one record per layer: the
 ``service.request`` span with its ``collect`` child (the collection's
 figures as scalar attributes), one request-latency observation, the
-two wire-size observations and counters bound on first use — no event
-and no metric resolved by name.
+two wire-size observations and counters bound on first use — no
+instant span and no metric resolved by name.  A warm ``FeedSample``
+leaves its ``service.request`` span and the bound sample counters.
 """
 
 import numpy as np
@@ -55,20 +56,10 @@ def warm_worker():
     return service, opened.session_id
 
 
-def test_warm_submit_query_adds_one_record_per_layer(warm_worker, monkeypatch):
-    service, session_id = warm_worker
-    obs = service.instrumentation
-    body = _frame(
-        msg.SubmitQuery(session_id=session_id, readings=_readings(99)), 99
-    )
-    spans_before = obs.spans.total_recorded
-    events_before = obs.trace.total_recorded
-    latency = obs.metrics.histograms[REQUEST_LATENCY_METRIC]
-    latency_before = latency.count
-    requests_before = obs.metrics.counters["service.requests"].value
-
+def _resolving_by_name(monkeypatch) -> list:
+    """Record every metric the registry resolves by name from now on."""
     resolved = []
-    for method in ("counter", "gauge", "histogram", "timer"):
+    for method in ("counter", "gauge", "histogram"):
         original = getattr(MetricsRegistry, method)
 
         def by_name(self, name, _original=original):
@@ -76,14 +67,27 @@ def test_warm_submit_query_adds_one_record_per_layer(warm_worker, monkeypatch):
             return _original(self, name)
 
         monkeypatch.setattr(MetricsRegistry, method, by_name)
+    return resolved
 
+
+def test_warm_submit_query_adds_one_record_per_layer(warm_worker, monkeypatch):
+    service, session_id = warm_worker
+    obs = service.instrumentation
+    body = _frame(
+        msg.SubmitQuery(session_id=session_id, readings=_readings(99)), 99
+    )
+    spans_before = obs.spans.total_recorded
+    latency = obs.metrics.histograms[REQUEST_LATENCY_METRIC]
+    latency_before = latency.count
+    requests_before = obs.metrics.counters["service.requests"].value
+
+    resolved = _resolving_by_name(monkeypatch)
     reply = service.handle_frame(body)
     service.record_wire(len(body), len(reply))
     monkeypatch.undo()
 
     assert isinstance(wire.decode_frame(reply[4:])[0], msg.QueryReply)
     assert resolved == []  # every metric was bound on an earlier request
-    assert obs.trace.total_recorded == events_before
     assert obs.spans.total_recorded - spans_before == 2
     assert len(obs.spans) <= obs.spans.capacity
     assert latency.count == latency_before + 1
@@ -102,6 +106,42 @@ def test_warm_submit_query_adds_one_record_per_layer(warm_worker, monkeypatch):
         for value in collect.attributes.values()
     )
     assert collect.attributes["label"] == "collection"
+
+
+def test_warm_feed_sample_adds_its_span_and_a_bound_counter(
+    warm_worker, monkeypatch
+):
+    service, session_id = warm_worker
+    obs = service.instrumentation
+    body = _frame(
+        msg.FeedSample(session_id=session_id, readings=_readings(98)), 98
+    )
+    service.handle_frame(body)  # bind the feed path's records
+    spans_before = obs.spans.total_recorded
+    fed = obs.metrics.counters["engine.samples.feed"]
+    fed_before = fed.value
+    total_before = obs.metrics.counters["engine.samples"].value
+    events_before = {
+        name: counter.value for name, counter in obs.metrics.counters.items()
+        if name.startswith("events.")
+    }
+
+    resolved = _resolving_by_name(monkeypatch)
+    reply = service.handle_frame(body)
+    monkeypatch.undo()
+
+    assert isinstance(wire.decode_frame(reply[4:])[0], msg.SampleAccepted)
+    assert resolved == []
+    assert obs.spans.total_recorded - spans_before == 1
+    root = obs.spans.roots[-1]
+    assert root.name == "service.request"
+    assert root.children == []  # no instant span
+    assert fed.value == fed_before + 1
+    assert obs.metrics.counters["engine.samples"].value == total_before + 1
+    assert {
+        name: counter.value for name, counter in obs.metrics.counters.items()
+        if name.startswith("events.")
+    } == events_before
 
 
 def test_collect_span_agrees_with_the_reply_and_counters(warm_worker):

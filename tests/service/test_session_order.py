@@ -131,8 +131,11 @@ def test_instrumented_expiry_records_its_counter_and_event():
     live = _open(service, topology_id)  # the admission pass expires idle
     assert (idle.state, live.state) == ("expired", "open")
     assert obs.metrics.counter("service.sessions_expired").value == 1
-    (event,) = obs.trace.events("session_expired")
-    assert event.data == {"session_id": idle.session_id, "idle_s": TTL + 1.0}
+    (instant,) = obs.spans.find("session_expired")
+    assert instant.duration_s == 0.0
+    assert instant.attributes == {
+        "session_id": idle.session_id, "idle_s": TTL + 1.0,
+    }
 
 
 def _expired(sessions):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ServiceError
+from repro.obs import Instrumentation
 from repro.network.builder import random_topology
 from repro.service import messages as msg
 from repro.service.client import InProcessClient
@@ -240,3 +241,18 @@ def test_shutdown_is_idempotent_and_reaps_workers():
     assert not deployment.endpoints
     assert all(not p.is_alive() for p in processes)
     deployment.shutdown()  # no-op
+
+
+def test_lifecycle_is_one_instant_span_per_phase():
+    obs = Instrumentation()
+    deployment = ShardedService(1, ServiceConfig(), instrumentation=obs)
+    deployment.start()
+    ports = [port for __, port in deployment.endpoints]
+    deployment.shutdown()
+    instants = obs.spans.find("shard_lifecycle")
+    assert [span.attributes for span in instants] == [
+        {"phase": "spawned", "workers": 1, "ports": ports},
+        {"phase": "stopped", "workers": 0},
+    ]
+    assert all(span.duration_s == 0.0 for span in instants)
+    assert obs.metrics.counter("events.shard_lifecycle").value == 2

@@ -395,7 +395,8 @@ def test_obs_counters_and_collect_span(workload):
     )
     assert obs.metrics.histogram("sim.batch.size").count == 1
     assert obs.metrics.histogram("sim.batch.seconds.eval").count == 1
-    assert len(obs.trace) == 0  # the span is the record; no event
+    # the span is the record; no instant beside it
+    assert [s.name for s, __ in obs.spans.walk()] == ["collect"]
     (span,) = obs.spans.find("collect")
     assert span.attributes == {
         "label": "eval",
