@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import hashlib
 import pickle
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, is_dataclass, fields as dataclass_fields
 
 import numpy as np
 
 from repro.obs import Instrumentation
+from repro.obs.spans import maybe_span
 
 
 def _fingerprint(value, digest) -> None:
@@ -123,8 +123,9 @@ class ExperimentRunner:
         :meth:`map` when the call does not pass its own.
     instrumentation:
         Optional observability sink; records ``runner.*`` counters and
-        per-trial timings (inline trials only — instrumentation cannot
-        cross process boundaries).
+        one ``runner.trial`` span per executed trial, whose duration
+        feeds ``runner.trial_seconds`` (the trials themselves run
+        without it: instrumentation cannot cross process boundaries).
     """
 
     def __init__(
@@ -176,7 +177,7 @@ class ExperimentRunner:
             if key in self._cache:
                 results[index] = self._cache[key]
                 if self.instrumentation is not None:
-                    self.instrumentation.record_runner_trial(cached=True)
+                    self.instrumentation.record_runner_trial()
             else:
                 misses.append(index)
 
@@ -189,25 +190,27 @@ class ExperimentRunner:
                         for i in misses
                     ]
                     for index, future in zip(misses, futures):
-                        started = time.perf_counter()
-                        results[index] = future.result()
-                        self._record_miss(time.perf_counter() - started)
+                        with maybe_span(
+                            self.instrumentation, "runner.trial"
+                        ) as span:
+                            results[index] = future.result()
+                        self._record_miss(span)
             else:
                 for index in misses:
-                    started = time.perf_counter()
-                    results[index] = _call_trial(
-                        fn, params_seq[index], seeds[index]
-                    )
-                    self._record_miss(time.perf_counter() - started)
+                    with maybe_span(
+                        self.instrumentation, "runner.trial"
+                    ) as span:
+                        results[index] = _call_trial(
+                            fn, params_seq[index], seeds[index]
+                        )
+                    self._record_miss(span)
             for index in misses:
                 self._cache[keys[index]] = results[index]
         return results
 
-    def _record_miss(self, seconds: float) -> None:
+    def _record_miss(self, span) -> None:
         if self.instrumentation is not None:
-            self.instrumentation.record_runner_trial(
-                cached=False, seconds=seconds
-            )
+            self.instrumentation.record_runner_trial(span)
 
 
 def run_trials(fn, param_list, *, seed=0, processes: int | None = None) -> list:

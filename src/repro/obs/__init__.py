@@ -3,12 +3,12 @@
 The library's cross-cutting layers (LP backends, planners, simulator,
 query engine) all accept one optional :class:`Instrumentation` object.
 When present, every LP solve records variables/constraints/iterations/
-wall-time, every collection is one ``collect`` span (its messages/
-values/retries/mJ) plus bound counters of messages/bytes/mJ per edge
-depth, every engine epoch records its explore/exploit/replan decision
-path, and the whole pipeline builds a hierarchical span tree (plan →
-compile → solve → round; epoch → collect → replan); when absent (the
-default), the hot paths do no observability work at all.
+wall-time, every collection its messages/values/retries/mJ (attributes
+of the request or epoch span it runs in, else of its own ``collect``
+span) plus bound per-edge-depth counters, every engine epoch its
+explore/exploit/replan decision path, and the pipeline builds a span
+tree (plan → compile → solve → round; epoch → replan.decide); when
+absent (the default), the hot paths do no observability work at all.
 
 Quick tour::
 

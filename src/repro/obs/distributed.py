@@ -157,16 +157,12 @@ class SlowRequestLog:
             return
         duration = span.duration_s
         with self._lock:
-            if len(self._heap) < self.capacity:
-                self._seq += 1
-                heapq.heappush(
-                    self._heap, (duration, self._seq, span.to_dict())
-                )
-            elif duration > self._heap[0][0]:
-                self._seq += 1
-                heapq.heapreplace(
-                    self._heap, (duration, self._seq, span.to_dict())
-                )
+            full = len(self._heap) >= self.capacity
+            if full and duration <= self._heap[0][0]:
+                return
+            self._seq += 1
+            entry = (duration, self._seq, span.to_dict())
+            (heapq.heapreplace if full else heapq.heappush)(self._heap, entry)
 
     def __len__(self) -> int:
         with self._lock:

@@ -118,45 +118,38 @@ class EnergyLedger:
             if (self._spent >= self.capacity_mj).any():
                 self._lifetime_epoch = self._epochs - 1
 
-    # -- charging (batch path) ------------------------------------------
-    def charge_epochs(
-        self,
-        energy_mj: np.ndarray,
-        messages: np.ndarray | None = None,
-        nbytes: np.ndarray | None = None,
-    ) -> None:
-        """Attribute a whole ``(E, n)`` block of per-epoch, per-node
-        energies at once, recording each epoch boundary.
+    # -- charging (precomputed epochs) ---------------------------------
+    def charge_epoch(self, energy_mj, messages, nbytes) -> None:
+        """Attribute one epoch's ``(n,)`` per-node energies, messages
+        and bytes, then close it: a served query's collection, whose
+        charges its plan fixes before any reading arrives."""
+        self.messages += messages
+        self.bytes += nbytes
+        self.energy_mj += energy_mj
+        self.end_epoch()
 
-        ``messages``/``nbytes`` may be ``(E, n)`` or ``(n,)`` (the
-        value-independent per-epoch counts, applied to every epoch).
-        """
+    def charge_epochs(self, energy_mj, messages=0, nbytes=0) -> None:
+        """:meth:`charge_epoch` for each row of an ``(E, n)`` block of
+        per-node energies, in row order.  ``messages``/``nbytes`` are
+        ``(E, n)``, or ``(n,)`` counts applied to every epoch."""
         energy_mj = np.asarray(energy_mj, dtype=np.float64)
         if energy_mj.ndim != 2 or energy_mj.shape[1] != self.num_nodes:
             raise ObservabilityError(
                 f"charge_epochs wants (E, {self.num_nodes}) energies,"
                 f" got {energy_mj.shape}"
             )
-        num_epochs = energy_mj.shape[0]
-        for name, counts, target in (
-            ("messages", messages, self.messages),
-            ("nbytes", nbytes, self.bytes),
-        ):
-            if counts is None:
-                continue
-            counts = np.asarray(counts)
-            if counts.ndim == 1:
-                target += counts.astype(np.int64) * num_epochs
-            elif counts.shape == energy_mj.shape:
-                target += counts.sum(axis=0).astype(np.int64)
-            else:
+        counts = []
+        for name, block in (("messages", messages), ("nbytes", nbytes)):
+            block = np.asarray(block, dtype=np.int64)
+            try:
+                counts.append(np.broadcast_to(block, energy_mj.shape))
+            except ValueError:
                 raise ObservabilityError(
-                    f"charge_epochs {name} shape {counts.shape} matches"
-                    f" neither ({self.num_nodes},) nor {energy_mj.shape}"
-                )
-        for epoch in range(num_epochs):
-            self.energy_mj += energy_mj[epoch]
-            self.end_epoch()
+                    f"charge_epochs {name} shape {block.shape} does not"
+                    f" broadcast to {energy_mj.shape}"
+                ) from None
+        for row, sent, sized in zip(energy_mj, *counts):
+            self.charge_epoch(row, sent, sized)
 
     # -- derived views ---------------------------------------------------
     @property

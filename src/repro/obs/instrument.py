@@ -59,8 +59,6 @@ EVENT_KINDS = (
 """The occurrences recorded as instant spans; :meth:`Instrumentation.event`
 rejects any other kind."""
 
-_KIND_SET = frozenset(EVENT_KINDS)
-
 
 class Instrumentation:
     """Metrics registry and span tracer with domain helpers.
@@ -124,7 +122,7 @@ class Instrumentation:
         """Record one occurrence of ``kind`` (one of :data:`EVENT_KINDS`)
         as an instant span under the current span, with ``data`` as its
         attributes, and bump its ``events.<kind>`` counter."""
-        if kind not in _KIND_SET:
+        if kind not in EVENT_KINDS:
             raise ObservabilityError(
                 f"unknown event kind {kind!r}; expected one of {EVENT_KINDS}"
             )
@@ -133,8 +131,9 @@ class Instrumentation:
 
     # -- domain helpers (one per cross-cutting record shape) -----------
     def record_lp_solve(self, span, model_name: str, stats) -> None:
-        """One LP solve: its size as attributes of its ``solve`` span,
-        plus the solve counters and per-formulation latency histogram.
+        """One LP solve, recorded after its ``solve`` span exits: its
+        size as the span's attributes, plus the solve counters and the
+        span's duration into ``lp.solve_seconds.<model>``.
 
         ``stats`` is a :class:`~repro.lp.result.SolveStats` (duck-typed
         so :mod:`repro.obs` stays dependency-free).
@@ -146,7 +145,7 @@ class Instrumentation:
         self.metrics.counter("lp.solves").inc()
         self.metrics.counter("lp.iterations").inc(stats.iterations)
         self.metrics.histogram(f"lp.solve_seconds.{model_name}").observe(
-            stats.wall_seconds
+            span.duration_s
         )
         self.metrics.histogram("lp.variables").observe(stats.num_variables)
         self.metrics.histogram("lp.constraints").observe(stats.num_constraints)
@@ -181,40 +180,55 @@ class Instrumentation:
             span.duration_s
         )
 
+    def bind_depths(self, by_depth: dict) -> tuple:
+        """The ``sim.*.depth<d>`` ``(counter, amount)`` adds of a
+        per-edge-depth ``messages``/``bytes``/``energy_mj`` breakdown,
+        resolved once so :meth:`record_collection` only adds."""
+        return tuple(
+            add for depth, detail in by_depth.items() for add in zip(
+                self._metrics(_DEPTH, depth),
+                (detail["messages"], detail["bytes"], detail["energy_mj"]),
+            )
+        )
+
     def record_collection(
         self, span, label: str, *, messages: int, values: int,
-        retries: int, energy_mj: float, by_depth: dict | None = None,
+        retries: int, energy_mj: float, depth_adds: tuple = (),
     ) -> None:
         """One simulated collection phase: its figures as attributes of
-        its ``collect`` span (the phase's record), plus the ``sim.*``
-        counters with per-edge-depth detail."""
-        span.annotate(
-            messages=messages, values=values, retries=retries,
-            energy_mj=energy_mj,
-        )
+        ``span`` (its ``collect`` span, or the span it ran under, where
+        the figures of several collections add up), plus the ``sim.*``
+        counters and the :meth:`bind_depths` per-depth adds."""
         for counter, amount in zip(
             self._metrics(_COLLECTION, label),
             (1, 1, messages, values, retries, energy_mj),
         ):
             counter.value += amount
-        for depth, detail in (by_depth or {}).items():
-            sent, nbytes, energy = self._metrics(_DEPTH, depth)
-            sent.value += detail["messages"]
-            nbytes.value += detail["bytes"]
-            energy.value += detail["energy_mj"]
+        for counter, amount in depth_adds:
+            counter.value += amount
+        record = span.attributes
+        if "messages" in record:  # an earlier collection under this span
+            messages += record["messages"]
+            values += record["values"]
+            retries += record["retries"]
+            energy_mj += record["energy_mj"]
+        span.annotate(
+            label=label, messages=messages, values=values, retries=retries,
+            energy_mj=energy_mj,
+        )
 
     def record_batch_collection(
         self, span, label: str, *, epochs: int, messages: int,
-        values: int, retries: int, energy_mj: float, seconds: float,
+        values: int, retries: int, energy_mj: float,
     ) -> None:
         """One batched collection phase: an entire trace evaluated in a
         single vectorized tree recursion.
 
         ``messages``/``values``/``retries``/``energy_mj`` are totals
-        over the whole batch, annotated on its ``collect`` span and
-        added to the ``sim.batch.*`` counters; the batch-size histogram
-        plus the per-label seconds histogram are what the speedup
-        benchmarks read back.
+        over the whole batch, annotated on its finished ``collect`` span
+        and added to the ``sim.batch.*`` counters; the batch-size
+        histogram plus the span's duration per label are what the
+        speedup benchmarks read back.
         """
         span.annotate(
             epochs=epochs, messages=messages, values=values,
@@ -227,7 +241,7 @@ class Instrumentation:
             counter.value += amount
         size, timer = self._metrics(_BATCH_HISTOGRAMS, label, "histogram")
         size.observe(epochs)
-        timer.observe(seconds)
+        timer.observe(span.duration_s)
 
     def record_energy(self, category: str, energy_mj: float) -> None:
         """Engine energy spent on ``category`` (``engine.energy_mj``
@@ -260,15 +274,15 @@ class Instrumentation:
         request.observe(request_bytes)
         reply.observe(reply_bytes)
 
-    def record_runner_trial(self, *, cached: bool, seconds: float = 0.0) -> None:
-        """One experiment-runner trial: either served from the
-        content-keyed result cache or actually executed."""
+    def record_runner_trial(self, span=None) -> None:
+        """One experiment-runner trial: a result-cache hit (no ``span``),
+        or a run timed by its finished ``runner.trial`` span."""
         self.metrics.counter("runner.trials").inc()
-        if cached:
+        if span is None:
             self.metrics.counter("runner.cache.hits").inc()
-        else:
-            self.metrics.counter("runner.cache.misses").inc()
-            self.metrics.histogram("runner.trial_seconds").observe(seconds)
+            return
+        self.metrics.counter("runner.cache.misses").inc()
+        self.metrics.histogram("runner.trial_seconds").observe(span.duration_s)
 
     # -- serialization ---------------------------------------------------
     def to_dict(self) -> dict:

@@ -259,11 +259,7 @@ class SpanTracer:
     def _exit(self, span: Span) -> None:
         span.end_s = self.clock()
         stack = self._open.stack
-        if stack and stack[-1] is span:
-            stack.pop()
-        elif span in stack:
-            # tolerate out-of-order exits (generators, manual use): pop
-            # through to the span
+        if span in stack:  # out of order (generators, manual use) too
             while stack.pop() is not span:
                 pass
 

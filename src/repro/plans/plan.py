@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping
 
+import numpy as np
+
 from repro.errors import PlanError
 from repro.network.energy import EnergyModel
 from repro.network.failures import LinkFailureModel
@@ -32,9 +34,25 @@ def tag_readings(values: Iterable[float]) -> list[Reading]:
 
 
 def top_k_set(values: Iterable[float], k: int) -> set[int]:
-    """Node ids of the k largest readings (ties broken by node id)."""
-    tagged = sorted(tag_readings(values), reverse=True)
-    return {node for __, node in tagged[:k]}
+    """Node ids of the k largest readings (ties broken by node id).
+
+    The set the ``(value, node)`` order gives — among equal values the
+    higher node id wins — found by selection: ``np.partition`` yields
+    the k-th largest value, every reading above it is in, and the
+    highest ids among the readings equal to it fill the rest.  ``k``
+    past the vector's length takes every node; ``k < 1`` none.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    n = values.size
+    if k >= n:
+        return set(range(n))
+    if k < 1:
+        return set()
+    threshold = np.partition(values, n - k)[n - k]
+    chosen = set((values > threshold).nonzero()[0].tolist())
+    ties = (values == threshold).nonzero()[0]
+    chosen.update(ties[len(chosen) - k:].tolist())
+    return chosen
 
 
 @dataclass(frozen=True)

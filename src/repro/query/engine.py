@@ -343,9 +343,6 @@ class TopKEngine:
             for edge, failed in report.edge_outcomes:
                 self.failures.record_failure(edge, failed)
                 if failed and self.instrumentation is not None:
-                    self.instrumentation.counter(
-                        "engine.failures_observed"
-                    ).inc()
                     self.instrumentation.event(
                         "failure_observed",
                         edge=edge,

@@ -227,7 +227,6 @@ class TopKService:
                 return
             del self._open[session.session_id]
             if self.instrumentation is not None:
-                self.instrumentation.counter("service.sessions_expired").inc()
                 self.instrumentation.event(
                     "session_expired",
                     session_id=session.session_id,

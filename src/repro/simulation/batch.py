@@ -25,7 +25,6 @@ NAIVE-1, a ``priority`` forwarding order) run only on ``Simulator``.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -258,7 +257,6 @@ class BatchSimulator:
         collect: Callable[[], BatchCollectionResult],
         extra_energy: float,
         label: str,
-        started: float,
         totals: tuple[float, int] | None = None,
     ) -> BatchSimulationReport:
         """Run ``collect`` (the batch walk), charge and report it; the
@@ -297,7 +295,6 @@ class BatchSimulator:
                 values=values * num_epochs,
                 retries=int(retries.sum()),
                 energy_mj=float(energy.sum()),
-                seconds=time.perf_counter() - started,
             )
         return report
 
@@ -313,7 +310,6 @@ class BatchSimulator:
         label: str = "collection",
     ) -> BatchSimulationReport:
         """Replay an installed plan over every epoch of a trace."""
-        started = time.perf_counter()
         values = self._as_matrix(readings_matrix)
         pricing = CollectionPricing.of(plan, self.energy)
         extra = pricing.trigger_mj if include_trigger else 0.0
@@ -322,7 +318,6 @@ class BatchSimulator:
             lambda: execute_plan_batch(plan, values),
             extra,
             label,
-            started,
             (pricing.energy_mj, pricing.values),
         )
 
@@ -339,7 +334,6 @@ class BatchSimulator:
         """
         if k < 1:
             raise PlanError("k must be >= 1")
-        started = time.perf_counter()
         topology = self.topology
         values = validate_readings_matrix(
             topology, self._as_matrix(readings_matrix)
@@ -362,7 +356,7 @@ class BatchSimulator:
 
         extra = trigger_cost(QueryPlan.full(topology), self.energy)
         extra += self._acquisition(topology.n)
-        return self._report(collect, extra, "naive-k", started)
+        return self._report(collect, extra, "naive-k")
 
     def run_plan_sweep(
         self, plans: list[QueryPlan], include_trigger: bool = True

@@ -10,8 +10,10 @@ the edge, costing the message again plus the model's re-route penalty
 An installed plan's message log is value-independent, so its pricing
 is too: :class:`CollectionPricing` holds it once per plan schedule and
 energy model, and a reliable collection charges it as one precomputed
-vector.  Only a failure model, whose retries are drawn per message,
-still prices a collection message by message.
+ledger epoch (:meth:`~repro.obs.EnergyLedger.charge_epoch`) and one
+set of bound per-depth counter adds.  Only a failure model, whose
+retries are drawn per message, still prices a collection message by
+message.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from repro.network.energy import EnergyModel
 from repro.network.failures import LinkFailureModel
 from repro.network.topology import Topology
 from repro.obs import EnergyLedger, Instrumentation
-from repro.obs.spans import maybe_span
+from repro.obs.spans import NULL_SPAN, maybe_span
 from repro.plans.execution import CollectionResult, execute_plan
 from repro.plans.naive import naive_k_collect, naive_one_collect
 from repro.plans.plan import Message, QueryPlan, Reading
@@ -50,18 +52,30 @@ class CollectionPricing:
     values: int
     """Values sent per phase."""
     node_energy: np.ndarray
-    """``(1, n)`` radio energy per sending node (one ledger epoch)."""
+    """``(n,)`` radio energy per sending node (one ledger epoch)."""
     node_messages: np.ndarray
     """``(n,)`` messages per sending node."""
     node_bytes: np.ndarray
     """``(n,)`` payload bytes per sending node."""
     by_depth: dict
     """Per-edge-depth ``messages``/``bytes``/``energy_mj``, as
-    :meth:`~repro.obs.Instrumentation.record_collection` takes it."""
+    :meth:`~repro.obs.Instrumentation.bind_depths` takes it."""
     trigger_mj: float
     """:func:`~repro.simulation.distribution.trigger_cost` of the plan."""
     acquisition_mj: float
     """Measurement energy of the plan's visited nodes (§4.4)."""
+    depth_adds: dict = field(default_factory=dict, compare=False, repr=False)
+    """The ``by_depth`` counter adds, bound once per
+    :class:`~repro.obs.Instrumentation` (see :meth:`bound_depths`)."""
+
+    def bound_depths(self, instrumentation: Instrumentation) -> tuple:
+        """``instrumentation.bind_depths(self.by_depth)``, bound once."""
+        adds = self.depth_adds.get(instrumentation)
+        if adds is None:
+            adds = self.depth_adds[instrumentation] = (
+                instrumentation.bind_depths(self.by_depth)
+            )
+        return adds
 
     @classmethod
     def of(cls, plan: QueryPlan, energy: EnergyModel) -> "CollectionPricing":
@@ -73,7 +87,7 @@ class CollectionPricing:
         topology = plan.topology
         total = 0.0
         values = 0
-        node_energy = np.zeros((1, topology.n), dtype=np.float64)
+        node_energy = np.zeros(topology.n, dtype=np.float64)
         node_messages = np.zeros(topology.n, dtype=np.int64)
         node_bytes = np.zeros(topology.n, dtype=np.int64)
         by_depth: dict[int, dict] = {}
@@ -82,7 +96,7 @@ class CollectionPricing:
             total += cost
             values += message.num_values
             nbytes = message.num_values * energy.value_bytes + message.extra_bytes
-            node_energy[0, message.edge] += cost
+            node_energy[message.edge] += cost
             node_messages[message.edge] += 1
             node_bytes[message.edge] += nbytes
             bucket = by_depth.setdefault(
@@ -144,10 +158,12 @@ class Simulator:
         Randomness source for failure draws (ignored without failures).
     instrumentation:
         Optional :class:`~repro.obs.Instrumentation`; when set, every
-        collection phase records one ``collect`` span whose attributes
-        carry its ``label``, ``messages``, ``values``, ``retries`` and
-        ``energy_mj``, plus the ``sim.*`` counters, with messages/bytes/
-        mJ broken down by edge depth.
+        collection phase records its ``label``, ``messages``,
+        ``values``, ``retries`` and ``energy_mj`` as span attributes,
+        plus the ``sim.*`` counters, with messages/bytes/mJ broken down
+        by edge depth.  A :meth:`run_collection` under an open span (a
+        served request, an engine epoch) annotates that span; any other
+        collection is its own ``collect`` span.
     ledger:
         Optional :class:`~repro.obs.EnergyLedger`; when set, every
         message's radio cost (including failure retries) is attributed
@@ -247,41 +263,58 @@ class Simulator:
     ) -> SimulationReport:
         """Run ``collect`` — the walk over the tree, returning its result
         and the trigger/acquisition energy on top of its messages —
-        then charge and report it; the ``collect`` span times both.
+        then charge and report it.
+
         With ``pricing`` and no failure model, the message log is
-        charged from the precomputed pricing (one ledger vector add);
-        otherwise message by message, so failure draws keep their
-        order."""
+        charged from the precomputed pricing: one
+        :meth:`~repro.obs.EnergyLedger.charge_epoch` closes the ledger
+        epoch, and the per-depth counter adds are bound once per
+        pricing.  Otherwise it is charged message by message, so
+        failure draws keep their order.
+
+        A collection with ``pricing`` that runs while a span is open (a
+        served request, an engine epoch) records its figures as
+        attributes of that span; any other collection is its own
+        ``collect`` span, which times the walk and the charge.
+        """
         obs = self.instrumentation
-        with maybe_span(obs, "collect", label=label) as span:
+        span = None if obs is None or pricing is None else obs.spans.current
+        own = (
+            maybe_span(obs, "collect", label=label)
+            if span is None else NULL_SPAN
+        )
+        with own:
             result, extra_energy = collect()
             if pricing is not None and self.failures is None:
                 energy, values, retries = pricing.energy_mj, pricing.values, 0
                 outcomes: list[tuple[int, bool]] = []
-                by_depth = pricing.by_depth
-                if self.ledger is not None:  # closes the ledger epoch
-                    self.ledger.charge_epochs(
+                if self.ledger is not None:
+                    self.ledger.charge_epoch(
                         pricing.node_energy,
-                        messages=pricing.node_messages,
-                        nbytes=pricing.node_bytes,
+                        pricing.node_messages,
+                        pricing.node_bytes,
                     )
+                if obs is not None:
+                    depth_adds = pricing.bound_depths(obs)
             else:
                 energy, values, retries, outcomes, by_depth = self._charge(
                     result.messages
                 )
                 if self.ledger is not None:
                     self.ledger.end_epoch()
+                if obs is not None:
+                    depth_adds = obs.bind_depths(by_depth)
             energy += extra_energy
             messages = len(result.messages)
         if obs is not None:
             obs.record_collection(
-                span,
+                own if span is None else span,
                 label,
                 messages=messages,
                 values=values,
                 retries=retries,
                 energy_mj=energy,
-                by_depth=by_depth,
+                depth_adds=depth_adds,
             )
         return SimulationReport(
             returned=result.returned,

@@ -1,7 +1,11 @@
 """Tests for per-node energy telemetry (repro.obs.energy)."""
 
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ObservabilityError
 from repro.obs import EnergyLedger, Instrumentation
@@ -63,6 +67,48 @@ class TestCharging:
         # (n,)-shaped counts apply to every epoch; (E, n) blocks sum
         np.testing.assert_array_equal(ledger.messages, [4, 2])
         np.testing.assert_array_equal(ledger.bytes, [10, 4])
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_charge_epoch_is_a_one_row_block_bitwise(self, data):
+        """One-vector epochs equal ``(1, n)`` blocks and the per-message
+        path, bit for bit: totals, window, pre-window spend, latch."""
+        n = data.draw(st.integers(1, 6))
+        energies = st.floats(0.0, 50.0, allow_subnormal=False)
+        counts = st.lists(st.integers(0, 9), min_size=n, max_size=n)
+        epochs = data.draw(st.lists(
+            st.tuples(
+                st.lists(energies, min_size=n, max_size=n), counts, counts
+            ),
+            min_size=1, max_size=12,
+        ))
+        capacity = data.draw(st.none() | st.floats(1.0, 200.0))
+        window = data.draw(st.integers(1, 4))
+        one, block, scalar = (
+            EnergyLedger(n, capacity_mj=capacity) for __ in range(3)
+        )
+        for ledger in (one, block, scalar):  # fold evictions early
+            ledger.epoch_energy = deque(maxlen=window)
+        for energy, messages, nbytes in epochs:
+            row = np.array(energy)
+            one.charge_epoch(row, np.array(messages), np.array(nbytes))
+            block.charge_epochs(
+                row[None, :], messages=np.array(messages),
+                nbytes=np.array(nbytes),
+            )
+            for node in range(n):
+                scalar.charge(node, energy[node], messages[node], nbytes[node])
+            scalar.end_epoch()
+
+        def state(ledger):
+            return (
+                ledger.energy_mj.tobytes(), ledger.messages.tobytes(),
+                ledger.bytes.tobytes(), ledger._before_window.tobytes(),
+                [row.tobytes() for row in ledger.epoch_energy],
+                ledger.num_epochs, ledger._lifetime_epoch,
+            )
+
+        assert state(one) == state(block) == state(scalar)
 
     def test_charge_epochs_rejects_bad_shapes(self):
         ledger = EnergyLedger(2)

@@ -202,10 +202,12 @@ class TestEventSequence:
         assert obs.metrics.counter("engine.samples.explore").value == 3
         assert obs.metrics.counter("engine.samples").value == 3
         assert "engine.samples.feed" not in obs.metrics.counters
-        # no instant: each epoch is its span and the sample's collection
-        assert {span.name for span, __ in obs.spans.walk()} == {
-            "epoch", "collect",
-        }
+        # no instant and no child: each epoch span carries its sample's
+        # collection as attributes
+        assert {span.name for span, __ in obs.spans.walk()} == {"epoch"}
+        assert [
+            (e.attributes["label"], e.attributes["energy_mj"]) for e in epochs
+        ] == [("full-sample", o.energy_mj) for o in outcomes]
 
     def test_energy_counters_match_engine_total(self, setting):
         rng, topology, field = setting
@@ -262,8 +264,10 @@ class TestEventSequence:
             engine.feed_sample(field.sample(rng))
         for __ in range(10):
             engine.query(field.sample(rng))
-        observed = obs.metrics.counter("engine.failures_observed").value
+        # one occurrence, one counter: the event's own
+        observed = obs.metrics.counters["events.failure_observed"].value
         assert observed > 0
+        assert "engine.failures_observed" not in obs.metrics.counters
         instants = obs.spans.find("failure_observed")
         assert len(instants) == observed
         # each lands under the collection's failure-filter update
@@ -393,6 +397,8 @@ class TestSweepInstrumentation:
         }
         assert obs.metrics.counter("lp.solves").value == 1
         assert obs.metrics.counter("lp.iterations").value == 3
+        # the histogram is the span's own duration, not the solver's
+        # wall_seconds: one clock
         hist = obs.metrics.histogram("lp.solve_seconds.legacy-model")
-        assert (hist.count, hist.total) == (1, 0.01)
+        assert (hist.count, hist.total) == (1, span.duration_s)
         assert obs.metrics.counter("lp.warm_starts").value == 0

@@ -1,11 +1,28 @@
 """Unit tests for the QueryPlan representation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import PlanError
 from repro.network.energy import EnergyModel
 from repro.network.failures import LinkFailureModel
 from repro.plans.plan import Message, QueryPlan, tag_readings, top_k_set
+
+
+def sorted_top_k_set(values, k: int) -> set[int]:
+    """The sort oracle: the first ``k`` of every ``(value, node)`` tuple
+    sorted descending (the higher node id wins a tie)."""
+    tagged = sorted(tag_readings(values), reverse=True)
+    return {node for __, node in tagged[:k]}
+
+
+# heavy integer ties, signed zeros and arbitrary finite floats
+_READING = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.sampled_from([0.0, -0.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
 
 
 class TestHelpers:
@@ -19,6 +36,15 @@ class TestHelpers:
         # equal values: the higher node id ranks first
         assert top_k_set([4.0, 4.0, 4.0], 1) == {2}
         assert top_k_set([4.0, 4.0, 4.0], 2) == {1, 2}
+        # a signed zero ties with zero
+        assert top_k_set([0.0, -0.0, -1.0], 1) == {1}
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_selection_matches_the_sort_oracle(self, data):
+        values = data.draw(st.lists(_READING, min_size=1, max_size=40))
+        k = data.draw(st.integers(1, len(values) + 1))
+        assert top_k_set(values, k) == sorted_top_k_set(values, k)
 
 
 class TestQueryPlanConstruction:

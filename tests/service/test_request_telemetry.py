@@ -1,10 +1,10 @@
 """The per-request telemetry budget of an instrumented service worker.
 
 A warm ``SubmitQuery`` leaves one record per layer: the
-``service.request`` span with its ``collect`` child (the collection's
-figures as scalar attributes), one request-latency observation, the
-two wire-size observations and counters bound on first use — no
-instant span and no metric resolved by name.  A warm ``FeedSample``
+``service.request`` span, which carries the collection's figures as
+scalar attributes (no ``collect`` child), one request-latency
+observation, the two wire-size observations and counters bound on
+first use — no instant span and no metric resolved by name.  A warm ``FeedSample``
 leaves its ``service.request`` span and the bound sample counters.
 """
 
@@ -44,7 +44,7 @@ def warm_worker():
                 session_id=opened.session_id, readings=_readings(seed)
             )
         )
-    for cid in range(8):  # install the plan, bind the records, fill the ring
+    for cid in range(16):  # install the plan, bind the records, fill the ring
         body = _frame(
             msg.SubmitQuery(
                 session_id=opened.session_id, readings=_readings(cid)
@@ -88,7 +88,7 @@ def test_warm_submit_query_adds_one_record_per_layer(warm_worker, monkeypatch):
 
     assert isinstance(wire.decode_frame(reply[4:])[0], msg.QueryReply)
     assert resolved == []  # every metric was bound on an earlier request
-    assert obs.spans.total_recorded - spans_before == 2
+    assert obs.spans.total_recorded - spans_before == 1
     assert len(obs.spans) <= obs.spans.capacity
     assert latency.count == latency_before + 1
     requests = obs.metrics.counters["service.requests"].value
@@ -96,16 +96,18 @@ def test_warm_submit_query_adds_one_record_per_layer(warm_worker, monkeypatch):
 
     root = obs.spans.roots[-1]
     assert root.name == "service.request"
-    (collect,) = root.children
-    assert collect.name == "collect"
-    assert list(collect.attributes) == [
+    assert root.children == []  # the collection is attributes, not a span
+    assert list(root.attributes) == [
+        "kind", "session",
         "label", "messages", "values", "retries", "energy_mj",
     ]
     assert all(
         isinstance(value, (str, int, float))
-        for value in collect.attributes.values()
+        for value in root.attributes.values()
     )
-    assert collect.attributes["label"] == "collection"
+    assert root.attributes["label"] == "collection"
+    reply = wire.decode_frame(reply[4:])[0]
+    assert root.attributes["energy_mj"] == reply.energy_mj
 
 
 def test_warm_feed_sample_adds_its_span_and_a_bound_counter(
@@ -152,11 +154,36 @@ def test_collect_span_agrees_with_the_reply_and_counters(warm_worker):
     reply = service.handle(
         msg.SubmitQuery(session_id=session_id, readings=_readings(42))
     )
-    collect = obs.spans.roots[-1].children[0]
-    assert collect.attributes["energy_mj"] == reply.energy_mj
+    request = obs.spans.roots[-1]
+    assert request.name == "service.request"
+    assert request.attributes["energy_mj"] == reply.energy_mj
     assert obs.metrics.counters["sim.energy_mj"].value == pytest.approx(
         energy_before + reply.energy_mj
     )
     assert obs.metrics.counters["sim.messages"].value == (
-        messages_before + collect.attributes["messages"]
+        messages_before + request.attributes["messages"]
+    )
+
+
+def test_batch_request_span_sums_its_collections(warm_worker):
+    """A session's ledger makes ``SubmitBatch`` run one collection per
+    row under its one request span, whose figures are their sums."""
+    service, session_id = warm_worker
+    obs = service.instrumentation
+    messages_before = obs.metrics.counters["sim.messages"].value
+    collections_before = obs.metrics.counters["sim.collections"].value
+    rows = tuple(_readings(seed) for seed in (50, 51, 52))
+    reply = service.handle(
+        msg.SubmitBatch(session_id=session_id, readings=rows)
+    )
+    request = obs.spans.roots[-1]
+    assert (request.name, request.children) == ("service.request", [])
+    assert obs.metrics.counters["sim.collections"].value == (
+        collections_before + len(rows)
+    )
+    assert request.attributes["messages"] == (
+        obs.metrics.counters["sim.messages"].value - messages_before
+    )
+    assert request.attributes["energy_mj"] == pytest.approx(
+        sum(reply.energies)
     )

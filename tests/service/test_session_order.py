@@ -130,7 +130,9 @@ def test_instrumented_expiry_records_its_counter_and_event():
     clock.now = TTL + 1.0
     live = _open(service, topology_id)  # the admission pass expires idle
     assert (idle.state, live.state) == ("expired", "open")
-    assert obs.metrics.counter("service.sessions_expired").value == 1
+    # one occurrence, one counter: the event's own
+    assert obs.metrics.counters["events.session_expired"].value == 1
+    assert "service.sessions_expired" not in obs.metrics.counters
     (instant,) = obs.spans.find("session_expired")
     assert instant.duration_s == 0.0
     assert instant.attributes == {

@@ -17,7 +17,6 @@ must reproduce.
 
 from __future__ import annotations
 
-import time
 
 from repro.errors import PlanError
 from repro.network.topology import validate_readings
@@ -136,7 +135,7 @@ def oracle_run_collection(
             values=values,
             retries=retries,
             energy_mj=energy + extra,
-            by_depth=by_depth,
+            depth_adds=obs.bind_depths(by_depth),
         )
     return SimulationReport(
         returned=result.returned,
@@ -154,7 +153,6 @@ def naive_k_by_recursion(simulator, trace, k: int):
     :class:`~repro.simulation.batch.BatchSimulator`: the tree recursion
     over ``QueryPlan.naive_k``, trimmed to the top ``k`` and accounted
     like any installed plan (trigger and acquisition included)."""
-    started = time.perf_counter()
     plan = QueryPlan.naive_k(simulator.topology, k)
     result = execute_plan_batch(plan, trace)
     result.returned_values = result.returned_values[:, :k]
@@ -164,6 +162,5 @@ def naive_k_by_recursion(simulator, trace, k: int):
         lambda: result,
         pricing.trigger_mj + pricing.acquisition_mj,
         "naive-k",
-        started,
         (pricing.energy_mj, pricing.values),
     )
