@@ -14,7 +14,6 @@ Usage::
     python -m repro trace --demo --chrome /tmp/trace.json --prom /tmp/metrics.prom
     python -m repro serve --port 7690
     python -m repro serve --workers 4 --grace 10
-    python -m repro serve --blob-dir /dev/shm/repro-blobs
     python -m repro serve --workers 4 --telemetry-port 7691
     python -m repro top --port 7691
     python -m repro top --url http://127.0.0.1:7691 --once
@@ -226,14 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--blob-dir", default=None,
-        help=(
-            "directory for the same-host shared-memory fast path:"
-            " large numpy payloads ship as mmap'd blob references"
-            " instead of inline bytes"
-        ),
-    )
-    serve.add_argument(
         "--telemetry-port", type=int, default=None,
         help=(
             "also expose the live telemetry HTTP endpoint on this port"
@@ -361,7 +352,7 @@ def _service_demo(
     ``compile`` span per distinct sample window.  Returns
     ``(obs, ledger, stats_counters)`` with the first session's
     per-node ledger and the final :class:`GetStats` counters (wire
-    bytes, blob-spool outcomes) for the per-shard report section.
+    requests and bytes) for the per-shard report section.
     """
     import numpy as np
 
@@ -465,8 +456,8 @@ def _energy_section(ledger) -> str:
     return "\n".join([title, "-" * len(title)] + lines)
 
 
-def _wire_blob_section(counters: dict) -> str:
-    """Per-shard wire request/byte totals and blob-spool outcome counters.
+def _wire_section(counters: dict) -> str:
+    """Per-shard wire request and byte totals.
 
     Accepts either a sharded ``GetStats`` counters dict (with a
     ``per_shard`` map) or a single service's counters (rendered as
@@ -477,19 +468,15 @@ def _wire_blob_section(counters: dict) -> str:
     for shard in sorted(per_shard, key=lambda s: (len(s), s)):
         shard_counters = per_shard[shard] or {}
         wire = shard_counters.get("wire") or {}
-        blobs = shard_counters.get("blobs") or {}
         rows.append(
             {
                 "shard": shard,
                 "requests": wire.get("requests", 0),
                 "request_bytes": wire.get("request_bytes", 0),
                 "reply_bytes": wire.get("reply_bytes", 0),
-                "blob_spills": blobs.get("spills", 0),
-                "blob_reuses": blobs.get("reuses", 0),
-                "blob_loads": blobs.get("loads", 0),
             }
         )
-    return format_table(rows, title="wire & blob spool per shard")
+    return format_table(rows, title="wire per shard")
 
 
 def _run_one(name: str, chart: bool = False) -> str:
@@ -538,7 +525,6 @@ def _serve_command(args) -> int:
         queue_limit=args.queue_limit,
         session_ttl_s=args.session_ttl,
         artifact_dir=args.artifact_dir,
-        blob_dir=args.blob_dir,
     )
 
     if args.workers > 1:
@@ -663,7 +649,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             + _energy_section(ledger)
         )
         if not args.json and stats_counters is not None:
-            text += "\n\n" + _wire_blob_section(stats_counters)
+            text += "\n\n" + _wire_section(stats_counters)
         print(text)
         if args.out:
             with open(args.out, "w") as handle:

@@ -77,7 +77,7 @@ class ProtocolError(ServiceError):
 
     Raised when a peer breaks the binary framing rules — a
     malformed or truncated frame, trailing payload bytes, an unknown
-    kind code, a bad blob reference — or when the connection preamble
+    kind code — or when the connection preamble
     fails (a first line that is not a valid hello, or a hello answered
     with anything but an accept line).
     Distinct from :class:`ServiceError` proper so clients can tell

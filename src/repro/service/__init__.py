@@ -4,12 +4,10 @@ One process hosts many concurrent :class:`~repro.query.engine.TopKEngine`
 sessions over a registry of shared topologies.  The layer splits into:
 
 - :mod:`repro.service.messages` — the wire protocol's message types:
-  frozen request/reply dataclasses, plus a JSON debug codec with exact
-  round-trips;
+  frozen request/reply dataclasses;
 - :mod:`repro.service.wire` — the binary wire protocol the socket
-  speaks: the hello/accept preamble, length-prefixed struct-packed
-  frames, zero-copy numpy payloads, and the same-host shared-memory
-  blob fast path;
+  speaks and the messages' one codec: the hello/accept preamble,
+  length-prefixed struct-packed frames, zero-copy numpy payloads;
 - :mod:`repro.service.cache` — :class:`SharedPlanCache`, the
   cross-session pool of compiled parametric LPs and replan-cache
   blocks, keyed by content fingerprint;
@@ -29,7 +27,7 @@ sessions over a registry of shared topologies.  The layer splits into:
 The stable entry points are re-exported by :mod:`repro.api`.
 """
 
-from repro.service.artifacts import ArtifactStore, BlobSpool
+from repro.service.artifacts import ArtifactStore
 from repro.service.cache import SharedPlanCache
 from repro.service.client import InProcessClient, SessionHandle, SocketClient
 from repro.service.server import (
@@ -43,7 +41,6 @@ from repro.service.shard import ShardedClient, ShardedService
 
 __all__ = [
     "ArtifactStore",
-    "BlobSpool",
     "InProcessClient",
     "ServiceConfig",
     "ServiceServer",

@@ -35,7 +35,6 @@ import json
 import os
 import shutil
 import tempfile
-from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -282,165 +281,5 @@ class ArtifactStore:
             "saves": self.saves,
             "disk_hits": self.disk_hits,
             "disk_misses": self.disk_misses,
-            "errors": self.errors,
-        }
-
-
-_BLOB_SUFFIX = ".npy"
-
-
-class BlobSpool:
-    """Content-named ``.npy`` spool backing the wire's same-host fast path.
-
-    The binary protocol's blob-reference mode (see
-    :mod:`repro.service.wire`) ships a *name* instead of a payload:
-    the sender spills a large float array here as
-    ``<digest>.npy`` (the digest is
-    :func:`~repro.service.cache.array_digest` over shape + dtype +
-    bytes, so equal content lands on one file and a re-send is free),
-    and the receiver maps it read-only with ``np.load(mmap_mode="r")``
-    — the array crosses processes through the page cache, never the
-    socket.
-
-    The same atomic-rename discipline as :class:`ArtifactStore`
-    applies (temp file, ``os.replace``), and :meth:`load` validates
-    names against a strict ``<hex digest>.npy`` shape so a hostile
-    reference cannot escape the spool directory.
-
-    Parameters
-    ----------
-    root:
-        Spool directory (created on first spill).  Both peers must see
-        the same path — it is what the server's accept line
-        advertises.
-    threshold:
-        Minimum ``nbytes`` before an array is worth spilling; smaller
-        payloads stay inline in the frame.
-    max_entries:
-        Soft bound on retained blobs; oldest (by mtime) pruned on the
-        spill that pushes past it.
-    """
-
-    def __init__(
-        self,
-        root,
-        *,
-        threshold: int = 16_384,
-        max_entries: int = 256,
-        instrumentation=None,
-    ) -> None:
-        if threshold < 0:
-            raise ValueError("blob spool threshold must be >= 0")
-        if max_entries < 1:
-            raise ValueError("blob spool needs max_entries >= 1")
-        self.root = Path(root)
-        self.threshold = threshold
-        self.max_entries = max_entries
-        self.instrumentation = instrumentation
-        self.spills = 0
-        self.reuses = 0
-        self.loads = 0
-        self.errors = 0
-
-    def _count(self, outcome: str) -> None:
-        setattr(self, outcome, getattr(self, outcome) + 1)
-        if self.instrumentation is not None:
-            self.instrumentation.counter(f"service.blobs.{outcome}").inc()
-
-    @staticmethod
-    def _valid_name(name: str) -> bool:
-        stem = name[: -len(_BLOB_SUFFIX)]
-        return (
-            name.endswith(_BLOB_SUFFIX)
-            and 8 <= len(stem) <= 64
-            and all(c in "0123456789abcdef" for c in stem)
-        )
-
-    def spill(self, array: np.ndarray) -> str | None:
-        """Write ``array`` into the spool; returns its blob name.
-
-        Best-effort like every store in this module: any filesystem
-        failure returns ``None`` (counted) and the caller falls back
-        to inline framing.
-        """
-        from repro.service.cache import array_digest
-
-        array = np.ascontiguousarray(array)
-        name = (
-            array_digest(array, extra=str(array.dtype), length=32)
-            + _BLOB_SUFFIX
-        )
-        final = self.root / name
-        try:
-            if final.exists():
-                self._count("reuses")
-                return name
-            self.root.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                prefix=f".tmp-{name}-", dir=self.root
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    np.save(handle, array, allow_pickle=False)
-                os.replace(tmp, final)
-            except OSError:
-                with suppress(OSError):
-                    os.unlink(tmp)
-                if not final.exists():
-                    raise
-        except (OSError, ValueError):
-            self._count("errors")
-            return None
-        self._count("spills")
-        self._prune_blobs()
-        return name
-
-    def load(self, name: str) -> np.ndarray:
-        """Map the named blob read-only; raises
-        :class:`~repro.errors.ProtocolError` for malformed or missing
-        references (a wire-level failure, not a cache miss)."""
-        from repro.errors import ProtocolError
-
-        if not self._valid_name(name):
-            raise ProtocolError(f"malformed blob reference {name!r}")
-        try:
-            array = np.load(
-                self.root / name, mmap_mode="r", allow_pickle=False
-            )
-        except (OSError, ValueError) as err:
-            self._count("errors")
-            raise ProtocolError(
-                f"unreadable blob reference {name!r}: {err}"
-            ) from err
-        self._count("loads")
-        return array
-
-    def _blob_entries(self) -> list[Path]:
-        if not self.root.is_dir():
-            return []
-        return [
-            p
-            for p in self.root.iterdir()
-            if p.is_file() and self._valid_name(p.name)
-        ]
-
-    def _prune_blobs(self) -> None:
-        entries = self._blob_entries()
-        if len(entries) <= self.max_entries:
-            return
-        entries.sort(key=lambda p: p.stat().st_mtime)
-        for stale in entries[: len(entries) - self.max_entries]:
-            with suppress(OSError):
-                stale.unlink()
-
-    def __len__(self) -> int:
-        return len(self._blob_entries())
-
-    def stats(self) -> dict:
-        return {
-            "entries": len(self),
-            "spills": self.spills,
-            "reuses": self.reuses,
-            "loads": self.loads,
             "errors": self.errors,
         }

@@ -36,21 +36,19 @@ import numpy as np
 from repro.lp.fastbuild import ParametricForm, ReplanCache, _cost_fingerprint
 
 
-def array_digest(values, *, extra: str = "", length: int = 16) -> str:
+def array_digest(values, *, extra: str = "") -> str:
     """A content hash of one numpy array (shape + raw bytes).
 
-    The common fingerprint primitive of the service layer: the shared
-    plan cache keys sample windows with it (via :func:`samples_digest`)
-    and the wire protocol's shared-memory fast path names and
-    integrity-checks spilled blobs with it (see
-    :class:`~repro.service.artifacts.BlobSpool`).
+    The shared plan cache keys sample windows with it (via
+    :func:`samples_digest`); ``extra`` folds in whatever else the key
+    depends on.
     """
     values = np.ascontiguousarray(values)
     digest = hashlib.sha256()
     digest.update(str(values.shape).encode())
     digest.update(extra.encode())
     digest.update(values.tobytes())
-    return digest.hexdigest()[:length]
+    return digest.hexdigest()[:16]
 
 
 def samples_digest(samples) -> str:

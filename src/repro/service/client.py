@@ -130,10 +130,9 @@ class SessionHandle:
 
     @staticmethod
     def _vector(readings):
-        # numpy payloads pass through untouched: the binary codec
-        # packs them zero-copy and the JSON codec converts on encode,
-        # so the per-request tuple(float(...)) tax is only paid for
-        # plain sequences
+        # numpy payloads pass through untouched: the wire codec packs
+        # them zero-copy, so the per-request tuple(float(...)) tax is
+        # only paid for plain sequences
         if isinstance(readings, np.ndarray):
             return readings
         return tuple(float(v) for v in readings)
@@ -346,7 +345,6 @@ class SocketClient(_BaseClient):
         self._accepted = False
         self._sock = None
         self._file = None
-        self._spool = None
         self._pending: deque[int] = deque()
         self._next_cid = 0
         self._connect()
@@ -365,14 +363,12 @@ class SocketClient(_BaseClient):
             ) from err
         self._sock.settimeout(self.timeout_s)
         self._file = self._sock.makefile("rwb")
-        self._spool = None
         # the preamble is deferred to the first request so constructing
         # a client never blocks on reading from the server
         self._accepted = False
 
     def _preamble(self) -> None:
-        """Send the hello; the server's accept line may name its
-        shared-memory spool, which this client then adopts."""
+        """Send the hello and check the server's accept line."""
         try:
             self._file.write(wire.hello_line())
             self._file.flush()
@@ -386,7 +382,7 @@ class SocketClient(_BaseClient):
         if not answer:
             raise self._unavailable("closed the connection")
         try:
-            opts = wire.parse_accept(answer)
+            wire.parse_accept(answer)
         except ProtocolError as err:
             self._teardown()
             raise ProtocolError(
@@ -394,14 +390,6 @@ class SocketClient(_BaseClient):
                 f" wire preamble: {err}"
             ) from err
         self._accepted = True
-        blob_dir = opts.get("blob_dir")
-        if blob_dir:
-            from repro.service.artifacts import BlobSpool
-
-            # best-effort: if this process cannot actually write
-            # there (different host, say), spill() degrades to
-            # inline frames
-            self._spool = BlobSpool(blob_dir)
 
     def _teardown(self) -> None:
         """Drop the broken connection; outstanding pipeline is lost."""
@@ -433,11 +421,7 @@ class SocketClient(_BaseClient):
         if not self._accepted:
             self._preamble()
         try:
-            self._file.write(
-                wire.encode_frame(
-                    request, cid=cid, spool=self._spool, trace=trace
-                )
-            )
+            self._file.write(wire.encode_frame(request, cid=cid, trace=trace))
         except OSError as err:
             raise self._unavailable("dropped the connection", err) from err
 
@@ -446,7 +430,7 @@ class SocketClient(_BaseClient):
             body = wire.read_frame_blocking(self._file)
             if not body:
                 raise self._unavailable("closed the connection")
-            return wire.decode_frame(body, spool=self._spool)
+            return wire.decode_frame(body)
         except ProtocolError:
             # framing is unrecoverable; surface the typed error but
             # drop the connection first

@@ -1,14 +1,12 @@
-"""The service's typed requests/replies, plus a JSON debug codec.
+"""The service's typed requests and replies.
 
 Every message is a frozen dataclass with a class-level ``kind`` tag.
-The socket service frames them with the binary codec in
-:mod:`repro.service.wire`; :func:`encode` / :func:`decode` here are
-the plain JSON debug codec (one JSON document per message, used for
-dumps and as the codec benchmark's baseline) and rehydrate the exact
-same value (``decode(encode(m)) == m``, property-tested).  To keep
-that round-trip exact, sequence fields are tuples (JSON lists
-normalize back on decode) and optional accuracies use ``None`` rather
-than NaN (JSON has no NaN).
+The binary codec in :mod:`repro.service.wire` is their one encoding:
+it frames them for the socket and rehydrates the exact same value
+(``decode_frame(encode_frame(m)[4:]) == (m, None)``, property-tested).
+To keep that round-trip exact, sequence fields are tuples (lists
+normalize on construction) and optional accuracies use ``None``
+rather than NaN (the codec rejects non-finite floats).
 
 Plan payloads ride as the plain dicts produced by
 :func:`repro.plans.serialize.plan_to_dict`, so a reply's plan can be
@@ -22,16 +20,15 @@ typed error (see :func:`error_from_reply`).
 Messages carry no correlation ids or trace contexts: those ride in
 the binary frame header (see :mod:`repro.service.wire`).
 
-**Frame bound.** :data:`MAX_FRAME_BYTES` caps one encoded message on
-either codec; :func:`decode` (and the socket server's read limit)
-reject oversized input with a typed
-:class:`~repro.errors.ServiceError` instead of buffering without bound.
+**Frame bound.** :data:`MAX_FRAME_BYTES` caps one encoded frame; the
+wire codec and the socket front end's preamble read reject oversized
+input with a typed :class:`~repro.errors.ProtocolError` instead of
+buffering without bound.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import ClassVar
 
 import repro.errors as _errors
@@ -42,15 +39,16 @@ MAX_FRAME_BYTES = 1_048_576
 
 Large enough for any realistic readings vector or serialized plan,
 small enough that a misbehaving peer cannot make the server buffer an
-unbounded line.  :func:`decode`, the wire frame checks
-(:func:`repro.service.wire.frame_end`) and the socket front end's
-preamble read all enforce it.
+unbounded line.  The wire frame checks
+(:func:`repro.service.wire.frame_end`, ``decode_frame``,
+``encode_frame``) and the socket front end's preamble read all
+enforce it.
 """
 
 
 def _tuplify(message, *names) -> None:
-    """Normalize list-valued fields (JSON's sequence type) to tuples so
-    decoded messages compare equal to the originals."""
+    """Normalize list-valued fields to tuples, so a message built from
+    lists compares equal to the tuple form the wire codec decodes."""
     for name in names:
         value = getattr(message, name)
         if isinstance(value, list):
@@ -60,8 +58,7 @@ def _tuplify(message, *names) -> None:
 def _tuplify_nested(message, *names) -> None:
     """Like :func:`_tuplify` but one level deeper, for matrix-shaped
     fields (tuples of row tuples).  Numpy arrays pass through untouched:
-    the binary codec packs them zero-copy, and the JSON codec's
-    ``to_dict`` converts them on the way out."""
+    the wire codec packs them zero-copy."""
     for name in names:
         value = getattr(message, name)
         if isinstance(value, (list, tuple)):
@@ -77,35 +74,9 @@ def _tuplify_nested(message, *names) -> None:
 
 @dataclass(frozen=True)
 class Message:
-    """Base: ``kind`` discriminator plus dict/JSON conversion."""
+    """Base: the ``kind`` discriminator every message carries."""
 
     kind: ClassVar[str]
-
-    def to_dict(self) -> dict:
-        data = {"kind": self.kind}
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            if isinstance(value, tuple):
-                value = [
-                    list(row) if isinstance(row, tuple) else row
-                    for row in value
-                ]
-            elif hasattr(value, "tolist"):  # numpy payloads, JSON path
-                value = value.tolist()
-            data[spec.name] = value
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Message":
-        payload = {k: v for k, v in data.items() if k != "kind"}
-        known = {spec.name for spec in fields(cls)}
-        unknown = set(payload) - known
-        if unknown:
-            raise ServiceError(
-                f"unknown field(s) {sorted(unknown)} for message kind"
-                f" {cls.kind!r}"
-            )
-        return cls(**payload)
 
 
 def with_session_id(message: Message, session_id: str) -> Message:
@@ -262,7 +233,7 @@ class QueryReply(Message):
     """The approximate top-k answer of one query execution.
 
     ``accuracy`` is ``None`` when the session does not track ground
-    truth (never NaN: JSON would not round-trip it).
+    truth (never NaN: the wire codec rejects non-finite floats).
     """
 
     kind: ClassVar[str] = "query_reply"
@@ -391,38 +362,6 @@ REQUEST_KINDS: frozenset[str] = frozenset(
         GetStats,
     )
 )
-
-
-def encode(message: Message) -> str:
-    """One JSON document (no trailing newline) for ``message``."""
-    return json.dumps(message.to_dict(), allow_nan=False, sort_keys=True)
-
-
-def decode(line: str) -> Message:
-    """Rehydrate one JSON document into its typed message.
-
-    Input longer than :data:`MAX_FRAME_BYTES` is rejected before any
-    JSON parsing.
-    """
-    if len(line) > MAX_FRAME_BYTES:
-        raise ServiceError(
-            f"frame of {len(line)} bytes exceeds the"
-            f" {MAX_FRAME_BYTES}-byte protocol limit"
-        )
-    try:
-        data = json.loads(line)
-    except json.JSONDecodeError as err:
-        raise ServiceError(f"request is not valid JSON: {err}") from err
-    if not isinstance(data, dict):
-        raise ServiceError("request must be a JSON object")
-    kind = data.get("kind")
-    cls = MESSAGE_KINDS.get(kind)
-    if cls is None:
-        raise ServiceError(f"unknown message kind {kind!r}")
-    try:
-        return cls.from_dict(data)
-    except TypeError as err:
-        raise ServiceError(f"malformed {kind!r} message: {err}") from err
 
 
 def error_to_reply(err: Exception) -> ErrorReply:

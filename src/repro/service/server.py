@@ -111,12 +111,6 @@ class ServiceConfig:
     parametric forms spill here keyed by content, so a cold process
     (a fresh shard worker, say) loads arrays instead of recompiling."""
 
-    blob_dir: str | None = None
-    """Optional directory for the same-host shared-memory fast path:
-    advertised to clients in the accept line, who may then ship large
-    float payloads as :class:`~repro.service.artifacts.BlobSpool`
-    references instead of socket bytes."""
-
 
 class TopKService:
     """Hosts many concurrent :class:`~repro.query.engine.TopKEngine`
@@ -369,7 +363,7 @@ class TopKService:
                 obs.record_request_seconds(span.duration_s)
                 self.slow_requests.offer(span)
 
-    def handle_frame(self, body: bytes, spool=None) -> bytes:
+    def handle_frame(self, body: bytes) -> bytes:
         """Binary wire transport shim over :meth:`handle`.
 
         One frame body in, one complete reply frame (length prefix
@@ -385,13 +379,13 @@ class TopKService:
         cid = None
         try:
             request, cid, trace = wire.decode_frame_trace(
-                body, vectors="array", spool=spool
+                body, vectors="array"
             )
             reply = self.handle(request, trace=trace)
         except Exception as err:  # typed errors included
             reply = msg.error_to_reply(err)
         try:
-            return wire.encode_frame(reply, cid=cid, spool=spool)
+            return wire.encode_frame(reply, cid=cid)
         except ProtocolError as err:  # reply exceeds the frame bound
             return wire.encode_frame(msg.error_to_reply(err), cid=cid)
 
@@ -428,19 +422,6 @@ class TopKService:
             else None
         )
         return snapshot
-
-    def blob_counters(self) -> dict:
-        """The ``service.blobs.*`` counter values (shared-memory spool
-        outcomes), keyed by outcome suffix; empty when uninstrumented."""
-        obs = self.instrumentation
-        if obs is None:
-            return {}
-        prefix = "service.blobs."
-        return {
-            name[len(prefix):]: counter.value
-            for name, counter in obs.metrics.counters.items()
-            if name.startswith(prefix)
-        }
 
     def _histogram_merge_dumps(self) -> dict:
         """Dumps of every ``service.*`` histogram (request latency, wire
@@ -492,7 +473,6 @@ class TopKService:
             "requests_shed": shed,
             "cache": self.cache.stats(),
             "wire": self.wire_stats(),
-            "blobs": self.blob_counters(),
             "energy_mj": energy,
             "metrics": (
                 obs.metrics.to_dict()
@@ -552,7 +532,7 @@ class TopKService:
                     nodes=tuple(int(n) for __, n in result.returned),
                     values=tuple(float(v) for v, __ in result.returned),
                     energy_mj=float(result.energy_mj),
-                    accuracy=_json_accuracy(result.accuracy),
+                    accuracy=_optional_accuracy(result.accuracy),
                 )
             if isinstance(request, msg.SubmitBatch):
                 result = engine.query_batch(
@@ -564,7 +544,7 @@ class TopKService:
                     values=result.values,
                     energies=result.energies,
                     accuracies=tuple(
-                        _json_accuracy(score)
+                        _optional_accuracy(score)
                         for score in result.accuracies
                     ),
                 )
@@ -584,7 +564,7 @@ class TopKService:
                     values=tuple(
                         float(v) for v, __ in result.returned
                     ) if result is not None else (),
-                    accuracy=_json_accuracy(result.accuracy)
+                    accuracy=_optional_accuracy(result.accuracy)
                     if result is not None else None,
                 )
             if isinstance(request, msg.GetPlan):
@@ -613,7 +593,6 @@ class TopKService:
                 "requests_handled": handled,
                 "requests_shed": shed,
                 "wire": self.wire_stats(),
-                "blobs": self.blob_counters(),
                 "histograms": self._histogram_merge_dumps(),
             }
             return msg.StatsReply(
@@ -624,8 +603,8 @@ class TopKService:
             )
 
 
-def _json_accuracy(value: float) -> float | None:
-    """NaN (truth untracked) maps to None; JSON has no NaN."""
+def _optional_accuracy(value: float) -> float | None:
+    """NaN (truth untracked) maps to None; the wire carries no NaN."""
     value = float(value)
     return None if np.isnan(value) else value
 
@@ -672,14 +651,6 @@ class ServiceServer:
         self._connections: dict[socket.socket, threading.Thread] = {}
         self._accepted = 0
         self._draining = False
-        self._spool = None
-        blob_dir = getattr(service.config, "blob_dir", None)
-        if blob_dir is not None:
-            from repro.service.artifacts import BlobSpool
-
-            self._spool = BlobSpool(
-                blob_dir, instrumentation=service.instrumentation
-            )
 
     def start(self, host: str, port: int) -> "ServiceServer":
         self._listener = socket.create_server((host, port))
@@ -773,15 +744,14 @@ class ServiceServer:
             return None
         conn.settimeout(None)  # past the hello, a connection may idle
         self.service.record_connection()
-        blob_dir = str(self._spool.root) if self._spool is not None else None
-        conn.sendall(wire.accept_line(blob_dir))
+        conn.sendall(wire.accept_line())
         return rest
 
     def _frame_loop(self, conn: socket.socket, data: bytes) -> None:
         """Answer frames, starting with any that came in with the hello,
         until EOF (the peer's, or the drain's ``SHUT_RD``) or a framing
         error, which is answered and then ends the connection."""
-        service, spool = self.service, self._spool
+        service = self.service
         eof = False
         while True:
             replies = []
@@ -793,9 +763,7 @@ class ServiceServer:
                         data, start, eof=eof and not self._draining
                     )
                 ) is not None:
-                    reply = service.handle_frame(
-                        data[start + 4:end], spool=spool
-                    )
+                    reply = service.handle_frame(data[start + 4:end])
                     service.record_wire(end - start, len(reply))
                     replies.append(reply)
                     start = end

@@ -1,11 +1,10 @@
 """Binary wire protocol v2: length-prefixed, zero-copy.
 
-The one protocol the socket service speaks.  The typed messages of
-:mod:`repro.service.messages` are packed with :mod:`struct` into
-length-prefixed frames whose numeric payloads are raw little-endian
-buffers a server can view with ``np.frombuffer`` without copying.
-(The JSON codec in :mod:`repro.service.messages` stays as a debug
-dump; no socket speaks it.)
+The one protocol the socket service speaks, and the one codec of the
+typed messages in :mod:`repro.service.messages`: they are packed with
+:mod:`struct` into length-prefixed frames whose numeric payloads are
+raw little-endian buffers a server can view with ``np.frombuffer``
+without copying.
 
 **Frame layout.**  One frame on the wire is::
 
@@ -24,30 +23,21 @@ dataclass declaration order with the little-endian primitives in
 as a count plus packed ``i64``/``f64``, matrices as ``rows·cols`` plus
 a raw ``f64`` buffer, optional floats as a presence byte.  Decoding is
 strict: unknown kind codes, unknown flag bits, truncated payloads, and
-trailing bytes all raise :class:`~repro.errors.ProtocolError` — the
-binary analog of the JSON codec's unknown-field rejection.  Non-finite
-floats are rejected on encode exactly as the JSON codec's
-``allow_nan=False`` does, so ``decode(encode(m)) == m`` holds for the
-same message population on both codecs.
+trailing bytes all raise :class:`~repro.errors.ProtocolError`.
+Non-finite floats are rejected on encode, so
+``decode_frame(encode_frame(m)[4:]) == (m, None)`` holds for every
+message that encodes (property-tested).
 
 **Preamble.**  Every connection opens with a fixed exchange of two
 lines before the first frame: the client's *hello line*
-(:func:`hello_line`), a single ``\\x00``-prefixed, newline-terminated
-line, and the server's *accept line* (:func:`accept_line`).  The
-accept options carry the server's shared-memory spool directory for
-the same-host fast path below — the only thing the exchange tells a
-client.  A server that reads anything but a valid hello
-(:func:`parse_hello`) answers with one ``ErrorReply`` frame and
-closes; a client that reads anything but a valid accept
+(:func:`hello_line`) and the server's *accept line*
+(:func:`accept_line`), each ``\\x00``-prefixed, newline-terminated and
+exactly ``magic verb version``.  A server that reads anything but a
+valid hello (:func:`parse_hello`) answers with one ``ErrorReply``
+frame and closes; a client that reads anything but a valid accept
 (:func:`parse_accept`) raises :class:`~repro.errors.ProtocolError`.
-
-**Shared-memory fast path.**  When both peers agree on a common
-``blob_dir``, large float payloads (a batch's readings matrix, say)
-are spilled to a content-named ``.npy`` file by
-:class:`~repro.service.artifacts.BlobSpool` and cross the socket as a
-tiny *blob reference* (mode byte ``1`` plus the file name) instead of
-bytes; the receiver maps the file read-only (``np.load(mmap_mode="r")``),
-so the payload never transits the socket buffer at all.
+A line with a trailing token (an older peer's options) is refused
+the same way, so two versions never misparse each other's frames.
 """
 
 from __future__ import annotations
@@ -86,9 +76,6 @@ _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
 _SHAPE2 = struct.Struct("<II")
 
-_MODE_INLINE = 0
-_MODE_BLOB = 1
-
 KIND_CODES: dict[str, int] = {
     "register_topology": 1,
     "open_session": 2,
@@ -121,8 +108,8 @@ CODE_KINDS: dict[int, str] = {code: kind for kind, code in KIND_CODES.items()}
 
 # Per-kind payload schema: (field name, field type) in dataclass
 # declaration order.  Types: str · i (i64) · f (f64) · b (bool u8) ·
-# ivec/fvec (count + packed) · fmat (rows·cols + raw f64 buffer, blob
-# eligible) · rivec/rfvec (ragged: row count, then per-row vectors) ·
+# ivec/fvec (count + packed) · fmat (rows·cols + raw f64 buffer) ·
+# rivec/rfvec (ragged: row count, then per-row vectors) ·
 # optf (presence byte + f64) · ofvec (count + per-element optf) ·
 # json (presence byte + UTF-8 JSON document, for dict payloads).
 _FIELD_SPECS: dict[str, tuple[tuple[str, str], ...]] = {
@@ -192,30 +179,20 @@ _FIELD_SPECS: dict[str, tuple[tuple[str, str], ...]] = {
 # -- preamble lines ---------------------------------------------------------
 
 
-def hello_line(blob_dir: str | None = None) -> bytes:
+def hello_line() -> bytes:
     """The client's opening line."""
-    opts = {"blob_dir": blob_dir} if blob_dir else {}
-    return b"%s hello %s %s\n" % (
-        WIRE_MAGIC,
-        PROTOCOL_V2.encode(),
-        json.dumps(opts, sort_keys=True).encode(),
-    )
+    return b"%s hello %s\n" % (WIRE_MAGIC, PROTOCOL_V2.encode())
 
 
-def accept_line(blob_dir: str | None = None) -> bytes:
-    """The server's answer to a valid hello (advertises ``blob_dir``)."""
-    opts = {"blob_dir": blob_dir} if blob_dir else {}
-    return b"%s accept %s %s\n" % (
-        WIRE_MAGIC,
-        PROTOCOL_V2.encode(),
-        json.dumps(opts, sort_keys=True).encode(),
-    )
+def accept_line() -> bytes:
+    """The server's answer to a valid hello."""
+    return b"%s accept %s\n" % (WIRE_MAGIC, PROTOCOL_V2.encode())
 
 
-def _parse_preamble(line: bytes, verb: str) -> dict:
-    parts = line.rstrip(b"\n").split(b" ", 3)
+def _parse_preamble(line: bytes, verb: str) -> None:
+    parts = line.rstrip(b"\n").split(b" ")
     if (
-        len(parts) != 4
+        len(parts) != 3
         or parts[0] != WIRE_MAGIC
         or parts[1].decode("utf-8", "replace") != verb
     ):
@@ -225,23 +202,17 @@ def _parse_preamble(line: bytes, verb: str) -> dict:
         raise ProtocolError(
             f"peer proposed unsupported wire protocol {version!r}"
         )
-    try:
-        opts = json.loads(parts[3])
-    except (ValueError, UnicodeDecodeError) as err:
-        raise ProtocolError(f"malformed wire {verb} options: {err}") from err
-    if not isinstance(opts, dict):
-        raise ProtocolError(f"wire {verb} options must be a JSON object")
-    return opts
 
 
-def parse_hello(line: bytes) -> dict:
-    """Validate a hello line; returns its options dict."""
-    return _parse_preamble(line, "hello")
+def parse_hello(line: bytes) -> None:
+    """Validate a hello line; raises :class:`~repro.errors.ProtocolError`."""
+    _parse_preamble(line, "hello")
 
 
-def parse_accept(line: bytes) -> dict:
-    """Validate an accept line; returns its options dict."""
-    return _parse_preamble(line, "accept")
+def parse_accept(line: bytes) -> None:
+    """Validate an accept line; raises
+    :class:`~repro.errors.ProtocolError`."""
+    _parse_preamble(line, "accept")
 
 
 # -- field packers ----------------------------------------------------------
@@ -254,25 +225,25 @@ def _reject_nan(value: float) -> float:
     return value
 
 
-def _pack_str(value, parts, spool) -> None:
+def _pack_str(value, parts) -> None:
     raw = str(value).encode("utf-8")
     parts.append(_U32.pack(len(raw)))
     parts.append(raw)
 
 
-def _pack_i(value, parts, spool) -> None:
+def _pack_i(value, parts) -> None:
     parts.append(_I64.pack(int(value)))
 
 
-def _pack_f(value, parts, spool) -> None:
+def _pack_f(value, parts) -> None:
     parts.append(_F64.pack(_reject_nan(value)))
 
 
-def _pack_b(value, parts, spool) -> None:
+def _pack_b(value, parts) -> None:
     parts.append(b"\x01" if value else b"\x00")
 
 
-def _pack_ivec(value, parts, spool) -> None:
+def _pack_ivec(value, parts) -> None:
     if isinstance(value, np.ndarray):
         value = value.tolist()
     parts.append(_U32.pack(len(value)))
@@ -280,24 +251,22 @@ def _pack_ivec(value, parts, spool) -> None:
 
 
 def _float_buffer(value) -> np.ndarray:
-    """``value`` as a contiguous little-endian float64 array, with the
-    same non-finite rejection the JSON codec applies."""
+    """``value`` as a contiguous little-endian float64 array, with
+    non-finite values rejected as :func:`_reject_nan` rejects them."""
     arr = np.ascontiguousarray(value, dtype="<f8")
     if arr.size and not np.isfinite(arr).all():
         raise ProtocolError("non-finite float cannot cross the wire")
     return arr
 
 
-def _pack_fvec(value, parts, spool) -> None:
+def _pack_fvec(value, parts) -> None:
     if isinstance(value, np.ndarray):
         arr = _float_buffer(value)
         if arr.ndim != 1:
             raise ProtocolError("fvec payload must be one-dimensional")
-        parts.append(b"\x00")  # inline mode
         parts.append(_U32.pack(arr.shape[0]))
         parts.append(arr.tobytes())
         return
-    parts.append(b"\x00")
     parts.append(_U32.pack(len(value)))
     parts.append(
         struct.pack(
@@ -306,31 +275,24 @@ def _pack_fvec(value, parts, spool) -> None:
     )
 
 
-def _pack_fmat(value, parts, spool) -> None:
+def _pack_fmat(value, parts) -> None:
     arr = _float_buffer(value)
     if arr.ndim == 1 and arr.size == 0:
         # an empty batch (`()`) coerces to shape (0,); frame it as 0x0
         arr = arr.reshape(0, 0)
     if arr.ndim != 2:
         raise ProtocolError("fmat payload must be a 2-d matrix")
-    if spool is not None and arr.nbytes >= spool.threshold:
-        name = spool.spill(arr)
-        if name is not None:
-            parts.append(b"\x01")  # blob-reference mode
-            _pack_str(name, parts, spool)
-            return
-    parts.append(b"\x00")
     parts.append(_SHAPE2.pack(arr.shape[0], arr.shape[1]))
     parts.append(arr.tobytes())
 
 
-def _pack_rivec(value, parts, spool) -> None:
+def _pack_rivec(value, parts) -> None:
     parts.append(_U32.pack(len(value)))
     for row in value:
-        _pack_ivec(row, parts, spool)
+        _pack_ivec(row, parts)
 
 
-def _pack_rfvec(value, parts, spool) -> None:
+def _pack_rfvec(value, parts) -> None:
     parts.append(_U32.pack(len(value)))
     for row in value:
         if isinstance(row, np.ndarray):
@@ -341,7 +303,7 @@ def _pack_rfvec(value, parts, spool) -> None:
         )
 
 
-def _pack_optf(value, parts, spool) -> None:
+def _pack_optf(value, parts) -> None:
     if value is None:
         parts.append(b"\x00")
     else:
@@ -349,13 +311,13 @@ def _pack_optf(value, parts, spool) -> None:
         parts.append(_F64.pack(_reject_nan(value)))
 
 
-def _pack_ofvec(value, parts, spool) -> None:
+def _pack_ofvec(value, parts) -> None:
     parts.append(_U32.pack(len(value)))
     for item in value:
-        _pack_optf(item, parts, spool)
+        _pack_optf(item, parts)
 
 
-def _pack_json(value, parts, spool) -> None:
+def _pack_json(value, parts) -> None:
     if value is None:
         parts.append(b"\x00")
         return
@@ -392,7 +354,7 @@ def _need(view: memoryview, offset: int, count: int) -> None:
         )
 
 
-def _unpack_str(view, offset, vectors, spool):
+def _unpack_str(view, offset, vectors):
     _need(view, offset, 4)
     (length,) = _U32.unpack_from(view, offset)
     offset += 4
@@ -404,24 +366,24 @@ def _unpack_str(view, offset, vectors, spool):
     return value, offset + length
 
 
-def _unpack_i(view, offset, vectors, spool):
+def _unpack_i(view, offset, vectors):
     _need(view, offset, 8)
     (value,) = _I64.unpack_from(view, offset)
     return value, offset + 8
 
 
-def _unpack_f(view, offset, vectors, spool):
+def _unpack_f(view, offset, vectors):
     _need(view, offset, 8)
     (value,) = _F64.unpack_from(view, offset)
     return value, offset + 8
 
 
-def _unpack_b(view, offset, vectors, spool):
+def _unpack_b(view, offset, vectors):
     _need(view, offset, 1)
     return bool(view[offset]), offset + 1
 
 
-def _unpack_ivec(view, offset, vectors, spool):
+def _unpack_ivec(view, offset, vectors):
     _need(view, offset, 4)
     (count,) = _U32.unpack_from(view, offset)
     offset += 4
@@ -430,33 +392,7 @@ def _unpack_ivec(view, offset, vectors, spool):
     return value, offset + 8 * count
 
 
-def _unpack_mode(view, offset):
-    _need(view, offset, 1)
-    mode = view[offset]
-    if mode not in (_MODE_INLINE, _MODE_BLOB):
-        raise ProtocolError(f"unknown payload mode byte {mode}")
-    return mode, offset + 1
-
-
-def _load_blob(view, offset, vectors, spool):
-    name, offset = _unpack_str(view, offset, vectors, spool)
-    if spool is None:
-        raise ProtocolError(
-            "peer sent a blob reference but this connection has no"
-            " spool directory (the wire preamble advertised no blob_dir)"
-        )
-    return spool.load(name), offset
-
-
-def _unpack_fvec(view, offset, vectors, spool):
-    mode, offset = _unpack_mode(view, offset)
-    if mode == _MODE_BLOB:
-        arr, offset = _load_blob(view, offset, vectors, spool)
-        if arr.ndim != 1:
-            raise ProtocolError("fvec blob reference is not one-dimensional")
-        if vectors == "array":
-            return arr, offset
-        return tuple(arr.tolist()), offset
+def _unpack_fvec(view, offset, vectors):
     _need(view, offset, 4)
     (count,) = _U32.unpack_from(view, offset)
     offset += 4
@@ -468,38 +404,32 @@ def _unpack_fvec(view, offset, vectors, spool):
     return value, offset + 8 * count
 
 
-def _unpack_fmat(view, offset, vectors, spool):
-    mode, offset = _unpack_mode(view, offset)
-    if mode == _MODE_BLOB:
-        arr, offset = _load_blob(view, offset, vectors, spool)
-        if arr.ndim != 2:
-            raise ProtocolError("fmat blob reference is not a 2-d matrix")
-    else:
-        _need(view, offset, 8)
-        rows, cols = _SHAPE2.unpack_from(view, offset)
-        offset += 8
-        _need(view, offset, 8 * rows * cols)
-        arr = np.frombuffer(
-            view, dtype="<f8", count=rows * cols, offset=offset
-        ).reshape(rows, cols)
-        offset += 8 * rows * cols
+def _unpack_fmat(view, offset, vectors):
+    _need(view, offset, 8)
+    rows, cols = _SHAPE2.unpack_from(view, offset)
+    offset += 8
+    _need(view, offset, 8 * rows * cols)
+    arr = np.frombuffer(
+        view, dtype="<f8", count=rows * cols, offset=offset
+    ).reshape(rows, cols)
+    offset += 8 * rows * cols
     if vectors == "array":
         return arr, offset
     return tuple(tuple(row) for row in arr.tolist()), offset
 
 
-def _unpack_rivec(view, offset, vectors, spool):
+def _unpack_rivec(view, offset, vectors):
     _need(view, offset, 4)
     (rows,) = _U32.unpack_from(view, offset)
     offset += 4
     value = []
     for _ in range(rows):
-        row, offset = _unpack_ivec(view, offset, vectors, spool)
+        row, offset = _unpack_ivec(view, offset, vectors)
         value.append(row)
     return tuple(value), offset
 
 
-def _unpack_rfvec(view, offset, vectors, spool):
+def _unpack_rfvec(view, offset, vectors):
     _need(view, offset, 4)
     (rows,) = _U32.unpack_from(view, offset)
     offset += 4
@@ -514,7 +444,7 @@ def _unpack_rfvec(view, offset, vectors, spool):
     return tuple(value), offset
 
 
-def _unpack_optf(view, offset, vectors, spool):
+def _unpack_optf(view, offset, vectors):
     _need(view, offset, 1)
     flag = view[offset]
     offset += 1
@@ -527,18 +457,18 @@ def _unpack_optf(view, offset, vectors, spool):
     return value, offset + 8
 
 
-def _unpack_ofvec(view, offset, vectors, spool):
+def _unpack_ofvec(view, offset, vectors):
     _need(view, offset, 4)
     (count,) = _U32.unpack_from(view, offset)
     offset += 4
     value = []
     for _ in range(count):
-        item, offset = _unpack_optf(view, offset, vectors, spool)
+        item, offset = _unpack_optf(view, offset, vectors)
         value.append(item)
     return tuple(value), offset
 
 
-def _unpack_json(view, offset, vectors, spool):
+def _unpack_json(view, offset, vectors):
     _need(view, offset, 1)
     flag = view[offset]
     offset += 1
@@ -546,7 +476,7 @@ def _unpack_json(view, offset, vectors, spool):
         return None, offset
     if flag != 1:
         raise ProtocolError(f"invalid json presence byte {flag}")
-    raw, offset = _unpack_str(view, offset, vectors, spool)
+    raw, offset = _unpack_str(view, offset, vectors)
     try:
         return json.loads(raw), offset
     except ValueError as err:
@@ -573,16 +503,14 @@ _UNPACKERS = {
 
 
 def encode_frame(
-    message: Message, cid: int | None = None, spool=None, trace=None
+    message: Message, cid: int | None = None, trace=None
 ) -> bytes:
     """One complete v2 frame (length prefix included) for ``message``.
 
     ``cid`` is the pipelining correlation id carried in the header;
     ``trace`` (a
     :class:`~repro.obs.distributed.TraceContext`) adds the fixed-width
-    trace-context block behind :data:`FLAG_TRACE`; ``spool`` (a
-    :class:`~repro.service.artifacts.BlobSpool`) enables the same-host
-    blob-reference fast path for large float payloads.
+    trace-context block behind :data:`FLAG_TRACE`.
     """
     code = KIND_CODES.get(message.kind)
     if code is None:
@@ -608,7 +536,7 @@ def encode_frame(
         )
     specs = _FIELD_SPECS[message.kind]
     for name, ftype in specs:
-        _PACKERS[ftype](getattr(message, name), parts, spool)
+        _PACKERS[ftype](getattr(message, name), parts)
     body_len = sum(len(p) for p in parts)
     if body_len > MAX_FRAME_BYTES:
         raise ProtocolError(
@@ -623,7 +551,6 @@ def decode_frame_trace(
     body: bytes | memoryview,
     *,
     vectors: str = "tuple",
-    spool=None,
 ) -> tuple[Message, int | None, "object | None"]:
     """Rehydrate one frame *body* (header + payload, no length prefix)
     into ``(message, correlation id, trace context)``.
@@ -669,7 +596,7 @@ def decode_frame_trace(
         )
     payload = {}
     for name, ftype in _FIELD_SPECS[kind]:
-        payload[name], offset = _UNPACKERS[ftype](view, offset, vectors, spool)
+        payload[name], offset = _UNPACKERS[ftype](view, offset, vectors)
     if offset != len(view):
         raise ProtocolError(
             f"{len(view) - offset} trailing payload bytes after"
@@ -682,13 +609,10 @@ def decode_frame(
     body: bytes | memoryview,
     *,
     vectors: str = "tuple",
-    spool=None,
 ) -> tuple[Message, int | None]:
     """:func:`decode_frame_trace` without the trace context — the
     original two-tuple surface most call sites (and tests) use."""
-    message, cid, __ = decode_frame_trace(
-        body, vectors=vectors, spool=spool
-    )
+    message, cid, __ = decode_frame_trace(body, vectors=vectors)
     return message, cid
 
 

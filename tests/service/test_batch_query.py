@@ -1,5 +1,5 @@
 """Batched queries: bitwise parity with the scalar path — engine,
-service (both codecs), and sharded deployments."""
+service (in-process and socket), and sharded deployments."""
 
 import numpy as np
 import pytest

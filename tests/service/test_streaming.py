@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import (
+    ProtocolError,
     ServiceError,
     ServiceUnavailableError,
     SessionError,
@@ -41,9 +42,10 @@ def test_handle_frame_echoes_cid_on_success_and_error():
 
 
 def test_oversized_frame_rejected_at_decode():
-    line = msg.encode(msg.GetStats()) + " " * msg.MAX_FRAME_BYTES
-    with pytest.raises(ServiceError, match="protocol limit"):
-        msg.decode(line)
+    body = wire.encode_frame(msg.GetStats())[4:]
+    oversized = body + b"\x00" * (msg.MAX_FRAME_BYTES + 1 - len(body))
+    with pytest.raises(ProtocolError, match="protocol limit"):
+        wire.decode_frame(oversized)
 
 
 # -- pipelined flow, both transports ---------------------------------------

@@ -1,6 +1,5 @@
-"""Binary protocol v2: exact round-trips on both codecs, strictness,
-the shared-memory blob fast path, and the socket boundary (preamble
-and mid-connection violations)."""
+"""Binary protocol v2: exact round-trips, strictness, and the socket
+boundary (preamble and mid-connection violations)."""
 
 import inspect
 import math
@@ -16,7 +15,6 @@ from hypothesis import strategies as st
 from repro.errors import ProtocolError
 from repro.service import messages as msg
 from repro.service import wire
-from repro.service.artifacts import BlobSpool
 from repro.service.client import SocketClient, connect
 from repro.service.server import ServiceConfig, ServiceThread, TopKService
 from repro.service.shard import ShardedClient, ShardedService
@@ -71,10 +69,6 @@ EXAMPLES = [
     msg.ErrorReply(error="OverloadError", message="shed"),
 ]
 
-_IDS = [type(m).__name__ + (".empty" if not m.to_dict() else "")
-        for m in EXAMPLES]
-
-
 def _examples_cover_every_kind():
     return {m.kind for m in EXAMPLES} == set(msg.MESSAGE_KINDS)
 
@@ -96,14 +90,6 @@ def test_v2_exact_round_trip(message):
     assert type(rehydrated) is type(message)
     # stable under a second pass (no lossy normalization)
     assert wire.encode_frame(rehydrated) == frame
-
-
-@pytest.mark.parametrize("message", EXAMPLES, ids=lambda m: type(m).__name__)
-def test_v1_exact_round_trip(message):
-    line = msg.encode(message)
-    rehydrated = msg.decode(line)
-    assert rehydrated == message
-    assert msg.encode(rehydrated) == line
 
 
 def test_cid_rides_the_header():
@@ -144,7 +130,7 @@ def test_kind_codes_are_pinned():
     assert set(wire._FIELD_SPECS) == set(msg.MESSAGE_KINDS)
 
 
-# -- property tests over both codecs ---------------------------------------
+# -- property tests --------------------------------------------------------
 
 _finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 _session = st.text(min_size=0, max_size=12)
@@ -154,16 +140,15 @@ _ivec = st.lists(
 ).map(tuple)
 
 
-def _both_codecs_round_trip(message):
-    assert msg.decode(msg.encode(message)) == message
+def _round_trip(message):
     decoded, __ = wire.decode_frame(wire.encode_frame(message)[4:])
     assert decoded == message
 
 
 @settings(max_examples=60, deadline=None)
 @given(session_id=_session, readings=_fvec)
-def test_feed_sample_round_trips_on_both_codecs(session_id, readings):
-    _both_codecs_round_trip(
+def test_feed_sample_round_trips(session_id, readings):
+    _round_trip(
         msg.FeedSample(session_id=session_id, readings=readings)
     )
 
@@ -176,10 +161,10 @@ def test_feed_sample_round_trips_on_both_codecs(session_id, readings):
     energy_mj=_finite,
     accuracy=st.none() | _finite,
 )
-def test_query_reply_round_trips_on_both_codecs(
+def test_query_reply_round_trips(
     session_id, nodes, values, energy_mj, accuracy
 ):
-    _both_codecs_round_trip(
+    _round_trip(
         msg.QueryReply(
             session_id=session_id, nodes=nodes, values=values,
             energy_mj=energy_mj, accuracy=accuracy,
@@ -194,7 +179,7 @@ def test_query_reply_round_trips_on_both_codecs(
     cols=st.integers(min_value=1, max_value=5),
     data=st.data(),
 )
-def test_submit_batch_round_trips_on_both_codecs(
+def test_submit_batch_round_trips(
     session_id, rows, cols, data
 ):
     matrix = tuple(
@@ -203,7 +188,7 @@ def test_submit_batch_round_trips_on_both_codecs(
         )
         for __ in range(rows)
     )
-    _both_codecs_round_trip(
+    _round_trip(
         msg.SubmitBatch(session_id=session_id, readings=matrix)
     )
 
@@ -215,13 +200,13 @@ def test_submit_batch_round_trips_on_both_codecs(
     accuracies=st.lists(st.none() | _finite, max_size=6).map(tuple),
     data=st.data(),
 )
-def test_batch_reply_round_trips_on_both_codecs(
+def test_batch_reply_round_trips(
     session_id, energies, accuracies, data
 ):
     rows = len(energies)
     nodes = tuple(data.draw(_ivec) for __ in range(rows))
     values = tuple(data.draw(_fvec) for __ in range(rows))
-    _both_codecs_round_trip(
+    _round_trip(
         msg.BatchReply(
             session_id=session_id, nodes=nodes, values=values,
             energies=energies, accuracies=accuracies,
@@ -229,7 +214,7 @@ def test_batch_reply_round_trips_on_both_codecs(
     )
 
 
-# -- strictness: the codecs reject what v1 rejects --------------------------
+# -- strictness ------------------------------------------------------------
 
 @pytest.mark.parametrize(
     "message",
@@ -242,25 +227,15 @@ def test_batch_reply_round_trips_on_both_codecs(
     ],
     ids=["nan-optf", "inf-fvec", "nan-fvec", "inf-fmat", "nan-energies"],
 )
-def test_non_finite_floats_are_rejected_by_both_codecs(message):
-    with pytest.raises(ValueError):
-        msg.encode(message)
+def test_non_finite_floats_are_rejected_on_encode(message):
     with pytest.raises(ProtocolError):
         wire.encode_frame(message)
 
 
 def test_trailing_bytes_are_rejected():
-    """The binary analog of the JSON codec's unknown-field rejection."""
     frame = wire.encode_frame(msg.GetPlan(session_id="s9"))
     with pytest.raises(ProtocolError, match="trailing"):
         wire.decode_frame(frame[4:] + b"\x00")
-
-
-def test_v1_unknown_fields_are_rejected():
-    from repro.errors import ServiceError
-
-    with pytest.raises(ServiceError, match="unknown field"):
-        msg.decode('{"kind": "get_plan", "bogus_field": 1}')
 
 
 def test_truncated_payload_is_rejected():
@@ -303,10 +278,14 @@ def test_zero_copy_array_mode():
 # -- preamble lines ---------------------------------------------------------
 
 def test_negotiation_lines_round_trip():
-    assert wire.parse_hello(wire.hello_line()) == {}
-    assert wire.parse_accept(wire.accept_line("/tmp/x")) == {
-        "blob_dir": "/tmp/x"
-    }
+    assert wire.hello_line() == b"\x00repro-wire hello v2\n"
+    assert wire.accept_line() == b"\x00repro-wire accept v2\n"
+    wire.parse_hello(wire.hello_line())
+    wire.parse_accept(wire.accept_line())
+    with pytest.raises(ProtocolError):
+        wire.parse_hello(wire.accept_line())
+    with pytest.raises(ProtocolError):
+        wire.parse_accept(wire.hello_line())
 
 
 @pytest.mark.parametrize(
@@ -323,108 +302,6 @@ def test_negotiation_lines_round_trip():
 def test_malformed_negotiation_lines_are_rejected(line):
     with pytest.raises(ProtocolError):
         wire.parse_hello(line)
-
-
-# -- shared-memory blob fast path ------------------------------------------
-
-def test_blob_spool_round_trip(tmp_path):
-    spool = BlobSpool(tmp_path, threshold=64)
-    matrix = np.arange(100.0).reshape(10, 10)
-    small = np.zeros((2, 2))
-
-    framed = wire.encode_frame(
-        msg.SubmitBatch(session_id="s", readings=matrix), spool=spool
-    )
-    inline = wire.encode_frame(
-        msg.SubmitBatch(session_id="s", readings=matrix)
-    )
-    # the blob reference is tiny next to the 800-byte inline matrix
-    assert len(framed) < len(inline) / 4
-    assert len(spool) == 1
-
-    decoded, __ = wire.decode_frame(framed[4:], spool=spool)
-    assert decoded == msg.SubmitBatch(
-        session_id="s", readings=tuple(map(tuple, matrix.tolist()))
-    )
-    mapped, __ = wire.decode_frame(framed[4:], vectors="array", spool=spool)
-    np.testing.assert_array_equal(mapped.readings, matrix)
-
-    # under the threshold the matrix stays inline (no spool growth)
-    wire.encode_frame(
-        msg.SubmitBatch(session_id="s", readings=small), spool=spool
-    )
-    assert len(spool) == 1
-
-    # identical content re-spills to the same name (content addressing)
-    again = wire.encode_frame(
-        msg.SubmitBatch(session_id="s", readings=matrix), spool=spool
-    )
-    assert again == framed
-    assert len(spool) == 1
-
-
-def test_blob_reference_without_spool_is_rejected(tmp_path):
-    spool = BlobSpool(tmp_path, threshold=64)
-    framed = wire.encode_frame(
-        msg.SubmitBatch(session_id="s", readings=np.ones((8, 8))),
-        spool=spool,
-    )
-    with pytest.raises(ProtocolError, match="no spool"):
-        wire.decode_frame(framed[4:])
-
-
-def test_blob_reference_without_spool_error_reply_text(tmp_path):
-    """The exact ErrorReply a server without a spool sends back."""
-    spool = BlobSpool(tmp_path, threshold=64)
-    framed = wire.encode_frame(
-        msg.SubmitBatch(session_id="s", readings=np.ones((8, 8))),
-        spool=spool,
-    )
-    reply, __ = wire.decode_frame(TopKService().handle_frame(framed[4:])[4:])
-    assert reply == msg.ErrorReply(
-        error="ProtocolError",
-        message=(
-            "peer sent a blob reference but this connection has no spool"
-            " directory (the wire preamble advertised no blob_dir)"
-        ),
-    )
-
-
-@pytest.mark.parametrize(
-    "name",
-    [
-        "../../etc/passwd",
-        "..%2fescape.npy",
-        "/abs/path.npy",
-        "nothex!.npy",
-        "deadbeef.txt",
-        "ab.npy",  # too-short stem
-        "",
-    ],
-)
-def test_blob_names_are_strictly_validated(tmp_path, name):
-    spool = BlobSpool(tmp_path)
-    with pytest.raises(ProtocolError):
-        spool.load(name)
-
-
-def test_missing_blob_is_a_protocol_error(tmp_path):
-    spool = BlobSpool(tmp_path)
-    with pytest.raises(ProtocolError):
-        spool.load("0123456789abcdef.npy")
-
-
-def test_spill_failure_degrades_to_inline(tmp_path):
-    # the spool root's parent is a *file*, so creating it must fail
-    blocker = tmp_path / "blocker"
-    blocker.write_text("")
-    spool = BlobSpool(blocker / "spool", threshold=8)
-    matrix = np.ones((4, 4))
-    framed = wire.encode_frame(
-        msg.SubmitBatch(session_id="s", readings=matrix), spool=spool
-    )
-    decoded, __ = wire.decode_frame(framed[4:])
-    assert decoded.readings == tuple(tuple(r) for r in matrix.tolist())
 
 
 # -- blocking frame reader --------------------------------------------------
@@ -534,16 +411,22 @@ def _assert_preamble_refused(first_line: bytes) -> None:
 
 
 def test_json_line_preamble_gets_error_frame_then_eof():
-    _assert_preamble_refused(msg.encode(msg.GetStats()).encode() + b"\n")
+    _assert_preamble_refused(b'{"kind": "get_stats"}\n')
 
 
 def test_unsupported_hello_version_gets_error_frame_then_eof():
     _assert_preamble_refused(b"\x00repro-wire hello v99 {}\n")
 
 
-def test_client_rejects_a_non_accept_answer():
-    """A peer answering the hello with any other line (and then holding
-    the connection open) raises ``ProtocolError`` at once."""
+def test_old_format_hello_gets_error_frame_then_eof():
+    """A hello that still carries an options token (what an older peer
+    sends) is refused, never half-understood."""
+    _assert_preamble_refused(b"\x00repro-wire hello v2 {}\n")
+
+
+def _assert_client_refuses(answer: bytes) -> None:
+    """A peer answering the hello with ``answer`` (and then holding the
+    connection open) makes the client raise ``ProtocolError`` at once."""
     with socket.socket() as listener:
         listener.bind(("127.0.0.1", 0))
         listener.listen(1)
@@ -556,7 +439,7 @@ def test_client_rejects_a_non_accept_answer():
             with conn:
                 conn.settimeout(TIMEOUT_S)
                 conn.makefile("rb").readline()
-                conn.sendall(b"not an accept line\n")
+                conn.sendall(answer)
                 done.wait(TIMEOUT_S)
 
         thread = threading.Thread(target=peer, daemon=True)
@@ -570,6 +453,16 @@ def test_client_rejects_a_non_accept_answer():
             done.set()
             thread.join(TIMEOUT_S)
         assert not thread.is_alive()
+
+
+def test_client_rejects_a_non_accept_answer():
+    _assert_client_refuses(b"not an accept line\n")
+
+
+def test_client_rejects_an_old_format_accept():
+    """An accept line with an options token (an older server's) is
+    refused rather than taken for this protocol."""
+    _assert_client_refuses(b'\x00repro-wire accept v2 {"blob_dir": "/x"}\n')
 
 
 @pytest.mark.parametrize(
@@ -614,6 +507,57 @@ def test_bogus_length_prefix_gets_error_then_close():
             assert handle.read(1) == b""
         finally:
             raw.close()
+
+
+def _assert_burst_then_framing_error(tail: bytes, match: str, close_write):
+    """Three valid frames then ``tail`` in one write: three replies in
+    cid order, one cid-less ``ProtocolError`` reply, EOF; the listener
+    keeps serving."""
+    requests = (
+        msg.RegisterTopology(parents=PARENTS), msg.GetStats(), msg.GetStats()
+    )
+    burst = b"".join(
+        wire.encode_frame(request, cid=cid)
+        for cid, request in enumerate(requests)
+    )
+    with _server() as live:
+        raw, handle = _raw_after_preamble(live)
+        try:
+            raw.sendall(burst + tail)
+            if close_write:
+                raw.shutdown(socket.SHUT_WR)
+            replies = [
+                wire.decode_frame(wire.read_frame_blocking(handle))
+                for __ in range(4)
+            ]
+            assert handle.read(1) == b""
+        finally:
+            handle.close()
+            raw.close()
+        assert [cid for __, cid in replies] == [0, 1, 2, None]
+        assert isinstance(replies[0][0], msg.TopologyRegistered)
+        assert all(isinstance(r, msg.StatsReply) for r, __ in replies[1:3])
+        error = replies[3][0]
+        assert isinstance(error, msg.ErrorReply)
+        assert error.error == "ProtocolError"
+        assert match in error.message
+        _assert_listener_serves(live)
+
+
+def test_oversized_prefix_mid_burst_answers_the_frames_before_it():
+    _assert_burst_then_framing_error(
+        struct.pack(">I", msg.MAX_FRAME_BYTES + 1),
+        "protocol limit",
+        close_write=False,
+    )
+
+
+def test_truncated_body_at_eof_mid_burst_answers_the_frames_before_it():
+    _assert_burst_then_framing_error(
+        struct.pack(">I", 64) + b"\x00" * 10,
+        "truncated frame body",
+        close_write=True,
+    )
 
 
 def test_truncated_length_prefix_is_survived():

@@ -130,9 +130,12 @@ class TestStats:
     def test_service_demo_reports_the_wire_phase(self, capsys):
         assert main(self.DEMO + ["--service"]) == 0
         out = capsys.readouterr().out
-        table = out.split("wire & blob spool per shard\n", 1)[1]
+        table = out.split("wire per shard\n", 1)[1]
         header, __, row = table.splitlines()[:3]
         cells = dict(zip(header.split(), row.split()))
+        assert set(cells) == {
+            "shard", "requests", "request_bytes", "reply_bytes"
+        }
         assert int(cells["requests"]) > 0
         assert int(cells["request_bytes"]) > 0
         # the wire metrics carry no per-protocol suffix

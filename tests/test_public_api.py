@@ -10,6 +10,27 @@ def test_all_exports_resolve():
         assert hasattr(repro, name), name
 
 
+def test_service_exports_are_pinned():
+    import repro.service
+
+    assert sorted(repro.service.__all__) == [
+        "ArtifactStore",
+        "InProcessClient",
+        "ServiceConfig",
+        "ServiceServer",
+        "ServiceThread",
+        "SessionHandle",
+        "ShardedClient",
+        "ShardedService",
+        "SharedPlanCache",
+        "SocketClient",
+        "TopKService",
+        "serve",
+    ]
+    for name in repro.service.__all__:
+        assert hasattr(repro.service, name), name
+
+
 def test_version():
     assert repro.__version__.count(".") == 2
 
