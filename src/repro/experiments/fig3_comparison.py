@@ -48,9 +48,9 @@ def _planner_trial(params: dict, rng: np.random.Generator) -> dict:
 
     LP planners arrive with a precomputed ``plan`` (the whole budget
     ladder is solved as one parametric sweep before the trials fan
-    out: compiled once, then one HiGHS session re-solves each member
-    cold), so their trials are pure replays; planners without sweep
-    support plan inside the trial as before.
+    out: compiled once, then one HiGHS session warm-starts each member
+    from the last), so their trials are pure replays; planners without
+    sweep support plan inside the trial as before.
     """
     if "plan" in params:
         evaluation = evaluate_plan(
@@ -132,8 +132,8 @@ def run(
         for budget in budgets
     ]
     # the LP planners solve the whole budget ladder as one parametric
-    # sweep (compile once, one HiGHS session re-solving each member
-    # cold); the trials then just replay the precomputed plans
+    # sweep (compile once, one HiGHS session warm-starting each member
+    # from the last); the trials then just replay the precomputed plans
     samples = train.sample_matrix(k)
     for planner in (LPNoLFPlanner(), LPLFPlanner()):
         context = PlanningContext(

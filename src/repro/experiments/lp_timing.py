@@ -9,11 +9,11 @@ of its output, and ``variables``/``constraints`` are the compiled
 form's sizes.  The parametric budget-sweep columns follow: ``sweep_s``
 is one compile + ``solve_batch`` over an 8-budget ladder,
 ``sweep_speedup`` is how much faster that is than compiling and
-solving each budget cold.  (The HiGHS sweep shares the
-compile and one loaded solver session but re-solves each member cold:
-warm restarts would move members to other optimal vertices.
-``benchmarks/bench_lpsweep.py`` also times the dual-simplex warm starts
-of the pure-Python simplex the tests keep as an oracle.)
+solving each budget cold.  (The HiGHS sweep shares the compile and one
+loaded solver session, and restarts each member after the first from
+the previous member's basis; each member's objective equals the cold
+solve's, though it may sit on another optimal vertex.
+``benchmarks/bench_lpsweep.py`` gates that warm ladder's speedup.)
 """
 
 from __future__ import annotations

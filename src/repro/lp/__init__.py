@@ -5,8 +5,9 @@ subpackage provides the equivalent substrate in one path: the
 PROSPECTOR formulations are lowered straight to standard-form arrays
 (:mod:`repro.lp.fastbuild`, one :class:`StandardForm` or
 :class:`ParametricForm` per plan), and the production backend drives
-HiGHS through scipy's binding (one loaded session per call, each
-budget re-solved cold; bitwise equal to ``scipy.optimize.linprog``).
+HiGHS through scipy's binding (one loaded session per call; a single
+solve is bitwise that of ``scipy.optimize.linprog``, and each later
+member of a budget ladder restarts from the previous member's basis).
 The algebraic modeling layer and the pure-Python simplex the tests
 check this path against live in ``tests/lp/``.
 

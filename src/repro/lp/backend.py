@@ -31,13 +31,14 @@ class Backend(Protocol):
     ``solve_batch(parametric, rhs_values, name=None)``
         Solve one :class:`~repro.lp.fastbuild.ParametricForm` for a
         sequence of RHS-slot values, returning one ``Solution`` per
-        value, element-wise identical to independent cold solves.  The
-        HiGHS backend loads the form into one session and re-solves
-        each member cold under one ``batch.solve`` span (carrying the
-        model, backend and member count), by design: on Fig-3 ladders a HiGHS warm
-        restart lands on another optimal vertex in 236 of 280 members
-        and changes the rounded plan in 30, so its
-        ``lp.warm_start_ratio`` is always 0.
+        value.  Each is an optimum of its own member's LP: its objective
+        equals an independent cold solve's, though it may sit on another
+        optimal vertex, and a given form and ladder always gives the
+        same list.  The HiGHS backend loads the form into one session,
+        solves the first member cold and restarts each later member
+        from the previous member's basis, all under one ``batch.solve``
+        span (carrying the model, backend and member count); each warm
+        member counts in ``lp.warm_starts``.
     """
 
     name: str

@@ -90,8 +90,9 @@ class ParametricForm:
     entry (the budget row).  A budget sweep therefore compiles **once**
     (through the :class:`ReplanCache` like any other compile) and each
     sweep member just patches that one float — via
-    ``backend.solve_batch`` (cold members of one loaded HiGHS
-    session), or via :meth:`form_for` for an independent cold solve.
+    ``backend.solve_batch`` (one loaded HiGHS session, each member
+    after the first warm from the previous member's basis), or via
+    :meth:`form_for` for an independent cold solve.
 
     ``rhs_of`` maps a budget to the slot's value using the *same* float
     arithmetic as a cold compile at that budget, so a patched form is

@@ -9,13 +9,18 @@ import numpy as np
 
 @dataclass
 class SolveStats:
-    """Bookkeeping about a solve, for the LP-timing experiments."""
+    """Bookkeeping about a solve, for the LP-timing experiments.
+
+    ``warm_started`` marks a ladder member restarted from the previous
+    member's basis (a cold re-run after a failed warm start is not).
+    """
 
     backend: str = ""
     wall_seconds: float = 0.0
     iterations: int = 0
     num_variables: int = 0
     num_constraints: int = 0
+    warm_started: bool = False
 
 
 @dataclass

@@ -132,11 +132,13 @@ class Instrumentation:
     # -- domain helpers (one per cross-cutting record shape) -----------
     def record_lp_solve(self, span, model_name: str, stats) -> None:
         """One LP solve, recorded after its ``solve`` span exits: its
-        size as the span's attributes, plus the solve counters and the
-        span's duration into ``lp.solve_seconds.<model>``.
+        size as the span's attributes, plus the solve counters (a
+        warm-started ladder member also counts in ``lp.warm_starts``)
+        and the span's duration into ``lp.solve_seconds.<model>``.
 
         ``stats`` is a :class:`~repro.lp.result.SolveStats` (duck-typed
-        so :mod:`repro.obs` stays dependency-free).
+        so :mod:`repro.obs` stays dependency-free; one without a
+        ``warm_started`` field records as cold).
         """
         span.annotate(
             variables=stats.num_variables,
@@ -144,6 +146,8 @@ class Instrumentation:
         )
         self.metrics.counter("lp.solves").inc()
         self.metrics.counter("lp.iterations").inc(stats.iterations)
+        if getattr(stats, "warm_started", False):
+            self.metrics.counter("lp.warm_starts").inc()
         self.metrics.histogram(f"lp.solve_seconds.{model_name}").observe(
             span.duration_s
         )

@@ -163,9 +163,11 @@ def sweep_solutions(
     The cross-session form cache's solution cache
     (:meth:`repro.service.cache.SharedPlanCache.sweep_solutions`) lets
     equal-content tenants pay one batch solve; otherwise the backend's
-    ``solve_batch`` runs the ladder (one HiGHS session re-solved cold
-    per member).  Both return solutions element-wise identical to
-    independent cold solves.
+    ``solve_batch`` runs the ladder (one HiGHS session, each member
+    after the first restarted from the previous member's basis).  Each
+    solution is an optimum of its own member's LP, with an independent
+    cold solve's objective, and a given form and ladder always gives
+    the same solutions.
     """
     if form_cache is not None:
         return form_cache.sweep_solutions(

@@ -136,9 +136,12 @@ class LPNoLFPlanner:
         """One plan per budget, sharing a single compiled formulation.
 
         The formulation compiles once (through the replan cache) and
-        each member patches the budget row's RHS, re-solved cold in one
-        loaded HiGHS session.  The results are element-wise identical
-        to calling :meth:`plan` once per budget.
+        each member patches the budget row's RHS in one loaded HiGHS
+        session, restarting from the previous member's basis.  Each
+        member's LP optimum has the objective :meth:`plan` would solve
+        for at that budget, but may be another optimal vertex, so its
+        rounded plan may differ from :meth:`plan`'s; it fits the same
+        budget, and the same ladder always gives the same plans.
         """
         budgets = [float(b) for b in budgets]
         backend = resolve_backend(self.backend, context.instrumentation)

@@ -133,7 +133,11 @@ class ProofPlanner:
         Mirrors :meth:`plan` member for member (including the
         :class:`~repro.errors.BudgetError` below :meth:`minimum_cost`,
         raised for the first offending budget); the LP compiles once
-        and each member patches the budget row's RHS.
+        and each member patches the budget row's RHS, restarting from
+        the previous member's basis.  A member's LP optimum has the
+        objective :meth:`plan` would solve for but may be another
+        optimal vertex, so its rounded plan may differ from
+        :meth:`plan`'s; the same ladder always gives the same plans.
         """
         budgets = [float(b) for b in budgets]
         self._check_budgets(context, budgets)

@@ -161,7 +161,9 @@ class SharedPlanCache:
         per ``(content key, backend, ladder)``.
 
         The cache level above :meth:`parametric`: equal-content tenants
-        sweeping the same budgets share one ``solve_batch`` call.  Like
+        sweeping the same budgets share one ``solve_batch`` call, whose
+        solutions a repeat call would reproduce exactly (a given form
+        and ladder always solves the same way).  Like
         :meth:`parametric`, the lock is held across the solve so racing
         sessions block behind one batch instead of duplicating it.
         Entries share the plan-cache LRU capacity and counters land

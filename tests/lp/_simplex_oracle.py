@@ -55,14 +55,12 @@ _GOLDEN = 0.6180339887498949
 class SimplexStats(SolveStats):
     """:class:`~repro.lp.SolveStats` plus this solver's warm record.
 
-    ``warm_started`` marks a ladder member restarted from the previous
-    optimal basis, and ``pivots`` counts the basis changes (bound flips
-    included) this solve needed.  ``bland_activations`` counts how
-    often Bland's anti-cycling rule engaged, and ``cold_fallback``
-    marks a warm restart abandoned for a cold re-solve.
+    ``pivots`` counts the basis changes (bound flips included) this
+    solve needed.  ``bland_activations`` counts how often Bland's
+    anti-cycling rule engaged, and ``cold_fallback`` marks a warm
+    restart abandoned for a cold re-solve.
     """
 
-    warm_started: bool = False
     pivots: int = 0
     bland_activations: int = 0
     cold_fallback: bool = False

@@ -1,13 +1,18 @@
-"""Differential test: the HiGHS session backend equals ``linprog``.
+"""Differential test: the HiGHS session backend against ``linprog``.
 
 :class:`repro.lp.ScipyBackend` drives HiGHS through scipy's binding
-directly: one loaded model per call, re-run cold per ladder member.
-``scipy.optimize.linprog(method="highs")`` is the oracle it must
-reproduce *bitwise* — values, objective, iteration count and
-inequality duals compared with ``np.array_equal`` / ``==`` — and on
+directly: one loaded model per call, the first member run cold and each
+later ladder member restarted from the previous member's basis.
+``scipy.optimize.linprog(method="highs")`` is the oracle.  A cold solve
+(``solve_form``, a ladder's first member, a warm member's cold re-run)
+must reproduce it *bitwise* -- values, objective, iteration count and
+inequality duals compared with ``np.array_equal`` / ``==`` -- and on
 failure the same :class:`~repro.errors.SolverError` status.  This is
 the test that catches a scipy upgrade changing the binding's
-behaviour.
+behaviour.  A warm member may land on another optimal vertex, so it is
+held to the vertex policy: ``linprog``'s objective to 1e-9 relative,
+both points feasible, and the same ladder solved twice bitwise the
+same.
 
 ``linprog`` rejects an infinite ``b_ub`` entry outright, while HiGHS
 reads any bound at or beyond its ``infinite_bound`` option (1e20) as
@@ -26,11 +31,16 @@ from scipy.optimize import linprog
 
 from repro.errors import SolverError
 from repro.lp import CompiledLP, ParametricForm, ScipyBackend, StandardForm
+from repro.lp.fastbuild import compile_lp_lf_parametric
 from repro.lp.scipy_backend import _HighsSession
 from tests.lp._model_oracle import compile_model, model_duals
 from tests.lp.test_backends_property import random_lp
 from tests.lp.test_fastbuild import make_context
-from tests.lp.test_parametric import _budgets, _parametric_for
+from tests.lp.test_parametric import (
+    _assert_feasible,
+    _budgets,
+    _parametric_for,
+)
 
 _HIGHS_INFINITE_BOUND = 1e20
 
@@ -79,19 +89,54 @@ def _assert_matches(solution, expected) -> None:
     assert np.array_equal(solution.inequality_duals, duals)
 
 
-def _assert_ladder_matches(solve, expectations) -> None:
-    """A ladder call either matches every member, or raises with the
-    status of the first member the oracle could not solve."""
+def _raises_first_failure(solve, expectations) -> bool:
+    """If the oracle fails on some member, check that ``solve`` raises
+    with the status of the first such member, and say so."""
     failures = [e for e in expectations if isinstance(e, str)]
     if failures:
         with pytest.raises(SolverError) as err:
             solve()
         assert err.value.status == failures[0]
+    return bool(failures)
+
+
+def _assert_ladder_matches(solve, expectations) -> None:
+    """A ladder call either matches every member, or raises with the
+    status of the first member the oracle could not solve."""
+    if _raises_first_failure(solve, expectations):
         return
     solutions = solve()
     assert len(solutions) == len(expectations)
     for solution, expected in zip(solutions, expectations):
         _assert_matches(solution, expected)
+
+
+def _assert_ladder_optimal(solve, members) -> None:
+    """A ladder call over the forms ``members`` follows the vertex
+    policy: it raises with the status of the first member ``linprog``
+    cannot solve, or each member has ``linprog``'s objective to 1e-9
+    relative with both points feasible, the first member (solved cold)
+    is bitwise ``linprog``'s, and a second call is bitwise the first."""
+    expectations = [_oracle(member) for member in members]
+    if _raises_first_failure(solve, expectations):
+        return
+    solutions = solve()
+    assert len(solutions) == len(members)
+    _assert_matches(solutions[0], expectations[0])
+    for solution, member, expected in zip(solutions, members, expectations):
+        values, objective, __, __ = expected
+        assert solution.objective == pytest.approx(
+            objective, rel=1e-9, abs=1e-9
+        )
+        _assert_feasible(member, solution.values)
+        _assert_feasible(member, values)
+    for solution, again in zip(solutions, solve()):
+        assert np.array_equal(solution.values, again.values)
+        assert solution.objective == again.objective
+        assert solution.stats.iterations == again.stats.iterations
+        assert np.array_equal(
+            solution.inequality_duals, again.inequality_duals
+        )
 
 
 _RHS_CODES = st.integers(min_value=0, max_value=11)
@@ -196,16 +241,15 @@ class TestRandomLPs:
     )
     @given(random_forms().filter(lambda f: f.a_ub.shape[0] > 0), st.data())
     def test_ladders_match_independent_linprog_solves(self, form, data):
-        """One session re-solved per member equals a fresh ``linprog``
-        per member."""
+        """One session solved per member gives each member an optimum
+        of a fresh ``linprog`` per member (see the vertex policy)."""
         parametric = _parametric(form)
         size = data.draw(st.integers(min_value=1, max_value=4))
         ladder = [_rhs(data.draw) for __ in range(size)]
         members = [parametric.form_for_rhs(rhs) for rhs in ladder]
         backend = ScipyBackend()
-        plain = [_oracle(member) for member in members]
-        _assert_ladder_matches(
-            lambda: backend.solve_batch(parametric, ladder), plain
+        _assert_ladder_optimal(
+            lambda: backend.solve_batch(parametric, ladder), members
         )
 
 
@@ -221,10 +265,11 @@ class TestProspectorLadders:
         context = make_context(seed, n, 8, k, planner_key=planner_key)
         parametric = _parametric_for(planner_key, context)
         ladder = parametric.rhs_values(_budgets(context))
-        expected = [_oracle(parametric.form_for_rhs(rhs)) for rhs in ladder]
+        members = [parametric.form_for_rhs(rhs) for rhs in ladder]
+        expected = [_oracle(member) for member in members]
         backend = ScipyBackend()
-        _assert_ladder_matches(
-            lambda: backend.solve_batch(parametric, ladder), expected
+        _assert_ladder_optimal(
+            lambda: backend.solve_batch(parametric, ladder), members
         )
         _assert_ladder_matches(
             lambda: [
@@ -285,4 +330,36 @@ class TestFeasibilityCheck:
     def test_within_tolerance_passes(self):
         self._solve(
             lambda r: r._replace(slack=r.slack - 1e-5, con=r.con + 1e-5)
+        )
+
+
+class TestWarmFallback:
+    """A warm member that fails is re-run cold on the same instance
+    before it can raise, so it answers as a cold solve would."""
+
+    @pytest.mark.parametrize("spoil", [
+        lambda r: r._replace(status="numerical", x=None, fun=None),
+        lambda r: r._replace(slack=r.slack - 1.0),
+    ], ids=["not-optimal", "infeasible-point"])
+    def test_failed_warm_member_is_rerun_cold(self, monkeypatch, spoil):
+        context = make_context(6, 14, 8, 4)
+        parametric = compile_lp_lf_parametric(context)
+        ladder = parametric.rhs_values(_budgets(context))
+        real_run = _HighsSession._run
+        runs = []
+
+        def spoil_second_run(session, highs):
+            run = real_run(session, highs)
+            runs.append(run)
+            # run 1 is member 0 (cold), run 2 member 1's warm start
+            return spoil(run) if len(runs) == 2 else run
+
+        monkeypatch.setattr(_HighsSession, "_run", spoil_second_run)
+        members = ScipyBackend().solve_batch(parametric, ladder)
+        assert len(runs) == len(ladder) + 1
+        assert [m.stats.warm_started for m in members] == (
+            [False, False] + [True] * (len(ladder) - 2)
+        )
+        _assert_matches(
+            members[1], _oracle(parametric.form_for_rhs(ladder[1]))
         )

@@ -1,15 +1,17 @@
 """Parametric sweep equivalence: one compile, many budgets.
 
-The contract of :class:`repro.lp.ParametricForm` and ``solve_batch``
-is element-wise agreement with the cold path: a patched form must be
-*bitwise* identical to a fresh compile at that budget, and a swept
-solve must match independent cold solves — objectives to 1e-9 and
-plans exactly equal after rounding.  (Raw variable vectors are a
-solver-internal detail; the simplex tie-break pricing makes them agree
-in practice, but the contract is stated over objectives and plans.)
-Both HiGHS, which re-solves each member cold, and the simplex oracle,
-which warm-starts each member from the previous optimal basis, are
-held to it.
+The contract of :class:`repro.lp.ParametricForm` is bitwise: a patched
+form must be identical to a fresh compile at that budget.  A swept
+solve is held to the paper's vertex policy -- a plan is *any* optimum
+of the sample LP, then rounded -- so each member must be an optimum of
+its own budget's LP: its objective matches a cold solve's to 1e-9
+relative, both points are feasible, and each rounded plan fits its
+budget.  HiGHS restarts each member after the first from the previous
+member's basis, so it may land on another optimal vertex than a cold
+solve; the same ladder solved twice must still give bitwise the same
+plans.  The simplex oracle, which warm-starts each member from the
+previous optimal basis with tie-break pricing that pins a unique
+vertex, is held to plans exactly equal to cold plans.
 """
 
 from __future__ import annotations
@@ -23,12 +25,14 @@ from hypothesis import strategies as st
 
 from repro.lp import (
     ScipyBackend,
+    StandardForm,
     compile_lp_lf,
     compile_lp_no_lf,
     compile_lp_lf_parametric,
     compile_lp_no_lf_parametric,
     compile_proof_parametric,
 )
+from repro.lp.scipy_backend import _FEASIBILITY_TOL
 from repro.planners.lp_lf import LPLFPlanner
 from repro.planners.lp_no_lf import LPNoLFPlanner
 from repro.planners.proof import ProofPlanner
@@ -110,8 +114,6 @@ _PLANNERS = {
     "proof": ProofPlanner,
 }
 
-_BACKENDS = {"simplex": SimplexBackend, "scipy": ScipyBackend}
-
 # The pure-Python Proof ladder grows steeply with n (about 90 s at
 # n = 30 against 3 s at n = 18), so the simplex oracle runs the n = 30
 # shape on the two cheaper formulations only; the hypothesis property
@@ -133,6 +135,23 @@ _SWEEP_CASES = [
 ]
 
 
+def _assert_feasible(form: StandardForm, x: np.ndarray) -> None:
+    """``x`` satisfies ``form`` within ``linprog``'s feasibility
+    tolerance."""
+    tol = _FEASIBILITY_TOL
+    lower = np.array([-np.inf if lo is None else lo for lo, __ in form.bounds])
+    upper = np.array([np.inf if hi is None else hi for __, hi in form.bounds])
+    assert np.all((x >= lower - tol) & (x <= upper + tol))
+    assert np.all(form.a_ub @ x <= form.b_ub + tol)
+    assert np.all(np.abs(form.a_eq @ x - form.b_eq) <= tol)
+
+
+def _assert_objective_matches(solution, reference) -> None:
+    assert solution.objective == pytest.approx(
+        reference.objective, rel=1e-9, abs=1e-9
+    )
+
+
 def _assert_sweep_plans_equal_cold_plans(context, planner_key, backend_cls):
     budgets = _budgets(context)
     cls = _PLANNERS[planner_key]
@@ -145,10 +164,33 @@ def _assert_sweep_plans_equal_cold_plans(context, planner_key, backend_cls):
         assert sweep_plan.bandwidths == cold_plan.bandwidths
 
 
+def _assert_sweep_follows_vertex_policy(context, planner_key):
+    """HiGHS ladders: each member an optimum of its own budget's LP
+    (a cold solve's objective, both points feasible), each rounded plan
+    within its budget, and the same ladder twice gives the same plans."""
+    budgets = _budgets(context)
+    backend = ScipyBackend()
+    parametric = _parametric_for(planner_key, context)
+    members = backend.solve_batch(parametric, parametric.rhs_values(budgets))
+    for budget, member in zip(budgets, members):
+        cold = _cold_compile(planner_key, replace(context, budget=budget))
+        reference = backend.solve_form(cold.form, cold.name)
+        _assert_objective_matches(member, reference)
+        _assert_feasible(cold.form, member.values)
+        _assert_feasible(cold.form, reference.values)
+    cls = _PLANNERS[planner_key]
+    swept = cls(backend=ScipyBackend()).plan_for_budgets(context, budgets)
+    again = cls(backend=ScipyBackend()).plan_for_budgets(context, budgets)
+    assert [p.bandwidths for p in swept] == [p.bandwidths for p in again]
+    for budget, plan in zip(budgets, swept):
+        assert context.plan_cost(plan) <= budget + 1e-9
+
+
 class TestSweepEquivalence:
-    """Property sweep over random topologies: ``plan_for_budgets`` must
-    be element-wise identical to per-budget cold planning, on every
-    formulation and both backends."""
+    """Property sweep over random topologies: ``plan_for_budgets``
+    against per-budget cold planning, on every formulation and both
+    backends -- plan-for-plan on the simplex oracle, by the vertex
+    policy on HiGHS."""
 
     @pytest.mark.parametrize(
         "seed,n,m,k,planner_key,backend", _SWEEP_CASES
@@ -157,9 +199,12 @@ class TestSweepEquivalence:
         self, seed, n, m, k, planner_key, backend
     ):
         context = make_context(seed, n, m, k, planner_key=planner_key)
-        _assert_sweep_plans_equal_cold_plans(
-            context, planner_key, _BACKENDS[backend]
-        )
+        if backend == "scipy":
+            _assert_sweep_follows_vertex_policy(context, planner_key)
+        else:
+            _assert_sweep_plans_equal_cold_plans(
+                context, planner_key, SimplexBackend
+            )
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -187,9 +232,7 @@ class TestSweepEquivalence:
         for budget, member in zip(budgets, members):
             cold = _cold_compile(planner_key, replace(context, budget=budget))
             reference = backend.solve_form(cold.form, cold.name)
-            assert member.objective == pytest.approx(
-                reference.objective, abs=1e-9 * max(1.0, abs(reference.objective))
-            )
+            _assert_objective_matches(member, reference)
 
 
 class TestSweepStats:
@@ -205,13 +248,13 @@ class TestSweepStats:
         assert all(m.stats.pivots >= 0 for m in members)
         assert all(m.stats.backend == "pure-simplex" for m in members)
 
-    def test_scipy_members_are_never_warm(self):
+    def test_scipy_members_after_the_first_are_warm(self):
         context = make_context(6, 14, 8, 4)
         backend = ScipyBackend()
         parametric = compile_lp_lf_parametric(context)
         members = backend.solve_batch(
             parametric, parametric.rhs_values(_budgets(context))
         )
-        assert not any(
-            getattr(m.stats, "warm_started", False) for m in members
+        assert [m.stats.warm_started for m in members] == (
+            [False] + [True] * (len(members) - 1)
         )

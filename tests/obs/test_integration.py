@@ -337,9 +337,10 @@ class TestDisabledInstrumentation:
 
 
 class TestSweepInstrumentation:
-    """Ladder telemetry from ``solve_batch``: the HiGHS cold ladder is
-    one ``batch.solve`` span over one ``solve`` span per member, and
-    records no warm starts and no instant."""
+    """Ladder telemetry from ``solve_batch``: the HiGHS ladder is one
+    ``batch.solve`` span over one ``solve`` span per member, counts
+    every member after the first as a warm start, and records no
+    instant."""
 
     def _sweep(self, backend_cls):
         from repro.lp.fastbuild import compile_lp_lf_parametric
@@ -353,11 +354,11 @@ class TestSweepInstrumentation:
         members = backend.solve_batch(parametric, parametric.rhs_values(budgets))
         return obs, members
 
-    def test_scipy_sweep_counts_no_warm_hits(self):
+    def test_scipy_sweep_counts_warm_hits(self):
         from repro.lp import ScipyBackend
 
         obs, members = self._sweep(ScipyBackend)
-        assert obs.metrics.counter("lp.warm_starts").value == 0
+        assert obs.metrics.counter("lp.warm_starts").value == len(members) - 1
         assert obs.metrics.counter("lp.solves").value == len(members)
         ((batch, solves),) = [
             (root, root.children) for root in obs.spans.roots
@@ -378,7 +379,7 @@ class TestSweepInstrumentation:
 
     def test_record_lp_solve_tuple_compat(self):
         """Any object with the five SolveStats fields records cleanly,
-        and the record carries no warm-start fields."""
+        as a cold solve, and the record carries no warm-start fields."""
         class LegacyStats:
             backend = "legacy"
             wall_seconds = 0.01
@@ -402,3 +403,19 @@ class TestSweepInstrumentation:
         hist = obs.metrics.histogram("lp.solve_seconds.legacy-model")
         assert (hist.count, hist.total) == (1, span.duration_s)
         assert obs.metrics.counter("lp.warm_starts").value == 0
+
+    def test_record_lp_solve_counts_duck_typed_warm_stats(self):
+        class WarmStats:
+            backend = "legacy"
+            wall_seconds = 0.01
+            iterations = 3
+            num_variables = 2
+            num_constraints = 1
+            warm_started = True
+
+        obs = Instrumentation()
+        with obs.span("solve", model="legacy-model") as span:
+            pass
+        obs.record_lp_solve(span, "legacy-model", WarmStats())
+        assert obs.metrics.counter("lp.warm_starts").value == 1
+        assert "warm_started" not in span.attributes
