@@ -19,9 +19,11 @@ objective to 1e-9 relative, both points feasible), and each member's
 rounded LP+LF plan fits its budget.  Warm and cold solves may sit on
 different optimal vertices, so raw vectors and plans are not compared.
 
-``run(quick=True)`` (or ``--quick`` / ``BENCH_QUICK=1``) shrinks the
-instance to n = 30, m = 10 for the CI smoke job.  Besides the
-human-readable ``results/lpsweep.txt`` table, a machine-readable
+Run from ``benchmarks/`` with ``PYTHONPATH=../src:..`` (the
+feasibility check is the tests' own).  ``run(quick=True)`` (or
+``--quick`` / ``BENCH_QUICK=1``) shrinks the instance to n = 30,
+m = 10 for the CI smoke job.  Besides the human-readable
+``results/lpsweep.txt`` table, a machine-readable
 ``results/BENCH_lpsweep.json`` (``BENCH_lpsweep.quick.json`` for a
 quick run) is written for the regression gate.
 """
@@ -39,11 +41,11 @@ from _helpers import record, write_payload
 from repro.datagen.gaussian import random_gaussian_field
 from repro.lp import ScipyBackend, compile_lp_lf
 from repro.lp.fastbuild import compile_lp_lf_parametric
-from repro.lp.scipy_backend import _FEASIBILITY_TOL
 from repro.network.builder import random_topology
 from repro.network.energy import EnergyModel
 from repro.planners.base import PlanningContext
 from repro.planners.lp_lf import LPLFPlanner
+from tests.lp.test_parametric import _assert_feasible
 
 K = 10
 _BUDGET_FACTORS = (0.7, 0.85, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0)
@@ -87,15 +89,6 @@ def _cold(backend, context, budgets):
             (compiled.form, backend.solve_form(compiled.form, compiled.name))
         )
     return members
-
-
-def _assert_feasible(form, x) -> None:
-    tol = _FEASIBILITY_TOL
-    lower = np.array([-np.inf if lo is None else lo for lo, __ in form.bounds])
-    upper = np.array([np.inf if hi is None else hi for __, hi in form.bounds])
-    assert np.all((x >= lower - tol) & (x <= upper + tol))
-    assert np.all(form.a_ub @ x <= form.b_ub + tol)
-    assert np.all(np.abs(form.a_eq @ x - form.b_eq) <= tol)
 
 
 def _sweep_row(backend, context, budgets) -> dict:

@@ -86,10 +86,11 @@ class _HighsSession:
     patches the budget row (``row``) and restarts from the previous
     member's basis; on the 40 fig3-sweep seeds this cut dual simplex
     iterations from 96,927 to 26,158.  A warm member may return another
-    optimal vertex than a cold solve (463 of those 560 members did),
-    with the same objective to 1e-15 relative.  A warm run that is not
-    optimal, or fails the feasibility check, is re-run cold on the same
-    instance, so a ladder fails only where cold solves would.
+    optimal vertex than a cold solve (463 of those 560 members did,
+    all within 1.8e-15 relative of the cold objective).  A warm run
+    that is not optimal, or fails the feasibility check, is re-run cold
+    on the same instance, so a ladder fails only where cold solves
+    would.
     """
 
     def __init__(self, form, row: int | None = None) -> None:
